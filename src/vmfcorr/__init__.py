@@ -18,12 +18,10 @@ from .correlation import (
     DecorrelationNotFound,
     DopplerParams,
     MotionState,
-    ScfArgument,
     acf,
     decorrelation_time,
     doppler_params,
     scf,
-    scf_argument,
     scf_exact_log,
     scf_isotropic,
     scf_large_kappa,
@@ -69,7 +67,6 @@ __all__ = [
     "QuadratureToleranceError",
     "RadarScenario",
     "SPEED_OF_LIGHT",
-    "ScfArgument",
     "StationarityReport",
     "VmfCluster",
     "acf",
@@ -91,7 +88,6 @@ __all__ = [
     "scenario_to_cluster_and_motion",
     "scf",
     "scf_along_path",
-    "scf_argument",
     "scf_exact_log",
     "scf_isotropic",
     "scf_large_kappa",

@@ -104,14 +104,13 @@ def correlation_matrix(geometry: ArrayGeometry, clusters, wavelength: float) -> 
     """
     _check_wavelength(wavelength)
     n = geometry.n_elements
+    rows, cols = np.triu_indices(n, 1)
+    values = scf_multicluster(
+        clusters, geometry.positions[cols] - geometry.positions[rows], wavelength
+    )
     out = np.eye(n, dtype=complex)
-    for i in range(n):
-        for k in range(i + 1, n):
-            value = scf_multicluster(
-                clusters, geometry.positions[k] - geometry.positions[i], wavelength
-            )
-            out[i, k] = value
-            out[k, i] = value.conjugate()
+    out[rows, cols] = values
+    out[cols, rows] = np.conj(values)
     return out
 
 
@@ -132,10 +131,8 @@ def scf_along_path(geometry: ArrayGeometry, clusters, wavelength: float):
         cumulative = np.zeros(1)
     coords = cumulative - cumulative[geometry.reference_index]
     origin = positions[geometry.reference_index]
-    return [
-        (float(s), scf_multicluster(clusters, p - origin, wavelength))
-        for s, p in zip(coords, positions)
-    ]
+    values = scf_multicluster(clusters, positions - origin, wavelength)
+    return [(float(s), v) for s, v in zip(coords, values.tolist())]
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
 
-_COMMON_KEYS = {"mode", "out", "format", "seed", "threads"}
+_COMMON_KEYS = {"mode", "out", "format"}
 _MODE_KEYS = {
     "scf-curve": {"wavelength", "cluster", "clusters", "kappas", "beta_deg", "betas_deg",
                   "direction", "d_over_lambda"},
@@ -85,8 +85,6 @@ class SweepConfig:
     mode: str
     out: str | None = None
     format: str = "csv"
-    seed: int = 0
-    threads: int | None = None
     wavelength: float | None = None
     clusters: tuple = ()
     kappas: tuple | None = None
@@ -349,10 +347,8 @@ def parse_config(text: str, mode: str | None = None) -> SweepConfig:
     if out is not None and not isinstance(out, str):
         errors.append("out: must be a string path")
         out = None
-    seed = _integer(doc, "seed", errors, default=0)
-    threads = _integer(doc, "threads", errors, default=None, minimum=1)
 
-    kwargs = dict(mode=effective_mode, out=out, format=fmt, seed=seed, threads=threads)
+    kwargs = dict(mode=effective_mode, out=out, format=fmt)
 
     if effective_mode == "scf-curve":
         kwargs["wavelength"] = _parse_wavelength(doc, errors)
@@ -472,15 +468,6 @@ def parse_config(text: str, mode: str | None = None) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def _map_ordered(fn, items, threads):
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _beta_direction(cluster: VmfCluster, beta: float) -> np.ndarray:
     mean = cluster.mean_direction
     tangent, _ = _tangent_basis(mean)
@@ -490,14 +477,11 @@ def _beta_direction(cluster: VmfCluster, beta: float) -> np.ndarray:
 def _rows_scf_curve(config: SweepConfig):
     lam = config.wavelength
     fractions = config.d_grid.points()
+    lengths = (fractions * lam)[:, None]
     if config.direction is not None:
-        unit = np.asarray(config.direction)
-        values = _map_ordered(
-            lambda f: scf_multicluster(config.clusters, f * lam * unit, lam),
-            list(fractions), config.threads,
-        )
+        values = scf_multicluster(config.clusters, lengths * np.asarray(config.direction), lam)
         header = ["d_over_lambda", "re", "im", "abs"]
-        rows = [[f, v.real, v.imag, abs(v)] for f, v in zip(fractions, values)]
+        rows = [[f, v.real, v.imag, abs(v)] for f, v in zip(fractions, values.tolist())]
         return header, rows
     base = config.clusters[0]
     kappas = config.kappas if config.kappas is not None else (base.kappa,)
@@ -506,15 +490,11 @@ def _rows_scf_curve(config: SweepConfig):
     rows = []
     for kappa in kappas:
         cluster = VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power)
-        for beta_deg in betas:
-            unit = _beta_direction(cluster, math.radians(beta_deg))
-            values = _map_ordered(
-                lambda f, c=cluster, u=unit: scf(c, f * lam * u, lam),
-                list(fractions), config.threads,
-            )
+        units = np.array([_beta_direction(cluster, math.radians(b)) for b in betas])
+        values = scf(cluster, lengths * units[:, None, :], lam)
+        for beta_deg, curve in zip(betas, values.tolist()):
             rows.extend(
-                [kappa, beta_deg, f, v.real, v.imag, abs(v)]
-                for f, v in zip(fractions, values)
+                [kappa, beta_deg, f, v.real, v.imag, abs(v)] for f, v in zip(fractions, curve)
             )
     return header, rows
 
@@ -523,27 +503,25 @@ def _rows_scf_field(config: SweepConfig):
     lam = config.wavelength
     xs = config.x_grid.points()
     ys = config.y_grid.points()
-    tasks = [(x, y) for y in ys for x in xs]
-    values = _map_ordered(
-        lambda xy: scf_multicluster(config.clusters, (xy[0] * lam, xy[1] * lam, 0.0), lam),
-        tasks, config.threads,
-    )
+    gx, gy = np.meshgrid(xs, ys)
+    d = np.stack([gx * lam, gy * lam, np.zeros_like(gx)], axis=-1)
+    values = scf_multicluster(config.clusters, d, lam)
     header = ["x_over_lambda", "y_over_lambda", "re", "im", "abs"]
-    rows = [[x, y, v.real, v.imag, abs(v)] for (x, y), v in zip(tasks, values)]
+    rows = [
+        [x, y, v.real, v.imag, abs(v)]
+        for y, line in zip(ys, values.tolist())
+        for x, v in zip(xs, line)
+    ]
     return header, rows
 
 
 def _rows_acf_curve(config: SweepConfig):
-    lam = config.wavelength
     factor = 2.0 if config.monostatic else 1.0
-    velocity = config.motion.velocity
     lags = config.dt_grid.points()
-    values = _map_ordered(
-        lambda t: scf_multicluster(config.clusters, factor * t * velocity, lam),
-        list(lags), config.threads,
-    )
+    d = (factor * lags)[:, None] * config.motion.velocity
+    values = scf_multicluster(config.clusters, d, config.wavelength)
     header = ["dt_s", "re", "im", "abs"]
-    rows = [[t, v.real, v.imag, abs(v)] for t, v in zip(lags, values)]
+    rows = [[t, v.real, v.imag, abs(v)] for t, v in zip(lags, values.tolist())]
     return header, rows
 
 
@@ -551,9 +529,9 @@ def _rows_array_matrix(config: SweepConfig):
     matrix = correlation_matrix(config.geometry, config.clusters, config.wavelength)
     header = ["row", "col", "re", "im"]
     rows = [
-        [i, k, matrix[i, k].real, matrix[i, k].imag]
-        for i in range(matrix.shape[0])
-        for k in range(matrix.shape[1])
+        [i, k, v.real, v.imag]
+        for i, line in enumerate(matrix.tolist())
+        for k, v in enumerate(line)
     ]
     return header, rows
 
@@ -590,23 +568,25 @@ def _rows_validate(config: SweepConfig):
     lam = config.wavelength
     base = config.clusters[0]
     spec = QuadratureSpec(abs_tol=config.quad_abs_tol, rel_tol=config.quad_rel_tol)
-    tasks = []
+    fractions = config.d_grid.points()
+    lengths = (fractions * lam)[:, None]
+    points = []
     for kappa in config.kappas:
         cluster = VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power)
-        for beta_deg in config.betas_deg:
-            unit = _beta_direction(cluster, math.radians(beta_deg))
-            for fraction in config.d_grid.points():
-                tasks.append((cluster, kappa, beta_deg, fraction, unit))
+        units = np.array([_beta_direction(cluster, math.radians(b)) for b in config.betas_deg])
+        ds = lengths * units[:, None, :]
+        closed = scf(cluster, ds, lam).tolist()
+        for b, beta_deg in enumerate(config.betas_deg):
+            for f, fraction in enumerate(fractions):
+                points.append((cluster, ds[b, f], [kappa, beta_deg, fraction], closed[b][f]))
 
-    def evaluate(task):
-        cluster, kappa, beta_deg, fraction, unit = task
-        d = fraction * lam * unit
-        closed = scf(cluster, d, lam)
-        quad = scf_quadrature(cluster, d, lam, spec)
-        return [kappa, beta_deg, fraction, closed.real, closed.imag,
-                quad.real, quad.imag, abs(closed - quad)]
-
-    rows = _map_ordered(evaluate, tasks, config.threads)
+    # the quadrature oracle is the one stage that runs faster on a thread pool
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        quads = list(pool.map(lambda p: scf_quadrature(p[0], p[1], lam, spec), points))
+    rows = [
+        key + [closed.real, closed.imag, quad.real, quad.imag, abs(closed - quad)]
+        for (_, _, key, closed), quad in zip(points, quads)
+    ]
     header = ["kappa", "beta_deg", "d_over_lambda", "closed_re", "closed_im",
               "quad_re", "quad_im", "abs_error"]
     return header, rows
@@ -639,7 +619,6 @@ def _write_output(config: SweepConfig, header, rows):
     else:
         payload = {
             "mode": config.mode,
-            "seed": config.seed,
             "columns": list(header),
             "rows": [
                 [int(v) if isinstance(v, (int, np.integer)) else float(v) for v in row]
@@ -678,9 +657,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON sweep configuration")
         p.add_argument("--out", help="output file path (default: <mode>.<format>)")
         p.add_argument("--format", choices=("csv", "json"), help="output format (default: csv)")
-        p.add_argument("--seed", type=int, help="seed recorded with the sweep")
-        p.add_argument("--threads", type=int,
-                       help="evaluation threads (default: available parallelism)")
     args = parser.parse_args(argv)
 
     try:
@@ -697,12 +673,6 @@ def main(argv=None) -> int:
             overrides["out"] = args.out
         if args.format is not None:
             overrides["format"] = args.format
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(["threads: must be >= 1"])
-            overrides["threads"] = args.threads
         if overrides:
             config = replace(config, **overrides)
     except ConfigError as exc:

@@ -6,9 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .vmf import TWO_PI, VmfCluster, _log_kappa_over_sinh, csinc_sqrt, direction_from_angles
-
-_HALF_PI = 0.5 * math.pi
+from .vmf import (
+    _HALF_PI,
+    TWO_PI,
+    VmfCluster,
+    _log_kappa_over_sinh,
+    csinc_sqrt,
+    direction_from_angles,
+)
 
 # Above this concentration sinh(kappa) no longer fits in a double, so the
 # spatial correlation switches to the log-domain large-kappa form.
@@ -49,27 +54,12 @@ class DopplerParams:
             raise ValueError("|f_mu| cannot exceed f_m")
 
 
-@dataclass(frozen=True)
-class ScfArgument:
-    """Intermediate complex coefficients of the correlation closed form.
-
-    bx, by, bz combine the concentration and the scaled displacement per axis;
-    b_sq is the transverse pair combined as -(bx**2 + by**2); sinc_arg is the
-    square root of the radicand bz**2 - b_sq with nonpositive imaginary part;
-    mean_dot_d is the displacement projected on the mean arrival direction.
-    """
-
-    bx: complex
-    by: complex
-    bz: complex
-    b_sq: complex
-    sinc_arg: complex
-    mean_dot_d: float
-
-
-def _as_displacement(d) -> np.ndarray:
+def _as_displacement(d, batch: bool = False) -> np.ndarray:
+    """d as a float array of shape (3,), or of shape (..., 3) when batch is set."""
     v = np.asarray(d, dtype=float)
-    if v.shape != (3,):
+    if batch and v.shape[-1:] != (3,):
+        raise ValueError("displacements must be an array of shape (..., 3) in meters")
+    if not batch and v.shape != (3,):
         raise ValueError("displacement must be a 3-vector in meters")
     if not np.all(np.isfinite(v)):
         raise ValueError("displacement components must be finite")
@@ -81,74 +71,86 @@ def _check_wavelength(wavelength: float):
         raise ValueError(f"wavelength must be positive, got {wavelength}")
 
 
-def _sinc_radicand(cluster: VmfCluster, d: np.ndarray, wavelength: float) -> tuple[complex, float]:
-    # (2 pi / lam)^2 |d|^2 - kappa^2 - 2j kappa (2 pi / lam) (mean . d)
-    k0 = TWO_PI / wavelength
-    proj = float(cluster.mean_direction @ d)
-    radicand = (k0 * k0) * float(d @ d) - cluster.kappa**2 - 2.0j * cluster.kappa * k0 * proj
-    return radicand, proj
+def _dot(a, b):
+    # summed in a fixed order, so an entry never depends on the batch around it
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _branch_sqrt(w: complex) -> complex:
-    """Square root with nonpositive imaginary part."""
-    z = cmath.sqrt(w)
-    if z.imag > 0.0:
-        z = -z
-    return z
-
-
-def scf_argument(cluster: VmfCluster, d, wavelength: float) -> ScfArgument:
-    """Assemble the intermediate coefficients entering the closed form."""
-    d = _as_displacement(d)
+def _radicand(cluster: VmfCluster, d: np.ndarray, wavelength: float) -> np.ndarray:
+    """Sinc radicand (2 pi / lam)^2 |d|^2 - kappa^2 - 2j kappa (2 pi / lam) (mean . d)
+    over displacements of shape (..., 3)."""
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
     kappa = cluster.kappa
-    cmu = math.cos(cluster.mu_psi)
-    bx = kappa * math.cos(cluster.mu_phi) * cmu + 1j * k0 * d[0]
-    by = kappa * math.sin(cluster.mu_phi) * cmu + 1j * k0 * d[1]
-    bz = kappa * math.sin(cluster.mu_psi) + 1j * k0 * d[2]
-    radicand, proj = _sinc_radicand(cluster, d, wavelength)
-    return ScfArgument(
-        bx=bx,
-        by=by,
-        bz=bz,
-        b_sq=-(bx * bx + by * by),
-        sinc_arg=_branch_sqrt(radicand),
-        mean_dot_d=proj,
+    return np.asarray(
+        (k0 * k0) * _dot(d, d) - kappa**2 - 2.0j * kappa * k0 * _dot(d, cluster.mean_direction)
     )
 
 
-def scf_isotropic(distance: float, wavelength: float) -> float:
-    """sinc(2 pi distance / wavelength), the uniform-scattering special case."""
+def _branch_sqrt(w):
+    """Square root with nonpositive imaginary part."""
+    z = np.sqrt(w)
+    return np.where(z.imag > 0.0, -z, z)
+
+
+def _large_kappa(kappa: float, w: np.ndarray) -> np.ndarray:
+    # kappa e^(-kappa) e^(jz) / (jz) assembled in the exponent; where w = 0 the
+    # closed form is kappa / sinh(kappa) itself, which underflows to zero
+    jz = 1j * _branch_sqrt(w)
+    value = np.full(jz.shape, math.exp(_log_kappa_over_sinh(kappa)), dtype=complex)
+    nonzero = jz != 0.0
+    jz = jz[nonzero]
+    value[nonzero] = np.exp(math.log(kappa) - kappa + jz - np.log(jz))
+    return value
+
+
+def _closed_form(cluster: VmfCluster, d, wavelength: float) -> np.ndarray:
+    """The closed form over displacements of shape (..., 3) in one pass.
+
+    Each regime is one mask: d = 0 gives exactly one, kappa = 0 the isotropic
+    sinc, kappa above the sinh overflow threshold the log-domain large-kappa
+    form, and otherwise csinc_sqrt splits its series and direct sin(z)/z.
+    """
+    d = _as_displacement(d, batch=True)
+    w = _radicand(cluster, d, wavelength)
+    kappa = cluster.kappa
+    value = np.ones(w.shape, dtype=complex)
+    live = np.any(d != 0.0, axis=-1)
+    if kappa == 0.0:
+        value[live] = scf_isotropic(np.sqrt(_dot(d, d))[live], wavelength)
+    elif kappa > LARGE_KAPPA_THRESHOLD:
+        value[live] = _large_kappa(kappa, w[live])
+    else:
+        value[live] = math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(w[live])
+    return value
+
+
+def scf_isotropic(distance, wavelength: float):
+    """sinc(2 pi distance / wavelength), the uniform-scattering special case;
+    a float for one distance, an array for an array of them."""
     _check_wavelength(wavelength)
-    if not (math.isfinite(distance) and distance >= 0.0):
+    r = np.asarray(distance, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError(f"distance must be finite and >= 0, got {distance}")
-    return float(np.sinc(2.0 * distance / wavelength))
+    value = np.sinc(2.0 * r / wavelength)
+    return float(value) if value.ndim == 0 else value
 
 
-def scf(cluster: VmfCluster, d, wavelength: float) -> complex:
+def scf(cluster: VmfCluster, d, wavelength: float):
     """Spatial correlation between two positions separated by displacement d.
 
     Equal to (kappa / sinh kappa) * sinc(sqrt(w)) with the radicand
     w = (2 pi / lam)^2 |d|^2 - kappa^2 - 2j kappa (2 pi / lam) (mean . d).
     kappa = 0 reduces to the real isotropic result, and concentrations beyond
     the sinh overflow threshold are routed to the log-domain large-kappa form.
-    The value at d = 0 is exactly one.
+    The value at d = 0 is exactly one. A 3-vector d gives a complex; an array
+    of shape (..., 3) gives a complex array of shape (...).
     """
-    d = _as_displacement(d)
-    _check_wavelength(wavelength)
-    if not np.any(d):
-        return 1.0 + 0.0j
-    kappa = cluster.kappa
-    if kappa == 0.0:
-        return complex(scf_isotropic(float(np.linalg.norm(d)), wavelength))
-    if kappa > LARGE_KAPPA_THRESHOLD:
-        return scf_large_kappa(cluster, d, wavelength)
-    radicand, _ = _sinc_radicand(cluster, d, wavelength)
-    return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(radicand)
+    value = _closed_form(cluster, d, wavelength)
+    return value.item() if value.ndim == 0 else value
 
 
-def scf_large_kappa(cluster: VmfCluster, d, wavelength: float) -> complex:
+def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
     """Tight large-concentration form kappa e^(-kappa) e^(jz) / (jz).
 
     z is the square root of the sinc radicand taken with nonpositive imaginary
@@ -156,19 +158,13 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float) -> complex:
     whole expression is assembled in the exponent, so nothing overflows for
     kappa up to ~1e6. Relative error versus the exact form decays like
     exp(-2 |Im z|), negligible whenever kappa is large and the displacement is
-    small against kappa * wavelength.
+    small against kappa * wavelength. Takes d of shape (3,) or (..., 3), like scf.
     """
-    d = _as_displacement(d)
-    _check_wavelength(wavelength)
-    kappa = cluster.kappa
-    if kappa <= 0.0:
+    if cluster.kappa <= 0.0:
         raise ValueError("large-kappa evaluation requires kappa > 0")
-    radicand, _ = _sinc_radicand(cluster, d, wavelength)
-    z = _branch_sqrt(radicand)
-    if z == 0.0:
-        raise ValueError("degenerate argument: sinc argument is zero")
-    jz = 1j * z
-    return cmath.exp(math.log(kappa) - kappa + jz - cmath.log(jz))
+    d = _as_displacement(d, batch=True)
+    value = _large_kappa(cluster.kappa, _radicand(cluster, d, wavelength))
+    return value.item() if value.ndim == 0 else value
 
 
 def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
@@ -178,16 +174,13 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     1 - e^(-2jz) and 1 - e^(-2 kappa) corrections that the large-kappa form
     drops; serves as the cross-check target for that approximation.
     """
-    d = _as_displacement(d)
-    _check_wavelength(wavelength)
     kappa = cluster.kappa
+    radicand = complex(_radicand(cluster, _as_displacement(d), wavelength))
     if kappa <= 0.0:
         raise ValueError("log-domain evaluation requires kappa > 0")
-    radicand, _ = _sinc_radicand(cluster, d, wavelength)
     if abs(radicand) <= 0.25:
         return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(radicand)
-    z = _branch_sqrt(radicand)
-    jz = 1j * z
+    jz = 1j * complex(_branch_sqrt(radicand))
     log_value = (
         math.log(kappa)
         - kappa
@@ -199,8 +192,8 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     return cmath.exp(log_value)
 
 
-def scf_multicluster(clusters, d, wavelength: float) -> complex:
-    """Power-weighted mixture of per-cluster correlations."""
+def scf_multicluster(clusters, d, wavelength: float):
+    """Power-weighted mixture of per-cluster correlations; takes d like scf."""
     clusters = list(clusters)
     if not clusters:
         raise ValueError("cluster list must not be empty")
@@ -224,17 +217,19 @@ def doppler_params(
 
 
 def acf(
-    cluster: VmfCluster, motion: MotionState, dt: float, wavelength: float, monostatic: bool = False
-) -> complex:
+    cluster: VmfCluster, motion: MotionState, dt, wavelength: float, monostatic: bool = False
+):
     """Temporal correlation at lag dt under constant linear motion.
 
     The lag maps onto the spatial displacement velocity * dt, doubled for
-    monostatic operation where path lengths change twice as fast.
+    monostatic operation where path lengths change twice as fast. An array of
+    lags gives an array of correlations of the same shape.
     """
-    if not math.isfinite(dt):
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(np.isfinite(dt)):
         raise ValueError(f"time lag must be finite, got {dt}")
     factor = 2.0 if monostatic else 1.0
-    return scf(cluster, factor * dt * motion.velocity, wavelength)
+    return scf(cluster, (factor * dt)[..., None] * motion.velocity, wavelength)
 
 
 class DecorrelationNotFound(RuntimeError):
@@ -269,27 +264,23 @@ def decorrelation_time(
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive, got {horizon}")
 
-    def excess(t: float) -> float:
-        return abs(acf(cluster, motion, t, wavelength, monostatic)) - threshold
+    def excess(t):
+        return np.abs(acf(cluster, motion, t, wavelength, monostatic)) - threshold
 
-    start = min(1e-6, horizon / _GRID_POINTS_PER_DECADE)
-    if excess(start) < 0.0:
-        lo, hi = 0.0, start
-    else:
-        ratio = 10.0 ** (1.0 / _GRID_POINTS_PER_DECADE)
-        lo = start
-        hi = None
-        t = start
-        while t < horizon:
-            t = min(t * ratio, horizon)
-            if excess(t) < 0.0:
-                hi = t
-                break
-            lo = t
-        if hi is None:
-            raise DecorrelationNotFound(
-                f"|ACF| never fell below {threshold} within horizon {horizon} s"
-            )
+    # one call over the whole geometric grid; its points are sequential
+    # products, so the bracket does not depend on how the grid is evaluated
+    ratio = 10.0 ** (1.0 / _GRID_POINTS_PER_DECADE)
+    grid = [min(1e-6, horizon / _GRID_POINTS_PER_DECADE)]
+    while grid[-1] < horizon:
+        grid.append(min(grid[-1] * ratio, horizon))
+    below = np.flatnonzero(excess(np.array(grid)) < 0.0)
+    if below.size == 0:
+        raise DecorrelationNotFound(
+            f"|ACF| never fell below {threshold} within horizon {horizon} s"
+        )
+    first = int(below[0])
+    lo = grid[first - 1] if first else 0.0
+    hi = grid[first]
     while hi - lo > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) < 0.0:

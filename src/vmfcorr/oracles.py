@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _as_displacement, _check_wavelength
-from .vmf import TWO_PI, VmfCluster, sample_vmf, vmf_pdf
-
-_HALF_PI = 0.5 * math.pi
+from .vmf import _HALF_PI, TWO_PI, VmfCluster, sample_vmf, vmf_pdf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
 # the Gauss nodes are the odd-indexed Kronrod nodes).

@@ -12,11 +12,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import MotionState, acf, decorrelation_time, doppler_params
-from .vmf import VmfCluster, kappa_from_angular_width
+from .vmf import _HALF_PI, VmfCluster, kappa_from_angular_width
 
 SPEED_OF_LIGHT = 299_792_458.0
-
-_HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
@@ -81,10 +79,8 @@ def radar_acf_curve(scenario: RadarScenario, dt_grid) -> list[tuple[float, float
     if not np.all(np.isfinite(grid)) or grid[0] < 0.0 or np.any(np.diff(grid) < 0.0):
         raise ValueError("lag grid must be sorted and nonnegative")
     cluster, motion, wavelength = scenario_to_cluster_and_motion(scenario)
-    return [
-        (float(t), abs(acf(cluster, motion, float(t), wavelength, scenario.monostatic)))
-        for t in grid
-    ]
+    values = acf(cluster, motion, grid, wavelength, scenario.monostatic)
+    return [(float(t), abs(v)) for t, v in zip(grid, values.tolist())]
 
 
 def _search_horizon(kappa: float, f_m: float) -> float:

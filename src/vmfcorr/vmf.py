@@ -1,6 +1,5 @@
 """von Mises-Fisher directional statistics and supporting special functions."""
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -164,20 +163,24 @@ def kappa_from_angular_width(delta_theta: float) -> float:
     return 2.0 / (1.0 - math.cos(0.5 * delta_theta))
 
 
-def csinc_sqrt(w) -> complex:
+def csinc_sqrt(w):
     """sinc of the square root, evaluated as an entire function of w.
 
     Equals sum_k (-w)^k / (2k+1)!, so both square-root branches give the same
     value. Small arguments use the power series to dodge the 0/0 at w = 0;
-    elsewhere sin(z)/z with z = sqrt(w).
+    elsewhere sin(z)/z with z = sqrt(w). A scalar w gives a complex, an array
+    a complex array of the same shape.
     """
-    w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+    w = np.asarray(w, dtype=complex)
+    if not np.all(np.isfinite(w)):
         raise ValueError("argument must be finite")
-    if abs(w) <= _SERIES_RADIUS:
-        acc = 0.0 + 0.0j
-        for coeff in reversed(_SERIES_COEFFS):
-            acc = acc * w + coeff
-        return acc
-    z = cmath.sqrt(w)
-    return cmath.sin(z) / z
+    value = np.empty(w.shape, dtype=complex)
+    series = np.abs(w) <= _SERIES_RADIUS
+    small = w[series]
+    acc = np.zeros(small.shape, dtype=complex)
+    for coeff in reversed(_SERIES_COEFFS):
+        acc = acc * small + coeff
+    value[series] = acc
+    z = np.sqrt(w[~series])
+    value[~series] = np.sin(z) / z
+    return value.item() if value.ndim == 0 else value

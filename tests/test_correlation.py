@@ -13,12 +13,12 @@ from vmfcorr import (
     decorrelation_time,
     doppler_params,
     scf,
-    scf_argument,
     scf_exact_log,
     scf_isotropic,
     scf_large_kappa,
     scf_multicluster,
 )
+from vmfcorr.correlation import _branch_sqrt, _radicand
 
 LAM = 0.3
 
@@ -41,55 +41,33 @@ def random_cluster(rng, max_kappa=100.0):
 
 
 class TestScfArgument:
+    """The sinc argument of the closed form: the radicand w and its square
+    root z with nonpositive imaginary part."""
+
     def test_zero_displacement(self):
         cluster = VmfCluster(0.4, -0.3, 5.0)
-        arg = scf_argument(cluster, (0.0, 0.0, 0.0), LAM)
-        assert arg.sinc_arg**2 == pytest.approx(-25.0)
-        assert arg.bz == pytest.approx(5.0 * math.sin(-0.3))
-        assert arg.mean_dot_d == 0.0
+        assert _radicand(cluster, np.zeros(3), LAM) == pytest.approx(-25.0)
 
     def test_isotropic_coefficients(self):
-        arg = scf_argument(VmfCluster(0.0, 0.0, 0.0), (LAM / 2, 0.0, 0.0), LAM)
-        assert arg.sinc_arg**2 == pytest.approx(math.pi**2)
-        assert arg.b_sq == pytest.approx(math.pi**2)
-        assert arg.bx == pytest.approx(1j * math.pi)
+        w = _radicand(VmfCluster(0.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
+        assert w == pytest.approx(math.pi**2)
 
     def test_along_mean_example(self):
-        arg = scf_argument(VmfCluster(0.0, 0.0, 10.0), (LAM, 0.0, 0.0), LAM)
+        w = _radicand(VmfCluster(0.0, 0.0, 10.0), np.array([LAM, 0.0, 0.0]), LAM)
         expected = complex(4 * math.pi**2 - 100.0, -40.0 * math.pi)
-        assert arg.sinc_arg**2 == pytest.approx(expected, rel=1e-13)
-
-    def test_radicand_identity(self):
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            cluster = random_cluster(rng)
-            d = rng.normal(size=3) * 2 * LAM
-            arg = scf_argument(cluster, d, LAM)
-            lhs = arg.bz**2 - arg.b_sq
-            rhs = -arg.sinc_arg**2
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-    def test_transverse_imaginary_part(self):
-        rng = np.random.default_rng(22)
-        k0 = 2 * math.pi / LAM
-        for _ in range(100):
-            cluster = random_cluster(rng)
-            d = rng.normal(size=3) * LAM
-            arg = scf_argument(cluster, d, LAM)
-            mean = cluster.mean_direction
-            horizontal = mean[0] * d[0] + mean[1] * d[1]
-            expected = -2.0 * cluster.kappa * k0 * horizontal
-            assert arg.b_sq.imag == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))
+        assert complex(w) == pytest.approx(expected, rel=1e-13)
 
     def test_branch_has_nonpositive_imag(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
-            arg = scf_argument(random_cluster(rng), rng.normal(size=3) * LAM, LAM)
-            assert arg.sinc_arg.imag <= 0.0
+            cluster = random_cluster(rng, max_kappa=1e5)
+            cluster = replace(cluster, kappa=700.0 + cluster.kappa)
+            z = _branch_sqrt(_radicand(cluster, rng.normal(size=(20, 3)) * LAM, LAM))
+            assert np.all(z.imag <= 0.0)
 
     def test_bad_wavelength(self):
         with pytest.raises(ValueError):
-            scf_argument(VmfCluster(0, 0, 1.0), (0.1, 0, 0), 0.0)
+            _radicand(VmfCluster(0, 0, 1.0), np.array([0.1, 0, 0]), 0.0)
 
 
 class TestScf:
@@ -220,6 +198,16 @@ class TestLargeKappa:
         with pytest.raises(ValueError):
             scf_large_kappa(VmfCluster(0, 0, 0.0), (LAM, 0, 0), LAM)
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_zero_sinc_argument(self, lam):
+        # transverse displacement of length kappa / k0 makes the radicand exactly 0,
+        # where the closed form is kappa / sinh(kappa), which underflows
+        cluster = VmfCluster(0.0, 0.0, 1000.0)
+        d = (0.0, 1000.0 * lam / (2 * math.pi), 0.0)
+        assert _radicand(cluster, np.array(d), lam) == 0.0
+        assert scf(cluster, d, lam) == 0.0
+        assert scf_large_kappa(cluster, d, lam) == 0.0
+
 
 class TestMulticluster:
     def test_single_cluster_identity(self):
@@ -274,6 +262,45 @@ class TestMulticluster:
             )
         with pytest.raises(ValueError):
             scf_multicluster([], (0, 0, 0), LAM)
+
+
+def _regime_displacements(kappa, lam):
+    """Displacements that reach every regime of a cluster with mean along +x:
+    d = 0, |w| just below and just above the series radius 0.25, w = 0, and
+    random directions at up to three wavelengths."""
+    k0 = 2 * math.pi / lam
+    rows = [(0.0, 0.0, 0.0), (0.0, kappa / k0, 0.0)]
+    for s in (-0.25, 0.25):
+        for eps in (-1e-9, 1e-9):
+            if kappa**2 + s * (1 + eps) > 0.0:
+                rows.append((0.0, math.sqrt(kappa**2 + s * (1 + eps)) / k0, 0.0))
+    random = np.random.default_rng(int(kappa * 1000) + 7).normal(size=(11, 3)) * lam
+    return np.vstack([rows, random])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 700.0, 700.001, 1000.0])
+def test_array_calls_match_scalar_calls(kappa):
+    lam = 1.0
+    cluster = VmfCluster(0.0, 0.0, kappa)
+    d = _regime_displacements(kappa, lam)
+    mixture = [replace(cluster, power=0.3), VmfCluster(1.0, -0.4, 20.0, power=0.7)]
+    for values, scalar in (
+        (scf(cluster, d, lam), lambda v: scf(cluster, v, lam)),
+        (scf_multicluster(mixture, d, lam), lambda v: scf_multicluster(mixture, v, lam)),
+    ):
+        assert values.shape == (len(d),)
+        for entry, v in zip(values, d):
+            assert entry == scalar(v)
+    grid = d[:12].reshape(2, 2, 3, 3)
+    assert np.array_equal(scf(cluster, grid, lam), scf(cluster, d[:12], lam).reshape(2, 2, 3))
+
+    motion = MotionState(30.0, 1.1, 0.2)
+    lags = np.linspace(0.0, 0.2, 12).reshape(3, 4)
+    for monostatic in (False, True):
+        values = acf(cluster, motion, lags, lam, monostatic)
+        assert values.shape == (3, 4)
+        for entry, lag in zip(values.ravel(), lags.ravel()):
+            assert entry == acf(cluster, motion, float(lag), lam, monostatic)
 
 
 class TestDoppler:
