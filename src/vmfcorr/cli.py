@@ -635,11 +635,17 @@ def run(config: SweepConfig) -> int:
     header, rows = _ROW_BUILDERS[config.mode](config)
     _write_output(config, header, rows)
     if config.mode == "validate":
-        max_error = max(row[-1] for row in rows)
+        kappa, beta_deg, fraction, *_, max_error = max(rows, key=lambda row: row[-1])
         print(
             f"validate: max |closed - quadrature| = {max_error:.3e} "
-            f"over {len(rows)} points (tolerance {config.tolerance:g})"
+            f"over {len(rows)} points (tolerance {config.tolerance:g}) "
+            f"at kappa={kappa:g} beta_deg={beta_deg:g} d_over_lambda={fraction:g}"
         )
+        per_kappa = {}
+        for row in rows:
+            per_kappa[row[0]] = max(per_kappa.get(row[0], 0.0), row[-1])
+        print("validate: max error per kappa: "
+              + ", ".join(f"{k:g}: {e:.3e}" for k, e in per_kappa.items()))
         if max_error > config.tolerance:
             return EXIT_VALIDATION
     return EXIT_OK

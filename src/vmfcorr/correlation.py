@@ -93,15 +93,16 @@ def _branch_sqrt(w):
     return np.where(z.imag > 0.0, -z, z)
 
 
-def _large_kappa(kappa: float, w: np.ndarray) -> np.ndarray:
-    # kappa e^(-kappa) e^(jz) / (jz) assembled in the exponent; where w = 0 the
-    # closed form is kappa / sinh(kappa) itself, which underflows to zero
+def _log_large_kappa(kappa: float, w: np.ndarray) -> np.ndarray:
+    # log of kappa e^(-kappa) e^(jz) / (jz), exponentiated only at the end so
+    # the value underflows to zero rather than overflow; where w = 0 the
+    # closed form is kappa / sinh(kappa) itself
     jz = 1j * _branch_sqrt(w)
-    value = np.full(jz.shape, math.exp(_log_kappa_over_sinh(kappa)), dtype=complex)
+    log_value = np.full(jz.shape, _log_kappa_over_sinh(kappa), dtype=complex)
     nonzero = jz != 0.0
     jz = jz[nonzero]
-    value[nonzero] = np.exp(math.log(kappa) - kappa + jz - np.log(jz))
-    return value
+    log_value[nonzero] = math.log(kappa) - kappa + jz - np.log(jz)
+    return log_value
 
 
 def _closed_form(cluster: VmfCluster, d, wavelength: float) -> np.ndarray:
@@ -119,7 +120,7 @@ def _closed_form(cluster: VmfCluster, d, wavelength: float) -> np.ndarray:
     if kappa == 0.0:
         value[live] = scf_isotropic(np.sqrt(_dot(d, d))[live], wavelength)
     elif kappa > LARGE_KAPPA_THRESHOLD:
-        value[live] = _large_kappa(kappa, w[live])
+        value[live] = np.exp(_log_large_kappa(kappa, w[live]))
     else:
         value[live] = math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(w[live])
     return value
@@ -163,7 +164,7 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
     if cluster.kappa <= 0.0:
         raise ValueError("large-kappa evaluation requires kappa > 0")
     d = _as_displacement(d, batch=True)
-    value = _large_kappa(cluster.kappa, _radicand(cluster, d, wavelength))
+    value = np.exp(_log_large_kappa(cluster.kappa, _radicand(cluster, d, wavelength)))
     return value.item() if value.ndim == 0 else value
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _as_displacement, _check_wavelength
-from .vmf import _HALF_PI, TWO_PI, VmfCluster, sample_vmf, vmf_pdf
+from .vmf import _HALF_PI, TWO_PI, VmfCluster, _vmf_directions, sample_vmf, vmf_pdf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
 # the Gauss nodes are the odd-indexed Kronrod nodes).
@@ -248,6 +248,11 @@ def transfer_function(ensemble: MultipathEnsemble, dr, wavelength: float) -> com
     )
 
 
+# Path samples per Monte-Carlo block: large enough to amortize the numpy
+# calls, small enough that the block arrays stay well under a megabyte.
+_BLOCK_PATH_SAMPLES = 16384
+
+
 def scf_montecarlo(
     cluster: VmfCluster,
     d,
@@ -261,8 +266,15 @@ def scf_montecarlo(
     Each realization draws fresh arrival directions and contributes the
     pair product averaged over the uniform initial phases, which collapses to
     sum_n A_n^2 exp(j k0 doa_n . d); the phase average is exact, so the
-    zero-displacement estimate is exactly one. Realization seeds are derived
-    from (seed, index), independent of evaluation order.
+    zero-displacement estimate is exactly one.
+
+    Realization i draws its n_paths uniforms, then its n_paths tangent angles,
+    from its own stream default_rng(SeedSequence(seed, spawn_key=(i,))), so
+    its directions are those of sample_vmf(cluster, n_paths, that sequence)
+    whatever the evaluation order. The draws are stacked into blocks of
+    realizations that are transformed and phase-averaged together; each row
+    rounds exactly as it would alone, so seeded results are bit-identical to
+    a per-realization loop.
     """
     if n_realizations < 100:
         raise ValueError(f"at least 100 realizations are required, got {n_realizations}")
@@ -271,11 +283,19 @@ def scf_montecarlo(
     d = _as_displacement(d)
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
+    block = max(1, _BLOCK_PATH_SAMPLES // n_paths)
     terms = np.empty(n_realizations, dtype=complex)
-    for index in range(n_realizations):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        doas = sample_vmf(cluster, n_paths, seq)
-        terms[index] = np.mean(np.exp(1j * k0 * (doas @ d)))
+    u = np.empty((block, n_paths))
+    theta = np.empty((block, n_paths))
+    for start in range(0, n_realizations, block):
+        rows = min(block, n_realizations - start)
+        for row in range(rows):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(start + row,))
+            rng = np.random.default_rng(seq)
+            u[row] = rng.random(n_paths)
+            theta[row] = rng.uniform(0.0, TWO_PI, n_paths)
+        doas = _vmf_directions(cluster, u[:rows], theta[:rows])
+        terms[start:start + rows] = np.mean(np.exp(1j * k0 * (doas @ d)), axis=-1)
     estimate = complex(np.mean(terms))
     spread = float(np.sum(np.abs(terms - estimate) ** 2))
     std_error = math.sqrt(spread / (n_realizations * (n_realizations - 1)))

@@ -113,19 +113,10 @@ def _tangent_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(unit, e1)
 
 
-def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
-    """Draw n unit vectors from the cluster's distribution, shape (n, 3).
-
-    The cosine along the mean direction is sampled by exact CDF inversion,
-    w = 1 + log(u + (1 - u) exp(-2 kappa)) / kappa for uniform u, and the
-    tangent angle uniformly. No rejection step, so the output is a fixed
-    deterministic function of the seed.
-    """
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    theta = rng.uniform(0.0, TWO_PI, n)
+def _vmf_directions(cluster: VmfCluster, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # Uniforms u in [0, 1) and tangent angles theta of shape (..., n) to unit
+    # vectors of shape (..., n, 3); elementwise, so each row of a stack maps
+    # exactly as it would alone.
     kappa = cluster.kappa
     if kappa == 0.0:
         w = 2.0 * u - 1.0
@@ -138,11 +129,29 @@ def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
     sin_polar = np.sqrt(np.maximum(0.0, 1.0 - w * w))
     mean = cluster.mean_direction
     e1, e2 = _tangent_basis(mean)
-    return (
-        w[:, None] * mean
-        + (sin_polar * np.cos(theta))[:, None] * e1
-        + (sin_polar * np.sin(theta))[:, None] * e2
+    along_e1 = sin_polar * np.cos(theta)
+    along_e2 = sin_polar * np.sin(theta)
+    # one component at a time: a length-3 trailing broadcast is several
+    # times slower and rounds each component the same way
+    return np.stack(
+        [w * mean[k] + along_e1 * e1[k] + along_e2 * e2[k] for k in range(3)], axis=-1
     )
+
+
+def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
+    """Draw n unit vectors from the cluster's distribution, shape (n, 3).
+
+    The cosine along the mean direction is sampled by exact CDF inversion
+    (Wood 1994), w = 1 + log(u + (1 - u) exp(-2 kappa)) / kappa for uniform u,
+    and the tangent angle uniformly. No rejection step, so the output is a
+    fixed deterministic function of the seed: n uniforms u, then n angles.
+    """
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    theta = rng.uniform(0.0, TWO_PI, n)
+    return _vmf_directions(cluster, u, theta)
 
 
 def mean_resultant_length(kappa: float) -> float:

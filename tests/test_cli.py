@@ -275,10 +275,25 @@ class TestMainExitCodes:
         }
         path = write_config(tmp_path / "v.json", doc)
         assert main(["validate", "--config", path]) == EXIT_OK
-        assert "max |closed - quadrature|" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        data = (tmp_path / "validate.csv").read_bytes()
+        rows = [[float(v) for v in line.split(",")] for line in data.decode().splitlines()[1:]]
+        worst = max(rows, key=lambda row: row[-1])
+        first, second = out.splitlines()
+        assert first.startswith(f"validate: max |closed - quadrature| = {worst[-1]:.3e} ")
+        assert first.endswith(
+            f" at kappa={worst[0]:g} beta_deg={worst[1]:g} d_over_lambda={worst[2]:g}"
+        )
+        per_kappa = [max(r[-1] for r in rows if r[0] == k) for k in (0.0, 10.0)]
+        assert second == (
+            f"validate: max error per kappa: 0: {per_kappa[0]:.3e}, 10: {per_kappa[1]:.3e}"
+        )
         doc["tolerance"] = 1e-20
+        doc["out"] = str(tmp_path / "validate-strict.csv")
         path = write_config(tmp_path / "v2.json", doc)
         assert main(["validate", "--config", path]) == EXIT_VALIDATION
+        # the report goes to stdout only: the data file is the same bytes
+        assert (tmp_path / "validate-strict.csv").read_bytes() == data
 
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.json", curve_config())

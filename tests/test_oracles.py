@@ -12,8 +12,11 @@ from vmfcorr import (
     scf,
     scf_montecarlo,
     scf_quadrature,
+    sample_vmf,
     transfer_function,
 )
+from vmfcorr.oracles import _BLOCK_PATH_SAMPLES
+from vmfcorr.vmf import TWO_PI, _vmf_directions
 
 LAM = 0.4
 
@@ -183,3 +186,72 @@ class TestMonteCarlo:
             scf_montecarlo(cluster, (0, 0, 0), LAM, n_realizations=50)
         with pytest.raises(ValueError):
             scf_montecarlo(cluster, (0, 0, 0), LAM, n_paths=5, n_realizations=200)
+
+
+def _montecarlo_loop(cluster, d, wavelength, n_paths, n_realizations, seed):
+    # one sample_vmf call per realization: the reference the blocked
+    # evaluation must reproduce bit for bit
+    k0 = TWO_PI / wavelength
+    d = np.asarray(d, dtype=float)
+    terms = np.empty(n_realizations, dtype=complex)
+    for index in range(n_realizations):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+        doas = sample_vmf(cluster, n_paths, seq)
+        terms[index] = np.mean(np.exp(1j * k0 * (doas @ d)))
+    estimate = complex(np.mean(terms))
+    spread = float(np.sum(np.abs(terms - estimate) ** 2))
+    return estimate, math.sqrt(spread / (n_realizations * (n_realizations - 1)))
+
+
+class TestMonteCarloBitIdentity:
+    @pytest.mark.parametrize(
+        "cluster, d, n_paths, n_realizations, seed, expected",
+        [
+            (VmfCluster(0.3, -0.4, 10.0), (0.03, -0.02, 0.01), 64, 1000, 123456,
+             ((0.44927768127927015 + 0.6824251655064288j), 0.0023163342620496474)),
+            (VmfCluster(2.0, 1.2, 1e5), (0.01, 0.005, -0.012), 10, 100, 2**32 - 1,
+             ((0.7686921504756344 - 0.6396142937700385j), 7.329747017691133e-05)),
+            (VmfCluster(-1.0, 0.0, 0.0), (0.05, 0.0, 0.02), 13, 300, 7,
+             ((-0.0672519909593148 - 0.009823298558673265j), 0.015987733610384882)),
+        ],
+    )
+    def test_pinned_values(self, cluster, d, n_paths, n_realizations, seed, expected):
+        # values of the per-realization loop this evaluation replaced
+        assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed) == expected
+
+    @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
+    @pytest.mark.parametrize("mu_psi", [-0.4, 1.3])
+    def test_matches_loop_reference(self, kappa, mu_psi):
+        # mu_psi = 1.3 puts |mu_z| above 0.9, where the tangent basis takes
+        # its other helper axis; 1037 realizations end in a partial block
+        n_paths, n_realizations = 64, 1037
+        block = _BLOCK_PATH_SAMPLES // n_paths
+        assert n_realizations > block and n_realizations % block != 0
+        cluster = VmfCluster(0.7, mu_psi, kappa)
+        d = (0.03, -0.02, 0.01)
+        blocked = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
+        assert blocked == _montecarlo_loop(cluster, d, 0.1, n_paths, n_realizations, 31)
+
+    @pytest.mark.parametrize("n_paths, n_realizations", [(13, 300), (64, 1024), (10, 1700)])
+    def test_block_boundaries(self, n_paths, n_realizations):
+        # one partial block, whole blocks only, one full block plus a remainder
+        cluster = VmfCluster(-2.2, 0.1, 3.0)
+        d = (0.05, 0.0, -0.02)
+        blocked = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=8)
+        assert blocked == _montecarlo_loop(cluster, d, 0.1, n_paths, n_realizations, 8)
+
+    @pytest.mark.parametrize("kappa", [0.0, 10.0, 1e5])
+    def test_stacked_rows_match_sample_vmf(self, kappa):
+        cluster = VmfCluster(0.4, 1.4, kappa)
+        n = 17
+        seeds = [np.random.SeedSequence(entropy=5, spawn_key=(i,)) for i in range(6)]
+        u = np.empty((len(seeds), n))
+        theta = np.empty((len(seeds), n))
+        for row, seq in enumerate(seeds):
+            rng = np.random.default_rng(seq)
+            u[row] = rng.random(n)
+            theta[row] = rng.uniform(0.0, TWO_PI, n)
+        stacked = _vmf_directions(cluster, u, theta)
+        assert stacked.shape == (len(seeds), n, 3)
+        for row, seq in enumerate(seeds):
+            np.testing.assert_array_equal(stacked[row], sample_vmf(cluster, n, seq))
