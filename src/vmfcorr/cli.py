@@ -11,53 +11,21 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .arrays import ArrayGeometry, circular_array, correlation_matrix, linear_array, planar_grid, scf_along_path
 from .correlation import MotionState, scf, scf_multicluster
-from .oracles import QuadratureSpec, scf_quadrature
+from .oracles import (_MAX_QUADRATURE_KAPPA, QuadratureSpec, QuadratureToleranceError,
+                      scf_quadrature)
 from .radar import SPEED_OF_LIGHT, RadarScenario, decorrelation_table
 from .vmf import VmfCluster, _tangent_basis, direction_from_angles
-
-MODES = (
-    "scf-curve",
-    "scf-field",
-    "acf-curve",
-    "array-matrix",
-    "array-path",
-    "radar-table",
-    "validate",
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_IO = 4
-
-_COMMON_KEYS = {"mode", "out", "format"}
-_MODE_KEYS = {
-    "scf-curve": {"wavelength", "cluster", "clusters", "kappas", "beta_deg", "betas_deg",
-                  "direction", "d_over_lambda"},
-    "scf-field": {"wavelength", "cluster", "clusters", "x_over_lambda", "y_over_lambda"},
-    "acf-curve": {"wavelength", "carrier_frequency_hz", "cluster", "clusters", "motion",
-                  "monostatic", "dt_s"},
-    "array-matrix": {"wavelength", "cluster", "clusters", "geometry"},
-    "array-path": {"wavelength", "cluster", "clusters", "geometry"},
-    "radar-table": {"carrier_frequency_hz", "elevation_deg", "widths_deg", "speeds_kmh",
-                    "motion_azimuth_deg", "monostatic", "threshold"},
-    "validate": {"wavelength", "cluster", "kappas", "betas_deg", "d_over_lambda",
-                 "tolerance", "quad_abs_tol", "quad_rel_tol"},
-}
-_CLUSTER_KEYS = {"kappa", "mu_phi_deg", "mu_psi_deg", "power"}
-_GRID_KEYS = {"start", "stop", "count"}
-_MOTION_KEYS = {"speed_mps", "phi_v_deg", "psi_v_deg"}
-_DIRECTION_KEYS = {"phi_deg", "psi_deg"}
-_GEOMETRY_KEYS = {
-    "linear": {"kind", "n", "spacing_over_lambda", "axis_phi_deg", "axis_psi_deg"},
-    "circular": {"kind", "n", "radius_over_lambda"},
-    "planar": {"kind", "nx", "ny", "dx_over_lambda", "dy_over_lambda"},
-}
 
 
 class ConfigError(ValueError):
@@ -114,202 +82,289 @@ def output_path(config: SweepConfig) -> str:
     return f"{config.mode.replace('-', '_')}.{config.format}"
 
 
-def _number(doc, key, errors, *, default=None, required=False, positive=False,
-            nonnegative=False, label=None):
-    label = label or key
-    if key not in doc:
-        if required:
-            errors.append(f"{label}: required")
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{label}: must be a number")
-        return default
-    value = float(value)
-    if not math.isfinite(value):
-        errors.append(f"{label}: must be finite")
-        return default
-    if positive and value <= 0.0:
-        errors.append(f"{label}: must be > 0")
-        return default
-    if nonnegative and value < 0.0:
-        errors.append(f"{label}: must be >= 0")
-        return default
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _integer(doc, key, errors, *, default=None, required=False, minimum=None, label=None):
-    label = label or key
-    if key not in doc:
-        if required:
-            errors.append(f"{label}: required")
+class _Reader:
+    """Typed reads from one JSON object of a config.
+
+    Every key a read asks for is recorded; `close` reports each key that no
+    read asked for. Readers of nested objects share their parent's error
+    list and are closed with it.
+    """
+
+    def __init__(self, doc: dict, label: str = "", parent=None):
+        self.doc, self.label, self.asked = doc, label, set()
+        self.errors = parent.errors if parent else []
+        self.opened = parent.opened if parent else []
+        self.opened.append(self)
+
+    def name(self, key=None) -> str:
+        return ".".join(part for part in (self.label, key) if part)
+
+    def fail(self, key, message, default=None):
+        """Record a violation at key (the object itself for None); gives default."""
+        self.errors.append(f"{self.name(key)}: {message}")
         return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{label}: must be an integer")
-        return default
-    if minimum is not None and value < minimum:
-        errors.append(f"{label}: must be >= {minimum}")
-        return default
-    return value
+
+    def has(self, key) -> bool:
+        self.asked.add(key)
+        return key in self.doc
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return self.doc.get(key, default)
+
+    def nested(self, key, value, expect="an object"):
+        """A reader for the value at key, which must be an object; None after
+        recording why."""
+        if isinstance(value, dict):
+            return _Reader(value, self.name(key), self)
+        return self.fail(key, f"must be {expect}")
+
+    def read(self, key, kind, default=None, *, required=False, positive=False,
+             nonnegative=False, minimum=None, expect="an object"):
+        """The value at key as kind: float, int, bool, list (a nonempty tuple of
+        floats) or dict (a nested reader). Gives default where the key is absent
+        or its value invalid, after recording why."""
+        if not self.has(key):
+            return self.fail(key, "required", default) if required else default
+        value = self.doc[key]
+        if kind is dict:
+            return self.nested(key, value, expect)
+        if kind is list:
+            if not isinstance(value, list) or not value:
+                return self.fail(key, "must be a nonempty list of numbers", default)
+            for i, item in enumerate(value):
+                if not _is_number(item) or not math.isfinite(item):
+                    return self.fail(f"{key}[{i}]", "must be a finite number", default)
+                if positive and item <= 0.0:
+                    return self.fail(f"{key}[{i}]", "must be > 0", default)
+            return tuple(float(item) for item in value)
+        if kind is bool:
+            ok = isinstance(value, bool)
+            return value if ok else self.fail(key, "must be a boolean", default)
+        if kind is int:
+            if isinstance(value, bool) or not isinstance(value, int):
+                return self.fail(key, "must be an integer", default)
+            if minimum is not None and value < minimum:
+                return self.fail(key, f"must be >= {minimum}", default)
+            return value
+        if not _is_number(value):
+            return self.fail(key, "must be a number", default)
+        value = float(value)
+        if not math.isfinite(value):
+            return self.fail(key, "must be finite", default)
+        if positive and value <= 0.0:
+            return self.fail(key, "must be > 0", default)
+        if nonnegative and value < 0.0:
+            return self.fail(key, "must be >= 0", default)
+        return value
+
+    def close(self):
+        for key in sorted(set(self.doc) - self.asked):
+            self.errors.append(f"{self.label or 'config'}: unknown key '{key}'")
 
 
-def _number_list(doc, key, errors, *, required=False, positive=False, label=None):
-    label = label or key
-    if key not in doc:
-        if required:
-            errors.append(f"{label}: required")
+def _read_cluster(block, require_kappa=True):
+    if block is None:
         return None
-    value = doc[key]
-    if not isinstance(value, list) or not value:
-        errors.append(f"{label}: must be a nonempty list of numbers")
-        return None
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not math.isfinite(item):
-            errors.append(f"{label}[{i}]: must be a finite number")
-            return None
-        if positive and item <= 0.0:
-            errors.append(f"{label}[{i}]: must be > 0")
-            return None
-        out.append(float(item))
-    return tuple(out)
-
-
-def _check_unknown(block, allowed, errors, label):
-    for key in sorted(set(block) - set(allowed)):
-        errors.append(f"{label}: unknown key '{key}'")
-
-
-def _parse_cluster_block(block, label, errors, require_kappa=True):
-    if not isinstance(block, dict):
-        errors.append(f"{label}: must be an object")
-        return None
-    _check_unknown(block, _CLUSTER_KEYS, errors, label)
-    kappa = _number(block, "kappa", errors, default=0.0, required=require_kappa,
-                    nonnegative=True, label=f"{label}.kappa")
-    mu_phi = _number(block, "mu_phi_deg", errors, default=0.0, label=f"{label}.mu_phi_deg")
-    mu_psi = _number(block, "mu_psi_deg", errors, default=0.0, label=f"{label}.mu_psi_deg")
-    power = _number(block, "power", errors, default=1.0, positive=True, label=f"{label}.power")
-    if errors:
+    kappa = block.read("kappa", float, 0.0, required=require_kappa, nonnegative=True)
+    mu_phi = block.read("mu_phi_deg", float, 0.0)
+    mu_psi = block.read("mu_psi_deg", float, 0.0)
+    power = block.read("power", float, 1.0, positive=True)
+    if block.errors:  # shared by the whole config: build only while it is clean
         return None
     try:
         return VmfCluster(math.radians(mu_phi), math.radians(mu_psi), kappa, power)
     except ValueError as exc:
-        errors.append(f"{label}: {exc}")
-        return None
+        return block.fail(None, str(exc))
 
 
-def _parse_clusters(doc, errors, require_kappa=True):
-    if "cluster" in doc and "clusters" in doc:
-        errors.append("cluster: give either 'cluster' or 'clusters', not both")
-        return ()
-    if "cluster" in doc:
-        cluster = _parse_cluster_block(doc["cluster"], "cluster", errors, require_kappa)
+def _read_clusters(r, require_kappa=True):
+    one, many = r.has("cluster"), r.has("clusters")
+    if one and many:
+        return r.fail("cluster", "give either 'cluster' or 'clusters', not both", ())
+    if one:
+        cluster = _read_cluster(r.read("cluster", dict), require_kappa)
         return (cluster,) if cluster is not None else ()
-    blocks = doc.get("clusters")
+    blocks = r.get("clusters")
     if blocks is None:
-        errors.append("clusters: required")
-        return ()
+        return r.fail("clusters", "required", ())
     if not isinstance(blocks, list) or not blocks:
-        errors.append("clusters: must be a nonempty list")
-        return ()
-    clusters = []
-    for i, block in enumerate(blocks):
-        cluster = _parse_cluster_block(block, f"clusters[{i}]", errors, require_kappa)
-        if cluster is not None:
-            clusters.append(cluster)
-    if len(clusters) == len(blocks):
+        return r.fail("clusters", "must be a nonempty list", ())
+    clusters = [_read_cluster(r.nested(f"clusters[{i}]", block), require_kappa)
+                for i, block in enumerate(blocks)]
+    clusters = tuple(c for c in clusters if c is not None)
+    if len(clusters) == len(blocks) > 1:
         total = sum(c.power for c in clusters)
-        if len(clusters) > 1 and abs(total - 1.0) > 1e-9:
-            errors.append(f"clusters: powers must sum to 1, got {total}")
-    return tuple(clusters)
+        if abs(total - 1.0) > 1e-9:
+            r.fail("clusters", f"powers must sum to 1, got {total}")
+    return clusters
 
 
-def _parse_grid(doc, key, errors, *, required=False, default=None, nonnegative=False):
-    if key not in doc:
-        if required:
-            errors.append(f"{key}: required")
+def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
+    grid = r.read(key, dict, required=required, expect="an object with start/stop/count")
+    if grid is None:
         return default
-    block = doc[key]
-    if not isinstance(block, dict):
-        errors.append(f"{key}: must be an object with start/stop/count")
-        return default
-    _check_unknown(block, _GRID_KEYS, errors, key)
-    start = _number(block, "start", errors, required=True, label=f"{key}.start")
-    stop = _number(block, "stop", errors, required=True, label=f"{key}.stop")
-    count = _integer(block, "count", errors, required=True, minimum=1, label=f"{key}.count")
-    if start is None or stop is None or count is None:
+    start = grid.read("start", float, required=True)
+    stop = grid.read("stop", float, required=True)
+    count = grid.read("count", int, required=True, minimum=1)
+    if None in (start, stop, count):
         return default
     if stop < start:
-        errors.append(f"{key}: stop must be >= start")
-        return default
+        return r.fail(key, "stop must be >= start", default)
     if nonnegative and start < 0.0:
-        errors.append(f"{key}.start: must be >= 0")
-        return default
+        return grid.fail("start", "must be >= 0", default)
     return GridSpec(start, stop, count)
 
 
-def _parse_geometry(doc, errors, wavelength, kinds):
-    block = doc.get("geometry")
+def _read_wavelength(r, carrier=False):
+    if carrier:
+        has_lam, has_freq = r.has("wavelength"), r.has("carrier_frequency_hz")
+        if has_lam == has_freq:
+            return r.fail("wavelength",
+                          "give exactly one of 'wavelength' or 'carrier_frequency_hz'")
+        if has_freq:
+            freq = r.read("carrier_frequency_hz", float, positive=True)
+            return SPEED_OF_LIGHT / freq if freq else None
+    return r.read("wavelength", float, required=True, positive=True)
+
+
+def _read_kappas(r, default=None, limit=math.inf):
+    kappas = r.read("kappas", list) or default
+    if kappas and any(k < 0.0 for k in kappas):
+        r.fail("kappas", "entries must be >= 0")
+    if kappas and any(k > limit for k in kappas):
+        r.fail("kappas", f"entries must be <= {limit:g}")
+    return kappas
+
+
+def _parse_scf_curve(r):
+    wavelength = _read_wavelength(r)
+    clusters = _read_clusters(r, require_kappa=not r.has("kappas"))
+    fields = dict(wavelength=wavelength, clusters=clusters, kappas=_read_kappas(r),
+                  d_grid=_read_grid(r, "d_over_lambda", required=True, nonnegative=True))
+    one, many = r.has("beta_deg"), r.has("betas_deg")
+    if one and many:
+        r.fail("beta_deg", "give either 'beta_deg' or 'betas_deg', not both")
+    elif one:
+        beta = r.read("beta_deg", float)
+        fields["betas_deg"] = (beta,) if beta is not None else None
+    else:
+        fields["betas_deg"] = r.read("betas_deg", list)
+    if r.has("direction"):
+        block = r.read("direction", dict, expect="an object with phi_deg/psi_deg")
+        if block is not None:
+            phi = block.read("phi_deg", float, required=True)
+            psi = block.read("psi_deg", float, 0.0)
+            if abs(psi) > 90.0:
+                block.fail("psi_deg", "must lie in [-90, 90]")
+            elif phi is not None:
+                fields["direction"] = tuple(direction_from_angles(*map(math.radians, (phi, psi))))
+        if fields.get("betas_deg") is not None or fields["kappas"] is not None:
+            r.fail("direction", "cannot be combined with beta/kappa sweeps")
+    elif len(clusters) > 1:
+        r.fail("direction", "required when more than one cluster is given")
+    return fields
+
+
+def _parse_scf_field(r):
+    return dict(wavelength=_read_wavelength(r), clusters=_read_clusters(r),
+                x_grid=_read_grid(r, "x_over_lambda", required=True),
+                y_grid=_read_grid(r, "y_over_lambda", required=True))
+
+
+def _parse_acf_curve(r):
+    fields = dict(wavelength=_read_wavelength(r, carrier=True), clusters=_read_clusters(r),
+                  dt_grid=_read_grid(r, "dt_s", required=True, nonnegative=True),
+                  monostatic=r.read("monostatic", bool, False))
+    block = r.read("motion", dict, required=True,
+                   expect="an object with speed_mps and direction angles")
+    if block is not None:
+        speed = block.read("speed_mps", float, required=True, nonnegative=True)
+        phi_v = block.read("phi_v_deg", float, 0.0)
+        psi_v = block.read("psi_v_deg", float, 0.0)
+        if speed is not None:
+            try:
+                fields["motion"] = MotionState(speed, math.radians(phi_v), math.radians(psi_v))
+            except ValueError as exc:
+                block.fail(None, str(exc))
+    return fields
+
+
+def _parse_array(r, kinds=("linear", "circular", "planar")):
+    wavelength = _read_wavelength(r)
+    fields = dict(wavelength=wavelength, clusters=_read_clusters(r))
+    block = r.read("geometry", dict, required=True)
     if block is None:
-        errors.append("geometry: required")
-        return None
-    if not isinstance(block, dict):
-        errors.append("geometry: must be an object")
-        return None
+        return fields
     kind = block.get("kind")
     if kind not in kinds:
-        errors.append(f"geometry.kind: must be one of {', '.join(sorted(kinds))}")
-        return None
-    _check_unknown(block, _GEOMETRY_KEYS[kind], errors, "geometry")
-    if wavelength is None:
-        return None
+        block.asked.update(block.doc)  # without a kind the other keys have no schema
+        block.fail("kind", f"must be one of {', '.join(sorted(kinds))}")
+        return fields
+    count = partial(block.read, kind=int, required=True, minimum=1)
+    length = partial(block.read, kind=float, required=True, positive=True)
+    if kind == "linear":
+        args = (count("n"), length("spacing_over_lambda"),
+                block.read("axis_phi_deg", float, 0.0), block.read("axis_psi_deg", float, 0.0))
+    elif kind == "circular":
+        args = (count("n"), length("radius_over_lambda"))
+    else:
+        args = (count("nx"), count("ny"), length("dx_over_lambda"), length("dy_over_lambda"))
+    if wavelength is None or None in args:
+        return fields
     try:
         if kind == "linear":
-            n = _integer(block, "n", errors, required=True, minimum=1, label="geometry.n")
-            spacing = _number(block, "spacing_over_lambda", errors, required=True,
-                              positive=True, label="geometry.spacing_over_lambda")
-            axis_phi = _number(block, "axis_phi_deg", errors, default=0.0,
-                               label="geometry.axis_phi_deg")
-            axis_psi = _number(block, "axis_psi_deg", errors, default=0.0,
-                               label="geometry.axis_psi_deg")
-            if n is None or spacing is None:
-                return None
-            axis = direction_from_angles(math.radians(axis_phi), math.radians(axis_psi))
-            return linear_array(n, spacing * wavelength, axis)
-        if kind == "circular":
-            n = _integer(block, "n", errors, required=True, minimum=1, label="geometry.n")
-            radius = _number(block, "radius_over_lambda", errors, required=True,
-                             positive=True, label="geometry.radius_over_lambda")
-            if n is None or radius is None:
-                return None
-            return circular_array(n, radius * wavelength)
-        nx = _integer(block, "nx", errors, required=True, minimum=1, label="geometry.nx")
-        ny = _integer(block, "ny", errors, required=True, minimum=1, label="geometry.ny")
-        dx = _number(block, "dx_over_lambda", errors, required=True, positive=True,
-                     label="geometry.dx_over_lambda")
-        dy = _number(block, "dy_over_lambda", errors, required=True, positive=True,
-                     label="geometry.dy_over_lambda")
-        if None in (nx, ny, dx, dy):
-            return None
-        return planar_grid(nx, ny, dx * wavelength, dy * wavelength)
+            n, spacing, phi, psi = args
+            axis = direction_from_angles(math.radians(phi), math.radians(psi))
+            fields["geometry"] = linear_array(n, spacing * wavelength, axis)
+        elif kind == "circular":
+            fields["geometry"] = circular_array(args[0], args[1] * wavelength)
+        else:
+            nx, ny, dx, dy = args
+            fields["geometry"] = planar_grid(nx, ny, dx * wavelength, dy * wavelength)
     except ValueError as exc:
-        errors.append(f"geometry: {exc}")
-        return None
+        block.fail(None, str(exc))
+    return fields
 
 
-def _parse_wavelength(doc, errors, allow_carrier=False):
-    if allow_carrier:
-        has_lam = "wavelength" in doc
-        has_freq = "carrier_frequency_hz" in doc
-        if has_lam == has_freq:
-            errors.append("wavelength: give exactly one of 'wavelength' or 'carrier_frequency_hz'")
-            return None
-        if has_freq:
-            freq = _number(doc, "carrier_frequency_hz", errors, positive=True)
-            return SPEED_OF_LIGHT / freq if freq else None
-    return _number(doc, "wavelength", errors, required=True, positive=True)
+def _parse_radar_table(r):
+    fields = dict(
+        carrier_frequency=r.read("carrier_frequency_hz", float, required=True, positive=True),
+        elevation_deg=r.read("elevation_deg", float, 0.0),
+        widths_deg=r.read("widths_deg", list, required=True, positive=True),
+        speeds_kmh=r.read("speeds_kmh", list, required=True, positive=True),
+        motion_azimuth_deg=r.read("motion_azimuth_deg", float, 0.0),
+        monostatic=r.read("monostatic", bool, True),
+        threshold=r.read("threshold", float, 0.5),
+    )
+    if not 0.0 < fields["threshold"] < 1.0:
+        r.fail("threshold", "must lie in (0, 1)")
+    if fields["widths_deg"] and any(w >= 180.0 for w in fields["widths_deg"]):
+        r.fail("widths_deg", "entries must be below 180")
+    if abs(fields["elevation_deg"]) > 90.0:
+        r.fail("elevation_deg", "must lie in [-90, 90]")
+    return fields
+
+
+def _parse_validate(r):
+    wavelength = r.read("wavelength", float, 1.0, positive=True)
+    clusters = ((_read_cluster(r.read("cluster", dict), require_kappa=False),)
+                if r.has("cluster") else (VmfCluster(0.0, 0.0, 0.0),))
+    return dict(
+        wavelength=wavelength,
+        clusters=clusters,
+        # the quadrature oracle resolves concentrations up to its cap only
+        kappas=_read_kappas(r, (0.0, 1.0, 10.0, 100.0), limit=_MAX_QUADRATURE_KAPPA),
+        betas_deg=r.read("betas_deg", list) or (0.0, 30.0, 60.0, 90.0),
+        d_grid=_read_grid(r, "d_over_lambda", nonnegative=True, default=GridSpec(0.0, 3.0, 13)),
+        tolerance=r.read("tolerance", float, 1e-8, positive=True),
+        quad_abs_tol=r.read("quad_abs_tol", float, 1e-10, positive=True),
+        quad_rel_tol=r.read("quad_rel_tol", float, 1e-10, positive=True),
+    )
 
 
 def parse_config(text: str, mode: str | None = None) -> SweepConfig:
@@ -327,175 +382,63 @@ def parse_config(text: str, mode: str | None = None) -> SweepConfig:
     if not isinstance(doc, dict):
         raise ConfigError(["config root must be a JSON object"])
 
-    errors: list[str] = []
-    doc_mode = doc.get("mode")
+    r = _Reader(doc)
+    doc_mode = r.get("mode")
     if doc_mode is not None and (not isinstance(doc_mode, str) or doc_mode not in MODES):
         raise ConfigError([f"mode: exactly one of {', '.join(MODES)} must be set"])
     if doc_mode is not None and mode is not None and doc_mode != mode:
         raise ConfigError([f"mode: config sets '{doc_mode}' but '{mode}' was requested"])
-    effective_mode = mode or doc_mode
-    if effective_mode is None:
+    mode = mode or doc_mode
+    if mode is None:
         raise ConfigError(["mode: required"])
 
-    _check_unknown(doc, _COMMON_KEYS | _MODE_KEYS[effective_mode], errors, "config")
-
-    fmt = doc.get("format", "csv")
+    fmt = r.get("format", "csv")
     if fmt not in ("csv", "json"):
-        errors.append("format: must be 'csv' or 'json'")
-        fmt = "csv"
-    out = doc.get("out")
+        r.fail("format", "must be 'csv' or 'json'")
+    out = r.get("out")
     if out is not None and not isinstance(out, str):
-        errors.append("out: must be a string path")
-        out = None
-
-    kwargs = dict(mode=effective_mode, out=out, format=fmt)
-
-    if effective_mode == "scf-curve":
-        kwargs["wavelength"] = _parse_wavelength(doc, errors)
-        clusters = _parse_clusters(doc, errors, require_kappa="kappas" not in doc)
-        kwargs["clusters"] = clusters
-        kwargs["d_grid"] = _parse_grid(doc, "d_over_lambda", errors, required=True,
-                                       nonnegative=True)
-        kwargs["kappas"] = _number_list(doc, "kappas", errors)
-        if kwargs["kappas"] is not None and any(k < 0 for k in kwargs["kappas"]):
-            errors.append("kappas: entries must be >= 0")
-        if "beta_deg" in doc and "betas_deg" in doc:
-            errors.append("beta_deg: give either 'beta_deg' or 'betas_deg', not both")
-        elif "beta_deg" in doc:
-            beta = _number(doc, "beta_deg", errors)
-            kwargs["betas_deg"] = (beta,) if beta is not None else None
-        else:
-            kwargs["betas_deg"] = _number_list(doc, "betas_deg", errors)
-        if "direction" in doc:
-            block = doc["direction"]
-            if not isinstance(block, dict):
-                errors.append("direction: must be an object with phi_deg/psi_deg")
-            else:
-                _check_unknown(block, _DIRECTION_KEYS, errors, "direction")
-                phi = _number(block, "phi_deg", errors, required=True, label="direction.phi_deg")
-                psi = _number(block, "psi_deg", errors, default=0.0, label="direction.psi_deg")
-                if psi is not None and abs(psi) > 90.0:
-                    errors.append("direction.psi_deg: must lie in [-90, 90]")
-                elif phi is not None:
-                    kwargs["direction"] = tuple(
-                        direction_from_angles(math.radians(phi), math.radians(psi))
-                    )
-            if kwargs.get("betas_deg") is not None or kwargs.get("kappas") is not None:
-                errors.append("direction: cannot be combined with beta/kappa sweeps")
-        elif len(clusters) > 1:
-            errors.append("direction: required when more than one cluster is given")
-
-    elif effective_mode == "scf-field":
-        kwargs["wavelength"] = _parse_wavelength(doc, errors)
-        kwargs["clusters"] = _parse_clusters(doc, errors)
-        kwargs["x_grid"] = _parse_grid(doc, "x_over_lambda", errors, required=True)
-        kwargs["y_grid"] = _parse_grid(doc, "y_over_lambda", errors, required=True)
-
-    elif effective_mode == "acf-curve":
-        kwargs["wavelength"] = _parse_wavelength(doc, errors, allow_carrier=True)
-        kwargs["clusters"] = _parse_clusters(doc, errors)
-        kwargs["dt_grid"] = _parse_grid(doc, "dt_s", errors, required=True, nonnegative=True)
-        kwargs["monostatic"] = doc.get("monostatic", False)
-        if not isinstance(kwargs["monostatic"], bool):
-            errors.append("monostatic: must be a boolean")
-            kwargs["monostatic"] = False
-        block = doc.get("motion")
-        if not isinstance(block, dict):
-            errors.append("motion: required object with speed_mps and direction angles")
-        else:
-            _check_unknown(block, _MOTION_KEYS, errors, "motion")
-            speed = _number(block, "speed_mps", errors, required=True, nonnegative=True,
-                            label="motion.speed_mps")
-            phi_v = _number(block, "phi_v_deg", errors, default=0.0, label="motion.phi_v_deg")
-            psi_v = _number(block, "psi_v_deg", errors, default=0.0, label="motion.psi_v_deg")
-            if speed is not None:
-                try:
-                    kwargs["motion"] = MotionState(speed, math.radians(phi_v), math.radians(psi_v))
-                except ValueError as exc:
-                    errors.append(f"motion: {exc}")
-
-    elif effective_mode in ("array-matrix", "array-path"):
-        kwargs["wavelength"] = _parse_wavelength(doc, errors)
-        kwargs["clusters"] = _parse_clusters(doc, errors)
-        kinds = ("linear", "circular") if effective_mode == "array-path" else (
-            "linear", "circular", "planar")
-        kwargs["geometry"] = _parse_geometry(doc, errors, kwargs["wavelength"], kinds)
-
-    elif effective_mode == "radar-table":
-        freq = _number(doc, "carrier_frequency_hz", errors, required=True, positive=True)
-        kwargs["carrier_frequency"] = freq
-        kwargs["elevation_deg"] = _number(doc, "elevation_deg", errors, default=0.0)
-        kwargs["widths_deg"] = _number_list(doc, "widths_deg", errors, required=True,
-                                            positive=True)
-        kwargs["speeds_kmh"] = _number_list(doc, "speeds_kmh", errors, required=True,
-                                            positive=True)
-        kwargs["motion_azimuth_deg"] = _number(doc, "motion_azimuth_deg", errors, default=0.0)
-        kwargs["monostatic"] = doc.get("monostatic", True)
-        if not isinstance(kwargs["monostatic"], bool):
-            errors.append("monostatic: must be a boolean")
-            kwargs["monostatic"] = True
-        threshold = _number(doc, "threshold", errors, default=0.5)
-        if threshold is not None and not 0.0 < threshold < 1.0:
-            errors.append("threshold: must lie in (0, 1)")
-        else:
-            kwargs["threshold"] = threshold
-        if kwargs["widths_deg"] and any(w >= 180.0 for w in kwargs["widths_deg"]):
-            errors.append("widths_deg: entries must be below 180")
-        if kwargs["elevation_deg"] is not None and abs(kwargs["elevation_deg"]) > 90.0:
-            errors.append("elevation_deg: must lie in [-90, 90]")
-
-    elif effective_mode == "validate":
-        kwargs["wavelength"] = _number(doc, "wavelength", errors, default=1.0, positive=True)
-        if "cluster" in doc:
-            cluster = _parse_cluster_block(doc["cluster"], "cluster", errors, require_kappa=False)
-            kwargs["clusters"] = (cluster,) if cluster is not None else ()
-        else:
-            kwargs["clusters"] = (VmfCluster(0.0, 0.0, 0.0),)
-        kwargs["kappas"] = _number_list(doc, "kappas", errors) or (0.0, 1.0, 10.0, 100.0)
-        if any(k < 0 for k in kwargs["kappas"]):
-            errors.append("kappas: entries must be >= 0")
-        kwargs["betas_deg"] = _number_list(doc, "betas_deg", errors) or (0.0, 30.0, 60.0, 90.0)
-        kwargs["d_grid"] = _parse_grid(doc, "d_over_lambda", errors, nonnegative=True,
-                                       default=GridSpec(0.0, 3.0, 13))
-        kwargs["tolerance"] = _number(doc, "tolerance", errors, default=1e-8, positive=True)
-        kwargs["quad_abs_tol"] = _number(doc, "quad_abs_tol", errors, default=1e-10,
-                                         positive=True)
-        kwargs["quad_rel_tol"] = _number(doc, "quad_rel_tol", errors, default=1e-10,
-                                         positive=True)
-
-    if errors:
-        raise ConfigError(errors)
-    return SweepConfig(**kwargs)
+        r.fail("out", "must be a string path")
+    fields = _MODES[mode][0](r)
+    for reader in r.opened:
+        reader.close()
+    if r.errors:
+        raise ConfigError(r.errors)
+    return SweepConfig(mode=mode, out=out, format=fmt, **fields)
 
 
-def _beta_direction(cluster: VmfCluster, beta: float) -> np.ndarray:
-    mean = cluster.mean_direction
+def _kappa_beta_sweep(config: SweepConfig, kappas, betas_deg):
+    """(cluster, d, [kappa, beta_deg, d_over_lambda], closed form) at each kappa,
+    beta and distance, with d at angle beta from the first cluster's mean
+    direction, turned towards its first tangent."""
+    base = config.clusters[0]
+    mean = base.mean_direction
     tangent, _ = _tangent_basis(mean)
-    return math.cos(beta) * mean + math.sin(beta) * tangent
+    units = np.array([math.cos(b) * mean + math.sin(b) * tangent
+                      for b in map(math.radians, betas_deg)])
+    fractions = config.d_grid.points()
+    ds = (fractions * config.wavelength)[:, None] * units[:, None, :]
+    for kappa in kappas:
+        cluster = VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power)
+        values = scf(cluster, ds, config.wavelength).tolist()
+        for beta_deg, line, curve in zip(betas_deg, ds, values):
+            for fraction, d, value in zip(fractions, line, curve):
+                yield cluster, d, [kappa, beta_deg, fraction], value
 
 
 def _rows_scf_curve(config: SweepConfig):
-    lam = config.wavelength
-    fractions = config.d_grid.points()
-    lengths = (fractions * lam)[:, None]
     if config.direction is not None:
-        values = scf_multicluster(config.clusters, lengths * np.asarray(config.direction), lam)
+        fractions = config.d_grid.points()
+        lengths = (fractions * config.wavelength)[:, None]
+        values = scf_multicluster(config.clusters, lengths * np.asarray(config.direction),
+                                  config.wavelength)
         header = ["d_over_lambda", "re", "im", "abs"]
         rows = [[f, v.real, v.imag, abs(v)] for f, v in zip(fractions, values.tolist())]
         return header, rows
-    base = config.clusters[0]
-    kappas = config.kappas if config.kappas is not None else (base.kappa,)
+    kappas = config.kappas if config.kappas is not None else (config.clusters[0].kappa,)
     betas = config.betas_deg if config.betas_deg is not None else (0.0,)
     header = ["kappa", "beta_deg", "d_over_lambda", "re", "im", "abs"]
-    rows = []
-    for kappa in kappas:
-        cluster = VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power)
-        units = np.array([_beta_direction(cluster, math.radians(b)) for b in betas])
-        values = scf(cluster, lengths * units[:, None, :], lam)
-        for beta_deg, curve in zip(betas, values.tolist()):
-            rows.extend(
-                [kappa, beta_deg, f, v.real, v.imag, abs(v)] for f, v in zip(fractions, curve)
-            )
+    sweep = _kappa_beta_sweep(config, kappas, betas)
+    rows = [key + [v.real, v.imag, abs(v)] for _, _, key, v in sweep]
     return header, rows
 
 
@@ -566,20 +509,8 @@ def _rows_radar_table(config: SweepConfig):
 
 def _rows_validate(config: SweepConfig):
     lam = config.wavelength
-    base = config.clusters[0]
     spec = QuadratureSpec(abs_tol=config.quad_abs_tol, rel_tol=config.quad_rel_tol)
-    fractions = config.d_grid.points()
-    lengths = (fractions * lam)[:, None]
-    points = []
-    for kappa in config.kappas:
-        cluster = VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power)
-        units = np.array([_beta_direction(cluster, math.radians(b)) for b in config.betas_deg])
-        ds = lengths * units[:, None, :]
-        closed = scf(cluster, ds, lam).tolist()
-        for b, beta_deg in enumerate(config.betas_deg):
-            for f, fraction in enumerate(fractions):
-                points.append((cluster, ds[b, f], [kappa, beta_deg, fraction], closed[b][f]))
-
+    points = list(_kappa_beta_sweep(config, config.kappas, config.betas_deg))
     # the quadrature oracle is the one stage that runs faster on a thread pool
     with ThreadPoolExecutor(os.cpu_count()) as pool:
         quads = list(pool.map(lambda p: scf_quadrature(p[0], p[1], lam, spec), points))
@@ -592,47 +523,37 @@ def _rows_validate(config: SweepConfig):
     return header, rows
 
 
-_ROW_BUILDERS = {
-    "scf-curve": _rows_scf_curve,
-    "scf-field": _rows_scf_field,
-    "acf-curve": _rows_acf_curve,
-    "array-matrix": _rows_array_matrix,
-    "array-path": _rows_array_path,
-    "radar-table": _rows_radar_table,
-    "validate": _rows_validate,
+# mode -> (config parser, row builder)
+_MODES = {
+    "scf-curve": (_parse_scf_curve, _rows_scf_curve),
+    "scf-field": (_parse_scf_field, _rows_scf_field),
+    "acf-curve": (_parse_acf_curve, _rows_acf_curve),
+    "array-matrix": (_parse_array, _rows_array_matrix),
+    "array-path": (lambda r: _parse_array(r, ("linear", "circular")), _rows_array_path),
+    "radar-table": (_parse_radar_table, _rows_radar_table),
+    "validate": (_parse_validate, _rows_validate),
 }
-
-
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+MODES = tuple(_MODES)
 
 
 def _write_output(config: SweepConfig, header, rows):
-    path = output_path(config)
-    if config.format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    # integers stay integers (matrix indices), everything else is a float
+    cells = ([int(v) if isinstance(v, (int, np.integer)) else float(v) for v in row]
+             for row in rows)
+    with open(output_path(config), "w", encoding="utf-8", newline="") as fh:
+        if config.format == "csv":
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format_value(v) for v in row) + "\n")
-    else:
-        payload = {
-            "mode": config.mode,
-            "columns": list(header),
-            "rows": [
-                [int(v) if isinstance(v, (int, np.integer)) else float(v) for v in row]
-                for row in rows
-            ],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
+            for row in cells:
+                fh.write(",".join(map(repr, row)) + "\n")
+        else:
+            payload = {"mode": config.mode, "columns": list(header), "rows": list(cells)}
             json.dump(payload, fh, separators=(",", ":"))
             fh.write("\n")
 
 
 def run(config: SweepConfig) -> int:
     """Evaluate the sweep and write the data file; returns the exit status."""
-    header, rows = _ROW_BUILDERS[config.mode](config)
+    header, rows = _MODES[config.mode][1](config)
     _write_output(config, header, rows)
     if config.mode == "validate":
         kappa, beta_deg, fraction, *_, max_error = max(rows, key=lambda row: row[-1])
@@ -674,13 +595,8 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(text, mode=args.mode)
-        overrides = {}
-        if args.out is not None:
-            overrides["out"] = args.out
-        if args.format is not None:
-            overrides["format"] = args.format
-        if overrides:
-            config = replace(config, **overrides)
+        overrides = {"out": args.out, "format": args.format}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
@@ -691,6 +607,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except QuadratureToleranceError as exc:
+        print(f"error: quadrature could not be certified: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

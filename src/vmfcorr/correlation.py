@@ -94,14 +94,20 @@ def _branch_sqrt(w):
 
 
 def _log_large_kappa(kappa: float, w: np.ndarray) -> np.ndarray:
-    # log of kappa e^(-kappa) e^(jz) / (jz), exponentiated only at the end so
-    # the value underflows to zero rather than overflow; where w = 0 the
-    # closed form is kappa / sinh(kappa) itself
+    # log of kappa e^(-kappa) e^(jz) (1 - e^(-2jz)) / (jz), exponentiated only
+    # at the end so the value underflows to zero rather than overflow; where
+    # w = 0 the closed form is kappa / sinh(kappa) itself
     jz = 1j * _branch_sqrt(w)
     log_value = np.full(jz.shape, _log_kappa_over_sinh(kappa), dtype=complex)
     nonzero = jz != 0.0
     jz = jz[nonzero]
-    log_value[nonzero] = math.log(kappa) - kappa + jz - np.log(jz)
+    log_jz = math.log(kappa) - kappa + jz - np.log(jz)
+    # e^(-2jz) is O(1) where z is near real and underflows to exactly 0 once
+    # Re(jz) = -Im z exceeds 373, so only the points below that need the term
+    near = jz.real < 373.0
+    if near.any():
+        log_jz[near] += np.log1p(-np.exp(-2.0 * jz[near]))
+    log_value[nonzero] = log_jz
     return log_value
 
 
@@ -152,14 +158,15 @@ def scf(cluster: VmfCluster, d, wavelength: float):
 
 
 def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
-    """Tight large-concentration form kappa e^(-kappa) e^(jz) / (jz).
+    """Tight large-concentration form kappa e^(-kappa) e^(jz) (1 - e^(-2jz)) / (jz).
 
     z is the square root of the sinc radicand taken with nonpositive imaginary
     part, which keeps the dominant exponentials of sinh and sin paired; the
     whole expression is assembled in the exponent, so nothing overflows for
-    kappa up to ~1e6. Relative error versus the exact form decays like
-    exp(-2 |Im z|), negligible whenever kappa is large and the displacement is
-    small against kappa * wavelength. Takes d of shape (3,) or (..., 3), like scf.
+    kappa up to ~1e6. The e^(-2jz) term keeps sin z whole where z is near
+    real (transverse displacements with k0 |d| >= kappa); the one factor
+    dropped is 1 - e^(-2 kappa), a relative error below 1e-600 above
+    kappa = 700. Takes d of shape (3,) or (..., 3), like scf.
     """
     if cluster.kappa <= 0.0:
         raise ValueError("large-kappa evaluation requires kappa > 0")

@@ -101,6 +101,115 @@ class TestParseConfig:
         assert any("sum to 1" in message for message in info.value.errors)
 
 
+def _cluster_block(**overrides):
+    block = {"kappa": 5.0, "mu_phi_deg": 30.0, "mu_psi_deg": -10.0, "power": 1.0}
+    block.update(overrides)
+    return block
+
+
+def _grid(start=0.0, stop=1.0, count=3):
+    return {"start": start, "stop": stop, "count": count}
+
+
+_PAIR = [_cluster_block(power=0.25), _cluster_block(kappa=1.0, mu_phi_deg=120.0, power=0.75)]
+_COMMON = {"out": "unused.csv", "format": "json"}
+
+# Between them, the configs of each mode use every key the mode accepts, at
+# every nesting level.
+FULL_CONFIGS = {
+    "scf-curve/sweep": {
+        "mode": "scf-curve", **_COMMON, "wavelength": 0.5, "cluster": _cluster_block(),
+        "kappas": [0.0, 10.0], "betas_deg": [0.0, 45.0], "d_over_lambda": _grid(),
+    },
+    "scf-curve/beta": {
+        "mode": "scf-curve", **_COMMON, "wavelength": 0.5, "cluster": _cluster_block(),
+        "beta_deg": 30.0, "d_over_lambda": _grid(),
+    },
+    "scf-curve/direction": {
+        "mode": "scf-curve", **_COMMON, "wavelength": 0.5, "clusters": _PAIR,
+        "direction": {"phi_deg": 10.0, "psi_deg": 20.0}, "d_over_lambda": _grid(),
+    },
+    "scf-field": {
+        "mode": "scf-field", **_COMMON, "wavelength": 0.5, "clusters": _PAIR,
+        "x_over_lambda": _grid(-1.0), "y_over_lambda": _grid(-2.0),
+    },
+    "acf-curve/carrier": {
+        "mode": "acf-curve", **_COMMON, "carrier_frequency_hz": 2.4e9,
+        "cluster": _cluster_block(), "monostatic": True, "dt_s": _grid(0.0, 0.01),
+        "motion": {"speed_mps": 20.0, "phi_v_deg": 15.0, "psi_v_deg": 5.0},
+    },
+    "acf-curve/wavelength": {
+        "mode": "acf-curve", **_COMMON, "wavelength": 0.1, "clusters": _PAIR,
+        "dt_s": _grid(0.0, 0.01), "motion": {"speed_mps": 20.0},
+    },
+    "array-matrix/linear": {
+        "mode": "array-matrix", **_COMMON, "wavelength": 0.1, "cluster": _cluster_block(),
+        "geometry": {"kind": "linear", "n": 3, "spacing_over_lambda": 0.5,
+                     "axis_phi_deg": 20.0, "axis_psi_deg": 10.0},
+    },
+    "array-matrix/circular": {
+        "mode": "array-matrix", **_COMMON, "wavelength": 0.1, "clusters": _PAIR,
+        "geometry": {"kind": "circular", "n": 5, "radius_over_lambda": 1.5},
+    },
+    "array-matrix/planar": {
+        "mode": "array-matrix", **_COMMON, "wavelength": 0.1, "cluster": _cluster_block(),
+        "geometry": {"kind": "planar", "nx": 2, "ny": 3,
+                     "dx_over_lambda": 0.5, "dy_over_lambda": 0.25},
+    },
+    "array-path/linear": {
+        "mode": "array-path", **_COMMON, "wavelength": 0.1, "clusters": _PAIR,
+        "geometry": {"kind": "linear", "n": 5, "spacing_over_lambda": 0.5,
+                     "axis_phi_deg": 20.0, "axis_psi_deg": 10.0},
+    },
+    "array-path/circular": {
+        "mode": "array-path", **_COMMON, "wavelength": 0.1, "cluster": _cluster_block(),
+        "geometry": {"kind": "circular", "n": 5, "radius_over_lambda": 1.5},
+    },
+    "radar-table": {
+        "mode": "radar-table", **_COMMON, "carrier_frequency_hz": 1e10, "elevation_deg": 20.0,
+        "widths_deg": [2.0, 1.0], "speeds_kmh": [150.0], "motion_azimuth_deg": 10.0,
+        "monostatic": False, "threshold": 0.4,
+    },
+    "validate": {
+        "mode": "validate", **_COMMON, "wavelength": 0.5,
+        "cluster": _cluster_block(),
+        "kappas": [0.0, 10.0], "betas_deg": [0.0, 90.0], "d_over_lambda": _grid(),
+        "tolerance": 1e-6, "quad_abs_tol": 1e-9, "quad_rel_tol": 1e-9,
+    },
+}
+
+
+def _blocks(doc, label="config"):
+    """(label, object) for the config root and every object nested in it."""
+    yield label, doc
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _blocks(value, key)
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                if isinstance(item, dict):
+                    yield from _blocks(item, f"{key}[{i}]")
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("name", FULL_CONFIGS)
+    def test_every_accepted_key_parses(self, name):
+        doc = FULL_CONFIGS[name]
+        config = parse_config(json.dumps(doc))
+        assert config.mode == doc["mode"]
+        assert (config.out, config.format) == ("unused.csv", "json")
+
+    @pytest.mark.parametrize("name, label", [
+        (name, label) for name, doc in FULL_CONFIGS.items() for label, _ in _blocks(doc)
+    ])
+    def test_bogus_key_rejected_in_its_block(self, name, label):
+        doc = json.loads(json.dumps(FULL_CONFIGS[name]))
+        dict(_blocks(doc))[label]["bogus"] = 1
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(doc))
+        assert info.value.errors == [f"{label}: unknown key 'bogus'"]
+
+
 class TestRunModes:
     def test_scf_curve_kappa_sweep_zeros(self, tmp_path):
         doc = {
@@ -244,6 +353,21 @@ class TestDeterminismAndRoundTrip:
             expected = scf_multicluster([cluster], (frac * lam, 0.0, 0.0), lam)
             assert complex(re, im) == expected
 
+    def test_csv_and_json_agree_cell_by_cell(self, tmp_path):
+        doc = dict(FULL_CONFIGS["array-matrix/planar"], format="csv", out=str(tmp_path / "m.csv"))
+        assert run(parse_config(json.dumps(doc))) == EXIT_OK
+        doc.update(format="json", out=str(tmp_path / "m.json"))
+        assert run(parse_config(json.dumps(doc))) == EXIT_OK
+        header, *lines = (tmp_path / "m.csv").read_text().splitlines()
+        payload = json.loads((tmp_path / "m.json").read_text())
+        assert header.split(",") == payload["columns"] == ["row", "col", "re", "im"]
+        assert len(lines) == len(payload["rows"]) == 36
+        for line, row in zip(lines, payload["rows"]):
+            cells = line.split(",")
+            assert [type(v) for v in row] == [int, int, float, float]
+            assert cells[:2] == [str(v) for v in row[:2]]
+            assert [float(c) for c in cells[2:]] == row[2:]
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path):
@@ -294,6 +418,27 @@ class TestMainExitCodes:
         assert main(["validate", "--config", path]) == EXIT_VALIDATION
         # the report goes to stdout only: the data file is the same bytes
         assert (tmp_path / "validate-strict.csv").read_bytes() == data
+
+    def test_validate_kappa_beyond_quadrature_range_is_a_config_error(self, tmp_path, capsys):
+        doc = {"mode": "validate", "kappas": [10.0, 2e4], "out": str(tmp_path / "v.csv")}
+        path = write_config(tmp_path / "v.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: kappas: entries must be <= 10000\n"
+        assert not (tmp_path / "v.csv").exists()
+        doc["kappas"] = [1e4]
+        doc["betas_deg"] = [0.0]
+        doc["d_over_lambda"] = {"start": 0.0, "stop": 0.0, "count": 1}
+        assert run(parse_config(json.dumps(doc))) == EXIT_OK
+
+    def test_uncertified_quadrature_is_a_validation_failure(self, tmp_path, capsys):
+        doc = {"mode": "validate", "kappas": [0.0], "betas_deg": [0.0],
+               "d_over_lambda": {"start": 0.0, "stop": 0.0, "count": 1},
+               "quad_abs_tol": 1e-300, "quad_rel_tol": 1e-300, "out": str(tmp_path / "v.csv")}
+        path = write_config(tmp_path / "v.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: quadrature could not be certified: ")
+        assert err.count("\n") == 1
 
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.json", curve_config())

@@ -91,21 +91,23 @@ CASES = [
 ]
 
 # Transverse displacements with k0 |d| >= kappa > 700, where z is near real
-# and the exp(-2jz) correction that the large-kappa form drops is O(1): R
-# (below 1e-300) meets the absolute bound, but log R is off by the measured
-# amount. (kappa, k0 |d|, measured log error)
-LARGE_KAPPA_GAPS = [
-    (700.001, math.sqrt(700.001**2 + 0.25), "1.07"),
-    (700.001, 841.001, "0.614"),
-    (1e4, math.sqrt(1e4**2 - 0.25), "0.459"),
-    (1e4, 12001.0, "3.52"),
-    (2e5, math.sqrt(2e5**2 + 0.25), "1.07"),
-    (2e5, 240001.0, "1.09"),
+# and the exp(-2jz) term of the large-kappa form is O(1). One case stays off
+# in log R: at kappa 2e5 the radicand cancels from k0^2 |d|^2 ~ 4e10 down to
+# 0.25 and keeps one ulp of 4e10 (R, below 1e-300, meets the absolute bound).
+# (kappa, k0 |d|, reason the log comparison is expected to fail)
+LARGE_KAPPA_NEAR_REAL = [
+    (700.001, math.sqrt(700.001**2 + 0.25), None),
+    (700.001, 841.001, None),
+    (1e4, math.sqrt(1e4**2 - 0.25), None),
+    (1e4, 12001.0, None),
+    (2e5, math.sqrt(2e5**2 + 0.25), "radicand rounds to 0.2500076 instead of 0.25 "
+     "(one ulp of k0^2 |d|^2 ~ 4e10), so log R is off by 4.6e-7"),
+    (2e5, 240001.0, None),
 ]
 
 
 @pytest.mark.parametrize(
-    "kappa, beta_deg, x", CASES + [_case(kappa, 90.0, x) for kappa, x, _ in LARGE_KAPPA_GAPS]
+    "kappa, beta_deg, x", CASES + [_case(kappa, 90.0, x) for kappa, x, _ in LARGE_KAPPA_NEAR_REAL]
 )
 def test_value_within_absolute_bound(kappa, beta_deg, x):
     cluster = VmfCluster(MU_PHI, MU_PSI, kappa)
@@ -116,9 +118,8 @@ def test_value_within_absolute_bound(kappa, beta_deg, x):
 
 
 @pytest.mark.parametrize("kappa, beta_deg, x", CASES + [
-    _case(kappa, 90.0, x, marks=pytest.mark.xfail(
-        strict=True, reason=f"large-kappa form near real z: log R off by {error}"))
-    for kappa, x, error in LARGE_KAPPA_GAPS
+    _case(kappa, 90.0, x, marks=[pytest.mark.xfail(strict=True, reason=reason)] if reason else ())
+    for kappa, x, reason in LARGE_KAPPA_NEAR_REAL
 ])
 def test_log_value(kappa, beta_deg, x):
     cluster = VmfCluster(MU_PHI, MU_PSI, kappa)
