@@ -12,6 +12,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -86,6 +87,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _to_float(value) -> float:
+    """A JSON number as a float; an integer too large for a double gives inf,
+    which the finiteness checks reject."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 class _Reader:
     """Typed reads from one JSON object of a config.
 
@@ -136,12 +146,13 @@ class _Reader:
         if kind is list:
             if not isinstance(value, list) or not value:
                 return self.fail(key, "must be a nonempty list of numbers", default)
-            for i, item in enumerate(value):
-                if not _is_number(item) or not math.isfinite(item):
+            items = tuple(_to_float(item) if _is_number(item) else math.nan for item in value)
+            for i, item in enumerate(items):
+                if not math.isfinite(item):
                     return self.fail(f"{key}[{i}]", "must be a finite number", default)
                 if positive and item <= 0.0:
                     return self.fail(f"{key}[{i}]", "must be > 0", default)
-            return tuple(float(item) for item in value)
+            return items
         if kind is bool:
             ok = isinstance(value, bool)
             return value if ok else self.fail(key, "must be a boolean", default)
@@ -153,7 +164,7 @@ class _Reader:
             return value
         if not _is_number(value):
             return self.fail(key, "must be a number", default)
-        value = float(value)
+        value = _to_float(value)
         if not math.isfinite(value):
             return self.fail(key, "must be finite", default)
         if positive and value <= 0.0:
@@ -406,23 +417,29 @@ def parse_config(text: str, mode: str | None = None) -> SweepConfig:
     return SweepConfig(mode=mode, out=out, format=fmt, **fields)
 
 
+def _complex_columns(values):
+    """re, im and magnitude columns of complex values; the magnitude is
+    hypot(re, im), which rounds as Python's abs(complex) does and np.abs
+    does not always."""
+    values = np.ravel(values)
+    return [values.real, values.imag, np.hypot(values.real, values.imag)]
+
+
 def _kappa_beta_sweep(config: SweepConfig, kappas, betas_deg):
-    """(cluster, d, [kappa, beta_deg, d_over_lambda], closed form) at each kappa,
-    beta and distance, with d at angle beta from the first cluster's mean
-    direction, turned towards its first tangent."""
+    """Key columns [kappa, beta_deg, d_over_lambda], the (cluster, d) of each
+    point and the closed form at each point, with d at angle beta from the
+    first cluster's mean direction, turned towards its first tangent."""
     base = config.clusters[0]
     mean = base.mean_direction
     tangent, _ = _tangent_basis(mean)
     units = np.array([math.cos(b) * mean + math.sin(b) * tangent
                       for b in map(math.radians, betas_deg)])
     fractions = config.d_grid.points()
-    ds = (fractions * config.wavelength)[:, None] * units[:, None, :]
-    for kappa in kappas:
-        cluster = VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power)
-        values = scf(cluster, ds, config.wavelength).tolist()
-        for beta_deg, line, curve in zip(betas_deg, ds, values):
-            for fraction, d, value in zip(fractions, line, curve):
-                yield cluster, d, [kappa, beta_deg, fraction], value
+    ds = ((fractions * config.wavelength)[:, None] * units[:, None, :]).reshape(-1, 3)
+    clusters = [VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power) for kappa in kappas]
+    keys = [grid.ravel() for grid in np.meshgrid(kappas, betas_deg, fractions, indexing="ij")]
+    values = np.concatenate([scf(cluster, ds, config.wavelength) for cluster in clusters])
+    return keys, product(clusters, ds), values
 
 
 def _rows_scf_curve(config: SweepConfig):
@@ -431,31 +448,21 @@ def _rows_scf_curve(config: SweepConfig):
         lengths = (fractions * config.wavelength)[:, None]
         values = scf_multicluster(config.clusters, lengths * np.asarray(config.direction),
                                   config.wavelength)
-        header = ["d_over_lambda", "re", "im", "abs"]
-        rows = [[f, v.real, v.imag, abs(v)] for f, v in zip(fractions, values.tolist())]
-        return header, rows
+        return ["d_over_lambda", "re", "im", "abs"], [fractions, *_complex_columns(values)]
     kappas = config.kappas if config.kappas is not None else (config.clusters[0].kappa,)
     betas = config.betas_deg if config.betas_deg is not None else (0.0,)
+    keys, _, values = _kappa_beta_sweep(config, kappas, betas)
     header = ["kappa", "beta_deg", "d_over_lambda", "re", "im", "abs"]
-    sweep = _kappa_beta_sweep(config, kappas, betas)
-    rows = [key + [v.real, v.imag, abs(v)] for _, _, key, v in sweep]
-    return header, rows
+    return header, [*keys, *_complex_columns(values)]
 
 
 def _rows_scf_field(config: SweepConfig):
     lam = config.wavelength
-    xs = config.x_grid.points()
-    ys = config.y_grid.points()
-    gx, gy = np.meshgrid(xs, ys)
+    gx, gy = np.meshgrid(config.x_grid.points(), config.y_grid.points())
     d = np.stack([gx * lam, gy * lam, np.zeros_like(gx)], axis=-1)
     values = scf_multicluster(config.clusters, d, lam)
     header = ["x_over_lambda", "y_over_lambda", "re", "im", "abs"]
-    rows = [
-        [x, y, v.real, v.imag, abs(v)]
-        for y, line in zip(ys, values.tolist())
-        for x, v in zip(xs, line)
-    ]
-    return header, rows
+    return header, [gx.ravel(), gy.ravel(), *_complex_columns(values)]
 
 
 def _rows_acf_curve(config: SweepConfig):
@@ -463,27 +470,20 @@ def _rows_acf_curve(config: SweepConfig):
     lags = config.dt_grid.points()
     d = (factor * lags)[:, None] * config.motion.velocity
     values = scf_multicluster(config.clusters, d, config.wavelength)
-    header = ["dt_s", "re", "im", "abs"]
-    rows = [[t, v.real, v.imag, abs(v)] for t, v in zip(lags, values.tolist())]
-    return header, rows
+    return ["dt_s", "re", "im", "abs"], [lags, *_complex_columns(values)]
 
 
 def _rows_array_matrix(config: SweepConfig):
     matrix = correlation_matrix(config.geometry, config.clusters, config.wavelength)
-    header = ["row", "col", "re", "im"]
-    rows = [
-        [i, k, v.real, v.imag]
-        for i, line in enumerate(matrix.tolist())
-        for k, v in enumerate(line)
-    ]
-    return header, rows
+    rows, cols = np.indices(matrix.shape).reshape(2, -1)
+    values = matrix.ravel()
+    return ["row", "col", "re", "im"], [rows, cols, values.real, values.imag]
 
 
 def _rows_array_path(config: SweepConfig):
-    curve = scf_along_path(config.geometry, config.clusters, config.wavelength)
+    coords, values = zip(*scf_along_path(config.geometry, config.clusters, config.wavelength))
     header = ["s_over_lambda", "re", "im", "abs"]
-    rows = [[s / config.wavelength, v.real, v.imag, abs(v)] for s, v in curve]
-    return header, rows
+    return header, [np.array(coords) / config.wavelength, *_complex_columns(values)]
 
 
 def _rows_radar_table(config: SweepConfig):
@@ -498,29 +498,22 @@ def _rows_radar_table(config: SweepConfig):
     widths = [math.radians(w) for w in config.widths_deg]
     speeds = [v / 3.6 for v in config.speeds_kmh]
     table = decorrelation_table(widths, speeds, base, threshold=config.threshold)
+    widths_deg, speeds_kmh = np.meshgrid(config.widths_deg, config.speeds_kmh, indexing="ij")
     header = ["width_deg", "speed_kmh", "decorrelation_time_s"]
-    rows = [
-        [config.widths_deg[i], config.speeds_kmh[j], table[i, j]]
-        for i in range(len(widths))
-        for j in range(len(speeds))
-    ]
-    return header, rows
+    return header, [widths_deg.ravel(), speeds_kmh.ravel(), table.ravel()]
 
 
 def _rows_validate(config: SweepConfig):
     lam = config.wavelength
     spec = QuadratureSpec(abs_tol=config.quad_abs_tol, rel_tol=config.quad_rel_tol)
-    points = list(_kappa_beta_sweep(config, config.kappas, config.betas_deg))
+    keys, points, closed = _kappa_beta_sweep(config, config.kappas, config.betas_deg)
     # the quadrature oracle is the one stage that runs faster on a thread pool
     with ThreadPoolExecutor(os.cpu_count()) as pool:
-        quads = list(pool.map(lambda p: scf_quadrature(p[0], p[1], lam, spec), points))
-    rows = [
-        key + [closed.real, closed.imag, quad.real, quad.imag, abs(closed - quad)]
-        for (_, _, key, closed), quad in zip(points, quads)
-    ]
+        quad = np.array(list(pool.map(lambda p: scf_quadrature(*p, lam, spec), points)))
+    *_, error = _complex_columns(closed - quad)
     header = ["kappa", "beta_deg", "d_over_lambda", "closed_re", "closed_im",
               "quad_re", "quad_im", "abs_error"]
-    return header, rows
+    return header, [*keys, closed.real, closed.imag, quad.real, quad.imag, error]
 
 
 # mode -> (config parser, row builder)
@@ -536,35 +529,35 @@ _MODES = {
 MODES = tuple(_MODES)
 
 
-def _write_output(config: SweepConfig, header, rows):
-    # integers stay integers (matrix indices), everything else is a float
-    cells = ([int(v) if isinstance(v, (int, np.integer)) else float(v) for v in row]
-             for row in rows)
+def _write_output(config: SweepConfig, header, columns):
+    # tolist gives Python ints for index columns and floats for the rest
+    rows = zip(*(column.tolist() for column in columns))
     with open(output_path(config), "w", encoding="utf-8", newline="") as fh:
         if config.format == "csv":
             fh.write(",".join(header) + "\n")
-            for row in cells:
+            for row in rows:
                 fh.write(",".join(map(repr, row)) + "\n")
         else:
-            payload = {"mode": config.mode, "columns": list(header), "rows": list(cells)}
+            payload = {"mode": config.mode, "columns": list(header), "rows": list(rows)}
             json.dump(payload, fh, separators=(",", ":"))
             fh.write("\n")
 
 
 def run(config: SweepConfig) -> int:
     """Evaluate the sweep and write the data file; returns the exit status."""
-    header, rows = _MODES[config.mode][1](config)
-    _write_output(config, header, rows)
+    header, columns = _MODES[config.mode][1](config)
+    _write_output(config, header, columns)
     if config.mode == "validate":
-        kappa, beta_deg, fraction, *_, max_error = max(rows, key=lambda row: row[-1])
+        kappas, betas_deg, fractions, *_, errors = columns
+        worst = int(np.argmax(errors))  # the first of equal maxima
+        max_error = errors[worst]
         print(
             f"validate: max |closed - quadrature| = {max_error:.3e} "
-            f"over {len(rows)} points (tolerance {config.tolerance:g}) "
-            f"at kappa={kappa:g} beta_deg={beta_deg:g} d_over_lambda={fraction:g}"
+            f"over {len(errors)} points (tolerance {config.tolerance:g}) "
+            f"at kappa={kappas[worst]:g} beta_deg={betas_deg[worst]:g} "
+            f"d_over_lambda={fractions[worst]:g}"
         )
-        per_kappa = {}
-        for row in rows:
-            per_kappa[row[0]] = max(per_kappa.get(row[0], 0.0), row[-1])
+        per_kappa = {k: errors[kappas == k].max() for k in dict.fromkeys(kappas.tolist())}
         print("validate: max error per kappa: "
               + ", ".join(f"{k:g}: {e:.3e}" for k, e in per_kappa.items()))
         if max_error > config.tolerance:

@@ -369,6 +369,78 @@ class TestDeterminismAndRoundTrip:
             assert [float(c) for c in cells[2:]] == row[2:]
 
 
+_ONE = _grid(0.5, 0.5, 1)
+
+# Grids of one point, arrays of one element, a 1 x 1 radar table and a
+# one-point validate: each writes exactly one data row.
+ONE_ROW_CONFIGS = {
+    "scf-curve/sweep": dict(FULL_CONFIGS["scf-curve/sweep"], kappas=[10.0], betas_deg=[45.0],
+                            d_over_lambda=_ONE),
+    "scf-curve/direction": dict(FULL_CONFIGS["scf-curve/direction"], d_over_lambda=_ONE),
+    "scf-field": dict(FULL_CONFIGS["scf-field"], x_over_lambda=_ONE,
+                      y_over_lambda=_grid(-0.2, -0.2, 1)),
+    "acf-curve": dict(FULL_CONFIGS["acf-curve/carrier"], dt_s=_grid(0.003, 0.003, 1)),
+    "array-matrix/linear": dict(FULL_CONFIGS["array-matrix/linear"],
+                                geometry={"kind": "linear", "n": 1, "spacing_over_lambda": 0.5}),
+    "array-path/circular": dict(FULL_CONFIGS["array-path/circular"],
+                                geometry={"kind": "circular", "n": 1, "radius_over_lambda": 1.5}),
+    "radar-table": dict(FULL_CONFIGS["radar-table"], widths_deg=[2.0], speeds_kmh=[150.0]),
+    "validate": dict(FULL_CONFIGS["validate"], kappas=[10.0], betas_deg=[45.0], d_over_lambda=_ONE),
+}
+
+# Every mode that writes a magnitude, with enough points that a magnitude
+# rounded other than as abs(complex) shows.
+MAGNITUDE_CONFIGS = {
+    "scf-curve/sweep": dict(FULL_CONFIGS["scf-curve/sweep"], kappas=[0.0, 1.0, 10.0, 1000.0],
+                            betas_deg=[0.0, 45.0, 90.0], d_over_lambda=_grid(0.0, 3.0, 101)),
+    "scf-curve/direction": dict(FULL_CONFIGS["scf-curve/direction"],
+                                d_over_lambda=_grid(0.0, 3.0, 401)),
+    "scf-field": dict(FULL_CONFIGS["scf-field"], x_over_lambda=_grid(-2.0, 2.0, 21),
+                      y_over_lambda=_grid(-2.0, 2.0, 21)),
+    "acf-curve": dict(FULL_CONFIGS["acf-curve/carrier"], dt_s=_grid(0.0, 0.05, 401)),
+    "array-path/linear": dict(FULL_CONFIGS["array-path/linear"],
+                              geometry={"kind": "linear", "n": 101, "spacing_over_lambda": 0.5}),
+    "array-path/circular": dict(FULL_CONFIGS["array-path/circular"],
+                                geometry={"kind": "circular", "n": 101, "radius_over_lambda": 8.0}),
+    "validate": dict(FULL_CONFIGS["validate"], d_over_lambda=_grid(0.0, 3.0, 13)),
+}
+
+
+def _write_both(tmp_path, doc):
+    """Columns and rows of doc written as JSON, after checking that its CSV
+    holds the same cells: ints in index columns, floats elsewhere."""
+    for fmt in ("csv", "json"):
+        out = str(tmp_path / f"out.{fmt}")
+        assert run(parse_config(json.dumps(dict(doc, format=fmt, out=out)))) == EXIT_OK
+    header, *lines = (tmp_path / "out.csv").read_text().splitlines()
+    payload = json.loads((tmp_path / "out.json").read_text())
+    columns, rows = payload["columns"], payload["rows"]
+    assert header.split(",") == columns
+    assert [line.split(",") for line in lines] == [[repr(v) for v in row] for row in rows]
+    kinds = [int if name in ("row", "col") else float for name in columns]
+    assert all([type(v) for v in row] == kinds for row in rows)
+    return columns, rows
+
+
+class TestWrittenColumns:
+    @pytest.mark.parametrize("name", ONE_ROW_CONFIGS)
+    def test_degenerate_sizes_write_one_row(self, tmp_path, name):
+        _, rows = _write_both(tmp_path, ONE_ROW_CONFIGS[name])
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("name", MAGNITUDE_CONFIGS)
+    def test_magnitude_rounds_as_python_abs(self, tmp_path, name):
+        columns, rows = _write_both(tmp_path, MAGNITUDE_CONFIGS[name])
+        for row in rows:
+            cells = dict(zip(columns, row))
+            if "abs" in cells:
+                assert cells["abs"] == abs(complex(cells["re"], cells["im"]))
+            else:
+                closed = complex(cells["closed_re"], cells["closed_im"])
+                quad = complex(cells["quad_re"], cells["quad_im"])
+                assert cells["abs_error"] == abs(closed - quad)
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         path = write_config(tmp_path / "c.json", curve_config())
@@ -439,6 +511,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: quadrature could not be certified: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"tolerance": 10**400}, "tolerance: must be finite"),
+        ({"kappas": [1.0, 10**400]}, "kappas[1]: must be a finite number"),
+        ({"d_over_lambda": {"start": -(10**400), "stop": 1.0, "count": 3}},
+         "d_over_lambda.start: must be finite"),
+    ], ids=["number", "list-entry", "grid-start"])
+    def test_integer_too_large_for_a_double_is_a_config_error(self, tmp_path, capsys,
+                                                              overrides, message):
+        doc = {"mode": "validate", **overrides, "out": str(tmp_path / "v.csv")}
+        path = write_config(tmp_path / "v.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "v.csv").exists()
 
     def test_cli_overrides(self, tmp_path):
         path = write_config(tmp_path / "c.json", curve_config())
