@@ -7,9 +7,7 @@ geometry lengths and displacement grids are given in wavelength units.
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -134,7 +132,7 @@ class _Reader:
         return self.fail(key, f"must be {expect}")
 
     def read(self, key, kind, default=None, *, required=False, positive=False,
-             nonnegative=False, minimum=None, expect="an object"):
+             nonnegative=False, minimum=None, maximum=None, expect="an object"):
         """The value at key as kind: float, int, bool, list (a nonempty tuple of
         floats) or dict (a nested reader). Gives default where the key is absent
         or its value invalid, after recording why."""
@@ -161,6 +159,8 @@ class _Reader:
                 return self.fail(key, "must be an integer", default)
             if minimum is not None and value < minimum:
                 return self.fail(key, f"must be >= {minimum}", default)
+            if maximum is not None and value > maximum:
+                return self.fail(key, f"must be <= {maximum}", default)
             return value
         if not _is_number(value):
             return self.fail(key, "must be a number", default)
@@ -215,13 +215,17 @@ def _read_clusters(r, require_kappa=True):
     return clusters
 
 
+# Points per grid: a million doubles is 8 MB per column.
+_MAX_GRID_COUNT = 10**6
+
+
 def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
     grid = r.read(key, dict, required=required, expect="an object with start/stop/count")
     if grid is None:
         return default
     start = grid.read("start", float, required=True)
     stop = grid.read("stop", float, required=True)
-    count = grid.read("count", int, required=True, minimum=1)
+    count = grid.read("count", int, required=True, minimum=1, maximum=_MAX_GRID_COUNT)
     if None in (start, stop, count):
         return default
     if stop < start:
@@ -507,9 +511,7 @@ def _rows_validate(config: SweepConfig):
     lam = config.wavelength
     spec = QuadratureSpec(abs_tol=config.quad_abs_tol, rel_tol=config.quad_rel_tol)
     keys, points, closed = _kappa_beta_sweep(config, config.kappas, config.betas_deg)
-    # the quadrature oracle is the one stage that runs faster on a thread pool
-    with ThreadPoolExecutor(os.cpu_count()) as pool:
-        quad = np.array(list(pool.map(lambda p: scf_quadrature(*p, lam, spec), points)))
+    quad = np.array([scf_quadrature(cluster, d, lam, spec) for cluster, d in points])
     *_, error = _complex_columns(closed - quad)
     header = ["kappa", "beta_deg", "d_over_lambda", "closed_re", "closed_im",
               "quad_re", "quad_im", "abs_error"]

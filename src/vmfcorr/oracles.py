@@ -1,7 +1,7 @@
 """Independent verification paths for the closed-form correlation results.
 
-Two routes that never touch the closed form: adaptive two-dimensional
-quadrature of the plane-wave phase averaged over the angular density, and a
+Two routes that never touch the closed form: two-dimensional quadrature of
+the plane-wave phase averaged over the angular density, and a
 Monte-Carlo multipath ensemble built from the generative channel sum.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _as_displacement, _check_wavelength
-from .vmf import _HALF_PI, TWO_PI, VmfCluster, _vmf_directions, sample_vmf, vmf_pdf
+from .vmf import TWO_PI, VmfCluster, _tangent_basis, _vmf_directions, sample_vmf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
 # the Gauss nodes are the odd-indexed Kronrod nodes).
@@ -62,14 +62,13 @@ class QuadratureToleranceError(RuntimeError):
 
 
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
-    # Batched Kronrod/Gauss evaluation; f maps a node vector to (nodes, cols).
+    # Batched Kronrod/Gauss evaluation; f maps a node vector to its values.
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    vals = np.asarray(f(nodes.reshape(-1)))
-    vals = vals.reshape(lo.size, _GK_NODES.size, -1)
-    k15 = half[:, None] * np.einsum("n,pnc->pc", _GK_WEIGHTS, vals)
-    g7 = half[:, None] * np.einsum("n,pnc->pc", _G7_WEIGHTS, vals[:, 1::2, :])
+    vals = f(nodes.reshape(-1)).reshape(lo.size, _GK_NODES.size)
+    k15 = half * np.einsum("n,pn->p", _GK_WEIGHTS, vals)
+    g7 = half * np.einsum("n,pn->p", _G7_WEIGHTS, vals[:, 1::2])
     return k15, np.abs(k15 - g7)
 
 
@@ -77,32 +76,31 @@ def _adaptive_panels(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
                      max_panels: int, initial: int = 16):
     """Globally adaptive panel subdivision of the interval [lo, hi].
 
-    f maps a vector of nodes to an array of shape (nodes, cols); every column
-    is integrated at once and the panels with the largest error estimates are
-    split until all column errors meet the tolerances. Returns per-column
-    (integral, error estimate) arrays; raises QuadratureToleranceError when
-    the panel budget runs out first.
+    f maps a vector of nodes to the integrand there. The first pass uses
+    initial panels, or max_panels if fewer; then the panels with the largest
+    error estimates are split until the summed error meets the tolerances.
+    Returns the integral; raises QuadratureToleranceError when the panel
+    budget runs out first.
     """
-    edges = np.linspace(lo, hi, initial + 1)
+    edges = np.linspace(lo, hi, min(initial, max_panels) + 1)
     panel_lo, panel_hi = edges[:-1], edges[1:]
     k15, err = _panel_rule(f, panel_lo, panel_hi)
     while True:
-        total = k15.sum(axis=0)
-        total_err = err.sum(axis=0)
-        allowed = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if np.all(total_err <= allowed):
-            return total, total_err
+        total = complex(k15.sum())
+        total_err = float(err.sum())
+        allowed = max(abs_tol, rel_tol * abs(total))
+        if total_err <= allowed:
+            return total
         if panel_lo.size >= max_panels:
             raise QuadratureToleranceError(
                 f"tolerance not met with {panel_lo.size} panels "
-                f"(error estimate {float(total_err.max()):.3e})",
-                estimate=complex(total.flat[int(np.argmax(total_err))]),
-                error=float(total_err.max()),
+                f"(error estimate {total_err:.3e})",
+                estimate=total,
+                error=total_err,
             )
-        worst = err.max(axis=1)
-        split = worst > allowed.min() / (2.0 * panel_lo.size)
+        split = err > allowed / (2.0 * panel_lo.size)
         if not split.any():
-            split[np.argmax(worst)] = True
+            split[np.argmax(err)] = True
         mids = 0.5 * (panel_lo[split] + panel_hi[split])
         new_lo = np.concatenate([panel_lo[split], mids])
         new_hi = np.concatenate([mids, panel_hi[split]])
@@ -114,23 +112,13 @@ def _adaptive_panels(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
         err = np.concatenate([err[keep], new_err])
 
 
-_MAX_QUADRATURE_KAPPA = 1e4
-_RECENTER_KAPPA = 100.0
-_DENSITY_CUTOFF_LOG = math.log(1e-18)
-
-
-def _angle_windows(cluster: VmfCluster) -> tuple[float, float, float, float]:
-    # Full domain for broad clusters; for concentrated ones, a window around
-    # the mean direction where the density is above 1e-18 of its peak (the
-    # truncated tail mass is bounded by the same factor).
-    if cluster.kappa <= _RECENTER_KAPPA:
-        return -_HALF_PI, _HALF_PI, cluster.mu_phi - math.pi, cluster.mu_phi + math.pi
-    theta = 1.1 * math.acos(max(-1.0, 1.0 + _DENSITY_CUTOFF_LOG / cluster.kappa))
-    psi_lo = max(-_HALF_PI, cluster.mu_psi - theta)
-    psi_hi = min(_HALF_PI, cluster.mu_psi + theta)
-    edge = min(max(abs(psi_lo), abs(psi_hi)), _HALF_PI)
-    half_width = min(math.pi, theta / max(math.cos(edge), 1e-12))
-    return psi_lo, psi_hi, cluster.mu_phi - half_width, cluster.mu_phi + half_width
+_MAX_QUADRATURE_KAPPA = 1e6
+# Bound on m * 15 * max_subdivisions: the azimuth count times the nodes of the
+# panel budget. An adaptive run evaluates fewer than four times the budget's
+# panels, so no accepted point costs more than a few seconds.
+_MAX_AZIMUTH_WORK = 10**8
+# Node x azimuth entries evaluated at once (256 kB of doubles).
+_CHUNK_ENTRIES = 1 << 15
 
 
 def scf_quadrature(
@@ -138,59 +126,59 @@ def scf_quadrature(
 ) -> complex:
     """Spatial correlation by direct numerical integration.
 
-    Averages exp(j (2 pi / lam) doa . d) over the cluster's angular density,
-    with the elevation integral outer and the azimuth integral inner, both
-    adaptively subdivided. Raises QuadratureToleranceError if the requested
-    accuracy cannot be certified, and ValueError for concentrations beyond
-    1e4 where the integrand peaks faster than the rule resolves.
+    Averages exp(j (2 pi / lam) doa . d) over the cluster's angular density in
+    the frame of the mean direction: doa = (1 - s) mu + rho (cos a e1 + sin a e2)
+    with rho = sqrt(s (2 - s)), where the density depends on s = 1 - cos(polar)
+    alone. The outer integral over s is adaptively subdivided, the inner
+    azimuth average uses a trapezoid rule. Raises QuadratureToleranceError if
+    the requested accuracy cannot be certified or the point needs more work
+    than the oracle allows, and ValueError for concentrations beyond 1e6.
     """
     if spec is None:
         spec = QuadratureSpec()
     d = _as_displacement(d)
     _check_wavelength(wavelength)
-    if cluster.kappa > _MAX_QUADRATURE_KAPPA:
-        raise ValueError(
-            f"concentration {cluster.kappa} is outside the supported quadrature range"
-        )
+    kappa = cluster.kappa
+    if kappa > _MAX_QUADRATURE_KAPPA:
+        raise ValueError(f"concentration {kappa} is outside the supported quadrature range")
     k0 = TWO_PI / wavelength
-    psi_lo, psi_hi, phi_lo, phi_hi = _angle_windows(cluster)
-    psi_range = psi_hi - psi_lo
-    # absolute-only inner budget: the integrated inner error stays below a
-    # quarter of the requested absolute tolerance
-    inner_abs = 0.25 * spec.abs_tol / psi_range
-    inner_err_rate = 0.0
-
-    def integrand(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        # (phi nodes, psi columns) grid of density times plane-wave phase
-        cpsi = np.cos(psi)[None, :]
-        kx = np.cos(phi)[:, None] * cpsi
-        ky = np.sin(phi)[:, None] * cpsi
-        kz = np.sin(psi)[None, :] + 0.0 * phi[:, None]
-        phase = np.exp(1j * k0 * (d[0] * kx + d[1] * ky + d[2] * kz))
-        return vmf_pdf(cluster, phi[:, None], psi[None, :]) * phase
-
-    def outer(psi: np.ndarray) -> np.ndarray:
-        nonlocal inner_err_rate
-        values, errors = _adaptive_panels(
-            lambda phi: integrand(phi, psi), phi_lo, phi_hi,
-            inner_abs, 0.0, spec.max_subdivisions,
-        )
-        inner_err_rate = max(inner_err_rate, float(errors.max()))
-        return values[:, None]
-
-    total, outer_err = _adaptive_panels(
-        outer, psi_lo, psi_hi,
-        0.5 * spec.abs_tol, 0.5 * spec.rel_tol, spec.max_subdivisions,
-    )
-    estimate = complex(total[0])
-    achieved = float(outer_err[0]) + inner_err_rate * psi_range
-    if achieved > max(spec.abs_tol, spec.rel_tol * abs(estimate)):
+    mean = cluster.mean_direction
+    e1, e2 = _tangent_basis(mean)
+    along = k0 * float(mean @ d)
+    a1, a2 = k0 * float(e1 @ d), k0 * float(e2 @ d)
+    # past s = 45 / kappa the density, and the tail mass left out, are below
+    # e^-45 of the peak
+    s_max = min(2.0, 45.0 / kappa) if kappa > 0.0 else 2.0
+    rho_max = math.sqrt(s_max * (2.0 - s_max)) if s_max < 1.0 else 1.0
+    # The inner integrand exp(j z cos(a - a0)), z = rho hypot(a1, a2), is
+    # periodic and entire in a, so the m-point trapezoid rule is off by about
+    # 2 |J_m(z)| <= 2 (z / 2)^m / m!; m >= 2 z + 40 puts that below 1e-38.
+    m = 2 * math.ceil(math.hypot(a1, a2) * rho_max) + 40
+    if m * _GK_NODES.size * spec.max_subdivisions > _MAX_AZIMUTH_WORK:
         raise QuadratureToleranceError(
-            f"achieved error estimate {achieved:.3e} exceeds the requested tolerance",
-            estimate=estimate,
-            error=achieved,
-        )
-    return estimate
+            f"{m} azimuth nodes on {spec.max_subdivisions} panels exceed the work bound",
+            estimate=complex(math.nan, math.nan), error=math.inf)
+    # Nodes a and a + pi carry opposite projections, so the rule's m phases
+    # pair into m / 2 cosines.
+    azimuth = TWO_PI / m * np.arange(m // 2)
+    projection = a1 * np.cos(azimuth) + a2 * np.sin(azimuth)
+    cols = min(projection.size, _CHUNK_ENTRIES)
+    rows = _CHUNK_ENTRIES // cols
+    log_norm = math.log(kappa / -math.expm1(-2.0 * kappa)) if kappa > 0.0 else math.log(0.5)
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        # density kappa e^(-kappa s) / (1 - e^(-2 kappa)) over s, times the
+        # phase along the mean, times the azimuth average
+        rho = np.sqrt(s * (2.0 - s))
+        inner = np.zeros(s.size)
+        for i in range(0, s.size, rows):
+            for j in range(0, projection.size, cols):
+                block = np.multiply.outer(rho[i:i + rows], projection[j:j + cols])
+                inner[i:i + rows] += np.cos(block, out=block).sum(axis=1)
+        return np.exp(log_norm - kappa * s + 1j * along * (1.0 - s)) * (inner / projection.size)
+
+    return _adaptive_panels(integrand, 0.0, s_max, spec.abs_tol, spec.rel_tol,
+                            spec.max_subdivisions)
 
 
 @dataclass(frozen=True)

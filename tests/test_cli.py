@@ -492,12 +492,12 @@ class TestMainExitCodes:
         assert (tmp_path / "validate-strict.csv").read_bytes() == data
 
     def test_validate_kappa_beyond_quadrature_range_is_a_config_error(self, tmp_path, capsys):
-        doc = {"mode": "validate", "kappas": [10.0, 2e4], "out": str(tmp_path / "v.csv")}
+        doc = {"mode": "validate", "kappas": [10.0, 2e6], "out": str(tmp_path / "v.csv")}
         path = write_config(tmp_path / "v.json", doc)
         assert main(["validate", "--config", path]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: kappas: entries must be <= 10000\n"
+        assert capsys.readouterr().err == "config error: kappas: entries must be <= 1e+06\n"
         assert not (tmp_path / "v.csv").exists()
-        doc["kappas"] = [1e4]
+        doc["kappas"] = [1e6]
         doc["betas_deg"] = [0.0]
         doc["d_over_lambda"] = {"start": 0.0, "stop": 0.0, "count": 1}
         assert run(parse_config(json.dumps(doc))) == EXIT_OK
@@ -511,6 +511,35 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: quadrature could not be certified: ")
         assert err.count("\n") == 1
+
+    def test_point_past_the_quadrature_work_bound_is_a_validation_failure(self, tmp_path,
+                                                                          capsys):
+        # k0 |d| = kappa transverse at kappa 1e6
+        d_over_lambda = 1e6 / (2.0 * math.pi)
+        doc = {"mode": "validate", "kappas": [1e6], "betas_deg": [90.0],
+               "d_over_lambda": {"start": d_over_lambda, "stop": d_over_lambda, "count": 1},
+               "out": str(tmp_path / "v.csv")}
+        path = write_config(tmp_path / "v.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: quadrature could not be certified: ")
+        assert "work bound" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, key", [
+        ("validate", "d_over_lambda"), ("scf-curve/beta", "d_over_lambda"),
+        ("scf-field", "y_over_lambda"), ("acf-curve/wavelength", "dt_s"),
+    ])
+    def test_grid_count_too_large_is_a_config_error(self, tmp_path, capsys, name, key):
+        # a count this large would make run crash in np.linspace
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv",
+               key: _grid(count=10**400)}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}.count: must be <= 1000000\n"
+        assert not out.exists()
+        doc[key] = _grid(count=10**6)
+        parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("overrides, message", [
         ({"tolerance": 10**400}, "tolerance: must be finite"),

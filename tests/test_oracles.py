@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from vmfcorr import (
     transfer_function,
 )
 from vmfcorr.oracles import _BLOCK_PATH_SAMPLES
-from vmfcorr.vmf import TWO_PI, _vmf_directions
+from vmfcorr.vmf import TWO_PI, _tangent_basis, _vmf_directions
 
 LAM = 0.4
 
@@ -55,7 +56,20 @@ class TestQuadrature:
 
     def test_concentration_limit(self):
         with pytest.raises(ValueError):
-            scf_quadrature(VmfCluster(0, 0, 2e4), (0, 0, 0), LAM)
+            scf_quadrature(VmfCluster(0, 0, 2e6), (0, 0, 0), LAM)
+        assert abs(scf_quadrature(VmfCluster(0, 0, 1e6), (0, 0, 0), LAM) - 1.0) < 1e-10
+
+    def test_work_bound(self):
+        # k0 |d| = kappa transverse at kappa 1e6 needs about 19,000 azimuth
+        # nodes on every node of the panel budget: refused before any work
+        cluster = VmfCluster(0.3, 0.2, 1e6)
+        _, transverse = _tangent_basis(cluster.mean_direction)
+        d = cluster.kappa / (TWO_PI / LAM) * transverse
+        started = time.perf_counter()
+        with pytest.raises(QuadratureToleranceError, match="work bound") as info:
+            scf_quadrature(cluster, d, LAM)
+        assert time.perf_counter() - started < 1.0
+        assert info.value.error == math.inf
 
     def test_tolerance_respected(self):
         cluster = VmfCluster(0.4, 0.2, 25.0)

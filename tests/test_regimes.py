@@ -1,4 +1,5 @@
-"""The closed form against a 40-digit mpmath reference at its regime boundaries.
+"""The closed form against a 40-digit mpmath reference at its regime boundaries,
+and the quadrature oracle against the same reference at radar concentrations.
 
 The reference evaluates log R = log(kappa / sinh kappa) + log(sin z / z),
 z^2 = w, from the same double inputs the library sees, so the comparison
@@ -16,7 +17,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vmfcorr import VmfCluster, scf
+from vmfcorr import VmfCluster, scf, scf_quadrature
 from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _log_large_kappa, _radicand
 
 BOUND = 1e-9
@@ -25,10 +26,10 @@ K0 = 2.0 * math.pi / LAM
 MU_PHI, MU_PSI = 0.4, 0.3
 
 
-def _displacement(beta_deg, x):
+def _displacement(beta_deg, x, mu_phi=MU_PHI, mu_psi=MU_PSI):
     # k0 |d| = x at angle beta from the mean, turned towards rising elevation
-    cphi, sphi = math.cos(MU_PHI), math.sin(MU_PHI)
-    cpsi, spsi = math.cos(MU_PSI), math.sin(MU_PSI)
+    cphi, sphi = math.cos(mu_phi), math.sin(mu_phi)
+    cpsi, spsi = math.cos(mu_psi), math.sin(mu_psi)
     mean = (cphi * cpsi, sphi * cpsi, spsi)
     up = (-cphi * spsi, -sphi * spsi, cpsi)
     beta = math.radians(beta_deg)
@@ -134,3 +135,31 @@ def test_zero_radicand_large_kappa(wavelength):
     assert complex(_radicand(cluster, d, wavelength)) == 0.0
     assert scf(cluster, d, wavelength) == 0.0
     assert _log_gap(cluster, d, wavelength) <= BOUND
+
+
+# Mean elevations with |mu_z| just below and just above 0.9, where the tangent
+# basis of the mean, and so the frame the quadrature oracle integrates in,
+# switches its helper axis.
+HELPER_SWITCH_PSI = {
+    "muz=+0.9-": math.asin(0.9 - 1e-9),
+    "muz=+0.9+": math.asin(0.9 + 1e-9),
+    "muz=-0.9-": -math.asin(0.9 - 1e-9),
+    "muz=-0.9+": -math.asin(0.9 + 1e-9),
+}
+
+
+@pytest.mark.parametrize("mean", ["default", *HELPER_SWITCH_PSI])
+@pytest.mark.parametrize("kappa", [2e4, 2e5, 1e6])
+@pytest.mark.parametrize("beta_deg", [0.0, 45.0, 90.0])
+@pytest.mark.parametrize("x_per_kappa", ["sqrt", 0.01])
+def test_quadrature_at_radar_concentrations(mean, kappa, beta_deg, x_per_kappa):
+    # radar target widths of 0.25-4 deg give kappa 3.3e3-8.4e5
+    mu_psi = HELPER_SWITCH_PSI.get(mean, MU_PSI)
+    if mean != "default":
+        assert (abs(math.sin(mu_psi)) < 0.9) == mean.endswith("-")
+    x = math.sqrt(kappa) if x_per_kappa == "sqrt" else x_per_kappa * kappa
+    cluster = VmfCluster(MU_PHI, mu_psi, kappa)
+    d = _displacement(beta_deg, x, MU_PHI, mu_psi)
+    with mp.workdps(40):
+        reference = mp.exp(_reference_log(cluster, d, LAM))
+        assert float(abs(mp.mpc(scf_quadrature(cluster, d, LAM)) - reference)) <= BOUND
