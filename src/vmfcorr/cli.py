@@ -215,7 +215,8 @@ def _read_clusters(r, require_kappa=True):
     return clusters
 
 
-# Points per grid: a million doubles is 8 MB per column.
+# Points per grid, and per scf-field (x times y): a million doubles is 8 MB
+# per column.
 _MAX_GRID_COUNT = 10**6
 
 
@@ -286,9 +287,13 @@ def _parse_scf_curve(r):
 
 
 def _parse_scf_field(r):
-    return dict(wavelength=_read_wavelength(r), clusters=_read_clusters(r),
-                x_grid=_read_grid(r, "x_over_lambda", required=True),
-                y_grid=_read_grid(r, "y_over_lambda", required=True))
+    fields = dict(wavelength=_read_wavelength(r), clusters=_read_clusters(r),
+                  x_grid=_read_grid(r, "x_over_lambda", required=True),
+                  y_grid=_read_grid(r, "y_over_lambda", required=True))
+    x, y = fields["x_grid"], fields["y_grid"]
+    if x and y and x.count * y.count > _MAX_GRID_COUNT:
+        r.fail("x_over_lambda.count * y_over_lambda.count", f"must be <= {_MAX_GRID_COUNT}")
+    return fields
 
 
 def _parse_acf_curve(r):

@@ -76,14 +76,31 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _radicand(cluster: VmfCluster, d: np.ndarray, wavelength: float) -> np.ndarray:
+def _per_kappa(fn, kappa) -> np.ndarray:
+    """fn of every entry of kappa, evaluated once per distinct concentration
+    with Python's scalar math. numpy's exp, log and power round some
+    arguments differently from math's, so this keeps every output
+    equal, bit for bit, to the closed form with each cluster's constants
+    taken as Python floats. Callers pass kappa before it is broadcast over
+    displacements, so the Python work is per cluster or cell, not per point.
+    fn sees only kappa > 0; kappa = 0, where no regime needs these constants,
+    maps to 0."""
+    distinct = sorted(set(np.ravel(kappa).tolist()))
+    table = np.array([fn(k) if k > 0.0 else 0.0 for k in distinct], dtype=float)
+    return table[np.searchsorted(distinct, kappa)]
+
+
+def _radicand(kappa, mean, d: np.ndarray, wavelength: float) -> np.ndarray:
     """Sinc radicand (2 pi / lam)^2 |d|^2 - kappa^2 - 2j kappa (2 pi / lam) (mean . d)
-    over displacements of shape (..., 3)."""
+    over displacements of shape (..., 3), with kappa of shape (...) and mean
+    directions of shape (..., 3) broadcast against them."""
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
-    kappa = cluster.kappa
+    kappa = np.asarray(kappa, dtype=float)
+    mean = np.asarray(mean, dtype=float)
     return np.asarray(
-        (k0 * k0) * _dot(d, d) - kappa**2 - 2.0j * kappa * k0 * _dot(d, cluster.mean_direction)
+        (k0 * k0) * _dot(d, d) - _per_kappa(lambda k: k**2, kappa)
+        - 2.0j * kappa * k0 * _dot(d, mean)
     )
 
 
@@ -93,42 +110,60 @@ def _branch_sqrt(w):
     return np.where(z.imag > 0.0, -z, z)
 
 
-def _log_large_kappa(kappa: float, w: np.ndarray) -> np.ndarray:
+def _log_large_kappa(kappa, w: np.ndarray, where=...) -> np.ndarray:
     # log of kappa e^(-kappa) e^(jz) (1 - e^(-2jz)) / (jz), exponentiated only
     # at the end so the value underflows to zero rather than overflow; where
-    # w = 0 the closed form is kappa / sinh(kappa) itself
-    jz = 1j * _branch_sqrt(w)
-    log_value = np.full(jz.shape, _log_kappa_over_sinh(kappa), dtype=complex)
-    nonzero = jz != 0.0
-    jz = jz[nonzero]
-    log_jz = math.log(kappa) - kappa + jz - np.log(jz)
+    # w = 0 the closed form is kappa / sinh(kappa) itself. kappa broadcasts
+    # against w, and the entries of w selected by where (all by default) are
+    # evaluated.
+    def pick(a):
+        return np.broadcast_to(a, np.shape(w))[where]
+
+    jz = 1j * _branch_sqrt(pick(w))
+    log_value = np.empty(jz.shape, dtype=complex)
+    zero = jz == 0.0
+    if zero.any():
+        log_value[zero] = pick(_per_kappa(_log_kappa_over_sinh, kappa))[zero]
+    jz = jz[~zero]
+    log_jz = pick(_per_kappa(lambda k: math.log(k) - k, kappa))[~zero] + jz - np.log(jz)
     # e^(-2jz) is O(1) where z is near real and underflows to exactly 0 once
     # Re(jz) = -Im z exceeds 373, so only the points below that need the term
     near = jz.real < 373.0
     if near.any():
         log_jz[near] += np.log1p(-np.exp(-2.0 * jz[near]))
-    log_value[nonzero] = log_jz
+    log_value[~zero] = log_jz
     return log_value
 
 
-def _closed_form(cluster: VmfCluster, d, wavelength: float) -> np.ndarray:
-    """The closed form over displacements of shape (..., 3) in one pass.
+def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
+    """The closed form over displacements d of shape (..., 3) in one pass, with
+    kappa of shape (...) and mean directions of shape (..., 3) broadcast
+    against them, so that one call can span clusters, concentrations or cells.
 
-    Each regime is one mask: d = 0 gives exactly one, kappa = 0 the isotropic
-    sinc, kappa above the sinh overflow threshold the log-domain large-kappa
-    form, and otherwise csinc_sqrt splits its series and direct sin(z)/z.
+    Each regime is one mask, taken per element: d = 0 gives exactly one,
+    kappa = 0 the isotropic sinc, kappa above the sinh overflow threshold the
+    log-domain large-kappa form, and otherwise csinc_sqrt splits its series
+    and direct sin(z)/z.
     """
     d = _as_displacement(d, batch=True)
-    w = _radicand(cluster, d, wavelength)
-    kappa = cluster.kappa
+    kappa = np.asarray(kappa, dtype=float)
+    w = _radicand(kappa, mean, d, wavelength)
+
+    def spread(a):
+        return np.broadcast_to(a, w.shape)
+
     value = np.ones(w.shape, dtype=complex)
-    live = np.any(d != 0.0, axis=-1)
-    if kappa == 0.0:
-        value[live] = scf_isotropic(np.sqrt(_dot(d, d))[live], wavelength)
-    elif kappa > LARGE_KAPPA_THRESHOLD:
-        value[live] = np.exp(_log_large_kappa(kappa, w[live]))
-    else:
-        value[live] = math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(w[live])
+    live = spread(np.any(d != 0.0, axis=-1))
+    isotropic = live & (kappa == 0.0)
+    large = live & (kappa > LARGE_KAPPA_THRESHOLD)
+    moderate = live & ~isotropic & ~large
+    if isotropic.any():
+        value[isotropic] = scf_isotropic(spread(np.sqrt(_dot(d, d)))[isotropic], wavelength)
+    if large.any():
+        value[large] = np.exp(_log_large_kappa(kappa, w, large))
+    if moderate.any():
+        scale = spread(_per_kappa(lambda k: math.exp(_log_kappa_over_sinh(k)), kappa))
+        value[moderate] = scale[moderate] * csinc_sqrt(w[moderate])
     return value
 
 
@@ -153,7 +188,7 @@ def scf(cluster: VmfCluster, d, wavelength: float):
     The value at d = 0 is exactly one. A 3-vector d gives a complex; an array
     of shape (..., 3) gives a complex array of shape (...).
     """
-    value = _closed_form(cluster, d, wavelength)
+    value = _closed_form(cluster.kappa, cluster.mean_direction, d, wavelength)
     return value.item() if value.ndim == 0 else value
 
 
@@ -171,7 +206,8 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
     if cluster.kappa <= 0.0:
         raise ValueError("large-kappa evaluation requires kappa > 0")
     d = _as_displacement(d, batch=True)
-    value = np.exp(_log_large_kappa(cluster.kappa, _radicand(cluster, d, wavelength)))
+    w = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
+    value = np.exp(_log_large_kappa(cluster.kappa, w))
     return value.item() if value.ndim == 0 else value
 
 
@@ -183,7 +219,7 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     drops; serves as the cross-check target for that approximation.
     """
     kappa = cluster.kappa
-    radicand = complex(_radicand(cluster, _as_displacement(d), wavelength))
+    radicand = complex(_radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength))
     if kappa <= 0.0:
         raise ValueError("log-domain evaluation requires kappa > 0")
     if abs(radicand) <= 0.25:
@@ -208,7 +244,18 @@ def scf_multicluster(clusters, d, wavelength: float):
     total_power = sum(c.power for c in clusters)
     if abs(total_power - 1.0) > 1e-9:
         raise ValueError(f"cluster powers must sum to 1, got {total_power}")
-    return sum(c.power * scf(c, d, wavelength) for c in clusters)
+    if len(clusters) == 1:
+        # an scf call, which perfbench's tracer counts per branch
+        values = [scf(clusters[0], d, wavelength)]
+    else:
+        # the cluster axis leads; each cluster's kappa and mean broadcast over d
+        d = _as_displacement(d, batch=True)
+        axes = (len(clusters),) + (1,) * (d.ndim - 1)
+        kappa = np.reshape([c.kappa for c in clusters], axes)
+        mean = np.reshape([c.mean_direction for c in clusters], (*axes, 3))
+        values = _closed_form(kappa, mean, d, wavelength)
+    total = sum(c.power * v for c, v in zip(clusters, values))
+    return complex(total) if np.ndim(total) == 0 else total
 
 
 def doppler_params(
@@ -262,37 +309,65 @@ def decorrelation_time(
     relative. Raises DecorrelationNotFound if no crossing occurs before the
     horizon, which defaults to 10 / f_m.
     """
-    if motion.speed <= 0.0:
-        raise ValueError("decorrelation time requires speed > 0")
+    times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold,
+                                 lambda kappa, f_m: 10.0 / f_m if horizon is None else horizon)
+    return float(times[0])
+
+
+def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
+                         threshold: float, horizon) -> np.ndarray:
+    """decorrelation_time of each (cluster, motion) cell, whose search horizon
+    is horizon(kappa, f_m) seconds.
+
+    One kernel call evaluates the lag grids of all cells, padded to one
+    length, for each cell's first crossing; the cells are then bisected
+    together, one kernel call per step, each freezing at its 1e-6 relative
+    width, so each cell sees the lo/hi sequence it would alone.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    params = doppler_params(cluster, motion, wavelength, monostatic)
-    if horizon is None:
-        horizon = 10.0 / params.f_m
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    if any(motion.speed <= 0.0 for motion in motions):
+        raise ValueError("decorrelation time requires speed > 0")
+    horizon = np.array([horizon(c.kappa, doppler_params(c, m, wavelength, monostatic).f_m)
+                        for c, m in zip(clusters, motions)], dtype=float)
+    valid = np.isfinite(horizon) & (horizon > 0.0)
+    if not valid.all():
+        raise ValueError(f"horizon must be positive, got {horizon[~valid][0]}")
+    kappa = np.array([c.kappa for c in clusters])
+    mean = np.array([c.mean_direction for c in clusters])
+    velocity = np.array([m.velocity for m in motions])
+    factor = 2.0 if monostatic else 1.0
 
-    def excess(t):
-        return np.abs(acf(cluster, motion, t, wavelength, monostatic)) - threshold
+    def excess(t, cells):
+        d = (factor * t)[..., None] * velocity[cells]
+        return np.abs(_closed_form(kappa[cells], mean[cells], d, wavelength)) - threshold
 
-    # one call over the whole geometric grid; its points are sequential
-    # products, so the bracket does not depend on how the grid is evaluated
+    # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products,
+    # as cumprod forms them, up to the first product at or past the horizon,
+    # which is clamped to it; the clamp also pads shorter rows with copies of
+    # their horizon, which cannot come before a row's first crossing.
     ratio = 10.0 ** (1.0 / _GRID_POINTS_PER_DECADE)
-    grid = [min(1e-6, horizon / _GRID_POINTS_PER_DECADE)]
-    while grid[-1] < horizon:
-        grid.append(min(grid[-1] * ratio, horizon))
-    below = np.flatnonzero(excess(np.array(grid)) < 0.0)
-    if below.size == 0:
+    start = np.minimum(1e-6, horizon / _GRID_POINTS_PER_DECADE)
+    count = int(np.ceil(np.max(np.log(horizon / start)) / math.log(ratio))) + 2
+    steps = np.full((len(kappa), count), ratio)
+    steps[:, 0] = start
+    grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+    cells = np.arange(len(kappa))
+    below = excess(grid, cells[:, None]) < 0.0
+    found = below.any(axis=1)
+    if not found.all():
         raise DecorrelationNotFound(
-            f"|ACF| never fell below {threshold} within horizon {horizon} s"
+            f"|ACF| never fell below {threshold} within horizon "
+            f"{float(horizon[np.argmin(found)])} s"
         )
-    first = int(below[0])
-    lo = grid[first - 1] if first else 0.0
-    hi = grid[first]
-    while hi - lo > 1e-6 * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
+    first = np.argmax(below, axis=1)
+    hi = grid[cells, first]
+    lo = np.where(first > 0, grid[cells, first - 1], 0.0)
+    live = cells[hi - lo > 1e-6 * hi]
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        below = excess(mid, live) < 0.0
+        hi[live[below]] = mid[below]
+        lo[live[~below]] = mid[~below]
+        live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
     return 0.5 * (lo + hi)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import MotionState, acf, decorrelation_time, doppler_params
+from .correlation import MotionState, _decorrelation_times, acf
 from .vmf import _HALF_PI, VmfCluster, kappa_from_angular_width
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -91,23 +91,20 @@ def _search_horizon(kappa: float, f_m: float) -> float:
 
 
 def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 0.5) -> np.ndarray:
-    """Decorrelation time in seconds for every (angular width, speed) pair."""
+    """Decorrelation time in seconds for every (angular width, speed) pair.
+
+    Each entry equals decorrelation_time for its cell, with a horizon of
+    (10 + 2 kappa) / f_m; the cells are bracketed and bisected together, one
+    kernel call per step over every cell still searching.
+    """
     widths = list(widths)
     speeds = list(speeds)
     if not widths or not speeds:
         raise ValueError("width and speed lists must not be empty")
-    out = np.empty((len(widths), len(speeds)))
-    for i, width in enumerate(widths):
-        for j, speed in enumerate(speeds):
-            scenario = replace(base, target_angular_width=width, target_speed=speed)
-            cluster, motion, wavelength = scenario_to_cluster_and_motion(scenario)
-            params = doppler_params(cluster, motion, wavelength, scenario.monostatic)
-            out[i, j] = decorrelation_time(
-                cluster,
-                motion,
-                wavelength,
-                monostatic=scenario.monostatic,
-                threshold=threshold,
-                horizon=_search_horizon(cluster.kappa, params.f_m),
-            )
-    return out
+    cells = [scenario_to_cluster_and_motion(replace(base, target_angular_width=width,
+                                                    target_speed=speed))
+             for width in widths for speed in speeds]
+    clusters, motions, _ = zip(*cells)
+    times = _decorrelation_times(clusters, motions, base.wavelength, base.monostatic,
+                                 threshold, _search_horizon)
+    return times.reshape(len(widths), len(speeds))

@@ -539,6 +539,24 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"config error: {key}.count: must be <= 1000000\n"
         assert not out.exists()
         doc[key] = _grid(count=10**6)
+        if doc["mode"] == "scf-field":  # the field's product bound allows one x point
+            doc["x_over_lambda"] = _grid(count=1)
+        parse_config(json.dumps(doc))
+
+    def test_field_point_count_too_large_is_a_config_error(self, tmp_path, capsys):
+        # each count is allowed, but np.meshgrid would need 7.3 TiB for the field
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS["scf-field"], "out": str(out), "format": "csv",
+               "x_over_lambda": _grid(count=10**6), "y_over_lambda": _grid(count=10**6)}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["scf-field", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: x_over_lambda.count * y_over_lambda.count: must be <= 1000000\n")
+        assert not out.exists()
+        doc["x_over_lambda"], doc["y_over_lambda"] = _grid(count=1000), _grid(count=1001)
+        with pytest.raises(ConfigError):
+            parse_config(json.dumps(doc))
+        doc["y_over_lambda"] = _grid(count=1000)
         parse_config(json.dumps(doc))
 
     @pytest.mark.parametrize("overrides, message", [

@@ -18,7 +18,9 @@ from vmfcorr import (
     scf_large_kappa,
     scf_multicluster,
 )
-from vmfcorr.correlation import _branch_sqrt, _radicand
+from vmfcorr.correlation import (LARGE_KAPPA_THRESHOLD, _branch_sqrt, _closed_form,
+                                  _decorrelation_times, _radicand)
+from vmfcorr.vmf import TWO_PI, _log_kappa_over_sinh, csinc_sqrt
 
 LAM = 0.3
 
@@ -46,14 +48,15 @@ class TestScfArgument:
 
     def test_zero_displacement(self):
         cluster = VmfCluster(0.4, -0.3, 5.0)
-        assert _radicand(cluster, np.zeros(3), LAM) == pytest.approx(-25.0)
+        w = _radicand(cluster.kappa, cluster.mean_direction, np.zeros(3), LAM)
+        assert w == pytest.approx(-25.0)
 
     def test_isotropic_coefficients(self):
-        w = _radicand(VmfCluster(0.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
+        w = _radicand(0.0, (1.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
         assert w == pytest.approx(math.pi**2)
 
     def test_along_mean_example(self):
-        w = _radicand(VmfCluster(0.0, 0.0, 10.0), np.array([LAM, 0.0, 0.0]), LAM)
+        w = _radicand(10.0, (1.0, 0.0, 0.0), np.array([LAM, 0.0, 0.0]), LAM)
         expected = complex(4 * math.pi**2 - 100.0, -40.0 * math.pi)
         assert complex(w) == pytest.approx(expected, rel=1e-13)
 
@@ -62,12 +65,13 @@ class TestScfArgument:
         for _ in range(100):
             cluster = random_cluster(rng, max_kappa=1e5)
             cluster = replace(cluster, kappa=700.0 + cluster.kappa)
-            z = _branch_sqrt(_radicand(cluster, rng.normal(size=(20, 3)) * LAM, LAM))
+            d = rng.normal(size=(20, 3)) * LAM
+            z = _branch_sqrt(_radicand(cluster.kappa, cluster.mean_direction, d, LAM))
             assert np.all(z.imag <= 0.0)
 
     def test_bad_wavelength(self):
         with pytest.raises(ValueError):
-            _radicand(VmfCluster(0, 0, 1.0), np.array([0.1, 0, 0]), 0.0)
+            _radicand(1.0, (1.0, 0.0, 0.0), np.array([0.1, 0, 0]), 0.0)
 
 
 class TestScf:
@@ -204,7 +208,7 @@ class TestLargeKappa:
         # where the closed form is kappa / sinh(kappa), which underflows
         cluster = VmfCluster(0.0, 0.0, 1000.0)
         d = (0.0, 1000.0 * lam / (2 * math.pi), 0.0)
-        assert _radicand(cluster, np.array(d), lam) == 0.0
+        assert _radicand(cluster.kappa, cluster.mean_direction, np.array(d), lam) == 0.0
         assert scf(cluster, d, lam) == 0.0
         assert scf_large_kappa(cluster, d, lam) == 0.0
 
@@ -303,6 +307,70 @@ def test_array_calls_match_scalar_calls(kappa):
             assert entry == acf(cluster, motion, float(lag), lam, monostatic)
 
 
+def _one_cluster_reference(cluster, d, lam):
+    """The closed form at one displacement, with the cluster's constants as
+    Python floats and every array of length one: the scalar evaluation that
+    batched calls must reproduce bit for bit."""
+    d = np.array([d], dtype=float)
+    if not d.any():
+        return 1.0 + 0.0j
+    kappa, mean, k0 = cluster.kappa, cluster.mean_direction, TWO_PI / lam
+    dd = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    dm = d[:, 0] * mean[0] + d[:, 1] * mean[1] + d[:, 2] * mean[2]
+    w = (k0 * k0) * dd - kappa**2 - 2.0j * kappa * k0 * dm
+    if kappa == 0.0:
+        value = np.sinc(2.0 * np.sqrt(dd) / lam)
+    elif kappa <= LARGE_KAPPA_THRESHOLD:
+        value = math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(w)
+    elif w[0] == 0.0:
+        value = np.exp(np.full(1, _log_kappa_over_sinh(kappa), dtype=complex))
+    else:
+        jz = 1j * _branch_sqrt(w)
+        log_value = math.log(kappa) - kappa + jz - np.log(jz)
+        if jz[0].real < 373.0:
+            log_value += np.log1p(-np.exp(-2.0 * jz))
+        value = np.exp(log_value)
+    return complex(value[0])
+
+
+def _kappas_numpy_rounds_differently():
+    """Concentrations at which numpy would round a per-cluster constant
+    differently from Python's math: kappa**2, log kappa (above 700) and
+    kappa / sinh kappa (up to 700)."""
+    rng = np.random.default_rng(3)
+    large, moderate = rng.uniform(700.0, 1e5, 20000), rng.uniform(0.0, 700.0, 200)
+    ratio = np.array([_log_kappa_over_sinh(k) for k in moderate.tolist()])
+    picks = [
+        large[large**2 != np.array([k**2 for k in large.tolist()])],
+        large[np.log(large) != np.array([math.log(k) for k in large.tolist()])],
+        moderate[np.exp(ratio) != np.array([math.exp(r) for r in ratio.tolist()])],
+    ]
+    return [float(pick[0]) for pick in picks if pick.size]
+
+
+def test_mixed_batch_matches_scalar_calls():
+    # one kernel call whose kappa and mean direction change from point to
+    # point, across every regime boundary
+    lam = 1.0
+    kappas = [0.0, 0.5, 700.0, 700.001, 1e5, *_kappas_numpy_rounds_differently()]
+    points = [(VmfCluster(phi, psi, kappa), d)
+              for kappa in kappas
+              for phi, psi in ((0.0, 0.0), (1.0, -0.4))
+              for d in _regime_displacements(kappa, lam)]
+    clusters, d = zip(*points)
+    values = _closed_form([c.kappa for c in clusters], [c.mean_direction for c in clusters],
+                          d, lam)
+    assert values.shape == (len(points),)
+    for entry, (cluster, v) in zip(values, points):
+        assert entry == scf(cluster, v, lam) == _one_cluster_reference(cluster, v, lam)
+    # kappa of shape (K, 1) over all the displacements, as scf_multicluster
+    # stacks its clusters: row k equals the one-cluster call
+    mean = clusters[-1].mean_direction
+    values = _closed_form(np.reshape(kappas, (-1, 1)), mean, d, lam)
+    for row, kappa in zip(values, kappas):
+        assert np.array_equal(row, scf(VmfCluster(1.0, -0.4, kappa), d, lam))
+
+
 class TestDoppler:
     def test_zero_speed(self):
         params = doppler_params(VmfCluster(0, 0, 1.0), MotionState(0.0, 1.0, 0.2), LAM)
@@ -387,6 +455,16 @@ class TestDecorrelationTime:
         cluster = VmfCluster(0.0, 0.0, 0.0)
         with pytest.raises(DecorrelationNotFound):
             decorrelation_time(cluster, motion, LAM, horizon=1e-9)
+
+    def test_not_found_in_one_of_several_cells(self):
+        # the cells are bisected together; the one whose horizon ends before
+        # its crossing still raises
+        cluster = VmfCluster(0.0, 0.0, 0.0)
+        motions = [MotionState(speed, 0.0, 0.0) for speed in (1.0, 2.0, 3.0)]
+        horizons = {1.0 / LAM: 1.0, 2.0 / LAM: 1e-9, 3.0 / LAM: 1.0}
+        with pytest.raises(DecorrelationNotFound, match="horizon 1e-09 s"):
+            _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5,
+                                 lambda kappa, f_m: horizons[f_m])
 
     def test_preconditions(self):
         cluster = VmfCluster(0.0, 0.0, 0.0)

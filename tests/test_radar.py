@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -9,11 +10,14 @@ from vmfcorr import (
     SPEED_OF_LIGHT,
     acf,
     decorrelation_table,
+    decorrelation_time,
     doppler_params,
     radar_acf_curve,
     scenario_to_cluster_and_motion,
     scf,
 )
+from vmfcorr.cli import EXIT_OK, parse_config, run
+from vmfcorr.radar import _search_horizon
 
 BASE = RadarScenario(
     carrier_frequency=10e9,
@@ -114,6 +118,53 @@ class TestDecorrelationTable:
             decorrelation_table([], [10.0], BASE)
         with pytest.raises(ValueError):
             decorrelation_table([math.radians(1.0)], [], BASE)
+
+    def test_zero_speed(self):
+        with pytest.raises(ValueError):
+            decorrelation_table([math.radians(1.0)], [10.0, 0.0], BASE)
+
+    @pytest.mark.parametrize("base, threshold", [(BASE, 0.5),
+                                                 (replace(BASE, monostatic=False), 0.3)])
+    def test_equals_per_cell_decorrelation_times(self, base, threshold):
+        # the cells are bisected together; each must see its own bisection
+        widths = [math.radians(w) for w in (0.25, 0.6, 1.5, 4.0)]
+        speeds = [v / 3.6 for v in (10.0, 55.0, 170.0, 300.0)]
+        table = decorrelation_table(widths, speeds, base, threshold)
+        for i, width in enumerate(widths):
+            for j, speed in enumerate(speeds):
+                scenario = replace(base, target_angular_width=width, target_speed=speed)
+                cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
+                f_m = doppler_params(cluster, motion, lam, base.monostatic).f_m
+                horizon = _search_horizon(cluster.kappa, f_m)
+                assert table[i, j] == decorrelation_time(cluster, motion, lam, base.monostatic,
+                                                         threshold, horizon)
+
+
+# The radar-table of the benchmark's radar-chain workload (perfbench/workloads.py),
+# as float.hex: a change to the lag grid or to any cell's bisection sequence
+# changes these bits.
+_PINNED_TABLE = [
+    "0x1.72472f701af94p-8", "0x1.72473b2063b96p-7", "0x1.5b22c18f3f9c4p-6",
+    "0x1.5b22c1df1ddd0p-5", "0x1.5b22be9377873p-3", "0x1.721d214a18ff0p-7",
+    "0x1.721d1ac325af4p-6", "0x1.5afb4f31dc0d7p-5", "0x1.5afb507e7cf0ep-4",
+    "0x1.5afb499a8f6b0p-2", "0x1.72128cd8cefe2p-6", "0x1.72128acc87862p-5",
+    "0x1.5af16c8710857p-4", "0x1.5af16c612bd72p-3", "0x1.5af16bdf3d3a6p-1",
+    "0x1.720fedc0723e8p-5", "0x1.720fe66ebca91p-4", "0x1.5aeef3351d790p-3",
+    "0x1.5aeef14b23ea3p-2", "0x1.5aeef335c248cp+0", "0x1.720f44cbf22cfp-4",
+    "0x1.720f3d906e07fp-3", "0x1.5aee516ef7a0dp-2", "0x1.5aee506ebace8p-1",
+    "0x1.5aee4bb7a630cp+1",
+]
+
+
+def test_pinned_radar_table(tmp_path):
+    out = tmp_path / "radar-table.csv"
+    doc = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
+           "elevation_deg": 20.0, "monostatic": True,
+           "widths_deg": [4.0, 2.0, 1.0, 0.5, 0.25],
+           "speeds_kmh": [300.0, 150.0, 80.0, 40.0, 10.0]}
+    assert run(parse_config(json.dumps(doc))) == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert [float(row.split(",")[2]).hex() for row in rows] == _PINNED_TABLE
 
 
 class TestMonostaticConsistency:

@@ -55,7 +55,8 @@ def _reference_log(cluster, d, wavelength):
 
 def _library_log(cluster, d, wavelength):
     if cluster.kappa > LARGE_KAPPA_THRESHOLD:
-        return complex(_log_large_kappa(cluster.kappa, _radicand(cluster, d, wavelength)))
+        w = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
+        return complex(_log_large_kappa(cluster.kappa, w))
     return cmath.log(scf(cluster, d, wavelength))
 
 
@@ -132,7 +133,7 @@ def test_zero_radicand_large_kappa(wavelength):
     # w == 0 exactly in doubles: R = kappa / sinh(kappa), which underflows
     cluster = VmfCluster(0.0, 0.0, 1000.0)
     d = np.array([0.0, cluster.kappa * wavelength / (2.0 * math.pi), 0.0])
-    assert complex(_radicand(cluster, d, wavelength)) == 0.0
+    assert complex(_radicand(cluster.kappa, cluster.mean_direction, d, wavelength)) == 0.0
     assert scf(cluster, d, wavelength) == 0.0
     assert _log_gap(cluster, d, wavelength) <= BOUND
 
