@@ -536,18 +536,45 @@ _MODES = {
 MODES = tuple(_MODES)
 
 
-def _write_output(config: SweepConfig, header, columns):
+# How json.dump spells the floats that float.__repr__ spells otherwise.
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column_text(column, spelling, opening, close):
+    """The text of each entry of a column: its repr, or the dict spelling's
+    entry for that repr, between opening and close.
+
+    Each distinct entry is formatted once. Floats are told apart by bit
+    pattern, so -0.0 and 0.0 keep their own text.
+    """
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # tolist gives Python ints for index columns and floats for the rest
-    rows = zip(*(column.tolist() for column in columns))
+    text = [opening + spelling.get(t, t) + close for t in map(repr, column[first].tolist())]
+    return np.array(text, dtype=object)[inverse.ravel()].tolist()
+
+
+def _write_output(config: SweepConfig, header, columns):
+    """Write the columns row by row: as CSV with each cell's repr, or as the
+    JSON that json.dump writes, which spells floats as repr but for NaN and
+    +-Infinity."""
+    if config.format == "csv":
+        head, sep, opening, close, spelling, tail = ",".join(header) + "\n", "", "", "\n", {}, ""
+    else:
+        payload = {"mode": config.mode, "columns": list(header), "rows": []}
+        head = json.dumps(payload, separators=(",", ":"))[:-2]  # ends with "rows":[
+        sep, opening, close, spelling, tail = ",", "[", "]", _JSON_SPELLING, "]}\n"
+    # the first column's text carries the separator and the opening of its
+    # row, the last column's text the row's close
+    last = len(columns) - 1
+    text = [_column_text(column, spelling, (sep + opening) * (i == 0), close * (i == last))
+            for i, column in enumerate(columns)]
+    rows = map(",".join, zip(*text))
     with open(output_path(config), "w", encoding="utf-8", newline="") as fh:
-        if config.format == "csv":
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(map(repr, row)) + "\n")
-        else:
-            payload = {"mode": config.mode, "columns": list(header), "rows": list(rows)}
-            json.dump(payload, fh, separators=(",", ":"))
-            fh.write("\n")
+        fh.write(head)
+        fh.write(next(rows, sep)[len(sep):])  # no separator before the first row
+        fh.writelines(rows)
+        fh.write(tail)
 
 
 def run(config: SweepConfig) -> int:

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vmfcorr import scf, scf_multicluster, VmfCluster
 from vmfcorr.cli import (
@@ -11,6 +14,9 @@ from vmfcorr.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     ConfigError,
+    SweepConfig,
+    _complex_columns,
+    _write_output,
     main,
     parse_config,
     run,
@@ -439,6 +445,97 @@ class TestWrittenColumns:
                 closed = complex(cells["closed_re"], cells["closed_im"])
                 quad = complex(cells["quad_re"], cells["quad_im"])
                 assert cells["abs_error"] == abs(closed - quad)
+
+
+def _reference_write(config, header, columns):
+    """The writer the CLI had before it formatted each distinct cell once:
+    repr per cell for CSV, json.dump of the whole table for JSON."""
+    rows = zip(*(column.tolist() for column in columns))
+    with open(config.out, "w", encoding="utf-8", newline="") as fh:
+        if config.format == "csv":
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(map(repr, row)) + "\n")
+        else:
+            payload = {"mode": config.mode, "columns": list(header), "rows": list(rows)}
+            json.dump(payload, fh, separators=(",", ":"))
+            fh.write("\n")
+
+
+# signed zeros, NaNs of either sign, infinities, subnormals down to the
+# smallest, the largest double whose repr is still plain, a 17-digit repr
+_SPECIAL_CELLS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1e-310, 2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0,
+                  0.1, 1.0, 0.30000000000000004]
+_cells = st.one_of(st.sampled_from(_SPECIAL_CELLS), st.floats())
+
+
+@st.composite
+def _tables(draw):
+    """Columns as the row builders hand them over: an int64 index column, a
+    float column, and the strided re/im views and magnitude that
+    _complex_columns gives, each drawn from a few values so that they repeat."""
+    n = draw(st.integers(0, 30))
+
+    def repeated(values):
+        pool = draw(st.lists(values, min_size=1, max_size=8))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        return [pool[i] for i in picks]
+
+    index = repeated(st.one_of(st.integers(0, 3), st.integers(-2**63, 2**63 - 1)))
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = repeated(_cells), repeated(_cells)
+    with np.errstate(over="ignore"):  # huge parts give an infinite magnitude
+        complex_columns = _complex_columns(values)
+    candidates = [np.array(index, dtype=np.int64), np.array(repeated(_cells)), *complex_columns]
+    picks = draw(st.lists(st.integers(0, len(candidates) - 1), min_size=1, max_size=6))
+    return [f"c{i}" for i in range(len(picks))], [candidates[i] for i in picks]
+
+
+class TestWriterBytes:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(table=_tables())
+    @example(table=(["row", "re"], [np.arange(4), np.array([0.0, -0.0, 0.0, -0.0])]))
+    @example(table=(["row", "col", "re", "im"],
+                    [np.array([3]), np.array([0]), *_complex_columns(np.array([complex(-0.0, -0.0)]))[:2]]))
+    def test_matches_reference_writer(self, tmp_path_factory, table):
+        header, columns = table
+        folder = tmp_path_factory.mktemp("writer")
+        for fmt in ("csv", "json"):
+            written = {}
+            for name, writer in (("new", _write_output), ("reference", _reference_write)):
+                config = SweepConfig(mode="scf-field", format=fmt, out=str(folder / f"{name}.{fmt}"))
+                writer(config, header, columns)
+                written[name] = (folder / f"{name}.{fmt}").read_bytes()
+            assert written["new"] == written["reference"]
+
+    # SHA-256 of the data files as written before the writer formatted each
+    # distinct cell once. A change to the formatting, or to any value by one
+    # ulp, changes them.
+    PINNED = {
+        "array-matrix": (
+            {"mode": "array-matrix", "wavelength": 1.0,
+             "cluster": {"kappa": 5.0, "mu_phi_deg": 30.0, "mu_psi_deg": 10.0},
+             "geometry": {"kind": "planar", "nx": 4, "ny": 4,
+                          "dx_over_lambda": 0.5, "dy_over_lambda": 0.5}},
+            {"csv": "4443e4222e817d4b4c75c1d752f5994223aabb6284fafab8d0dfcde8e7b2a9e5",
+             "json": "8632290453fd106d48c08552b87614e13145e95e30054d67e70646b95e1b3c69"}),
+        "scf-field": (
+            {"mode": "scf-field", "wavelength": 1.0,
+             "clusters": [{"kappa": 4.0, "mu_phi_deg": 20.0, "mu_psi_deg": 10.0, "power": 0.25},
+                          {"kappa": 40.0, "mu_phi_deg": 150.0, "power": 0.75}],
+             "x_over_lambda": _grid(-1.0, 1.0, 5), "y_over_lambda": _grid(-1.0, 1.0, 5)},
+            {"csv": "933f55d344d189ddf2f57bc66667a4fbb6bf1ac96f1b3b6e57a50c7f6e996664",
+             "json": "eb91d138c5870a253b507bb38f0c2c7a741063d3d1a14716162c4bafa19dd75d"}),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_bytes(self, tmp_path, name, fmt):
+        doc, digests = self.PINNED[name]
+        out = tmp_path / f"out.{fmt}"
+        assert run(parse_config(json.dumps(dict(doc, format=fmt, out=str(out))))) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
 
 
 class TestMainExitCodes:

@@ -19,8 +19,10 @@ import pytest
 
 from vmfcorr import VmfCluster, scf, scf_quadrature
 from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _log_large_kappa, _radicand
+from vmfcorr.vmf import _SERIES_RADIUS, csinc_sqrt
 
 BOUND = 1e-9
+EPS = np.finfo(float).eps
 LAM = 1.0
 K0 = 2.0 * math.pi / LAM
 MU_PHI, MU_PSI = 0.4, 0.3
@@ -164,3 +166,33 @@ def test_quadrature_at_radar_concentrations(mean, kappa, beta_deg, x_per_kappa):
     with mp.workdps(40):
         reference = mp.exp(_reference_log(cluster, d, LAM))
         assert float(abs(mp.mpc(scf_quadrature(cluster, d, LAM)) - reference)) <= BOUND
+
+
+def _nudged(w, inside):
+    """w moved one ulp at a time, both parts towards zero or both away from it,
+    until it lies inside the series disc or outside it, as the library's mask
+    np.abs(w) <= radius decides."""
+    while (np.abs(w) <= _SERIES_RADIUS) != inside:
+        w = complex(*(np.nextafter(c, 0.0 if inside else math.copysign(math.inf, c)) if c else c
+                      for c in (w.real, w.imag)))
+    return w
+
+
+def test_continuous_across_series_radius():
+    # the series and sin(z)/z one ulp of w apart, around the whole circle
+    # |w| = 0.25 in steps of 0.5 deg
+    circle = [_SERIES_RADIUS * cmath.exp(1j * t) for t in np.linspace(0.0, 2.0 * math.pi, 721)]
+    inner = np.array([_nudged(w, inside=True) for w in circle])
+    outer = np.array([_nudged(w, inside=False) for w in circle])
+    assert np.all(np.abs(inner) <= _SERIES_RADIUS) and np.all(np.abs(outer) > _SERIES_RADIUS)
+    assert np.max(np.abs(csinc_sqrt(inner) - csinc_sqrt(outer))) <= 8.0 * EPS
+
+
+def test_continuous_across_large_kappa_threshold():
+    # the sinh form at kappa 700 and the log-domain form one ulp above it
+    below = VmfCluster(MU_PHI, MU_PSI, LARGE_KAPPA_THRESHOLD)
+    above = VmfCluster(MU_PHI, MU_PSI, np.nextafter(LARGE_KAPPA_THRESHOLD, math.inf))
+    for x in (0.01, 1.0, math.sqrt(LARGE_KAPPA_THRESHOLD), 100.0, 700.0, 2000.0):
+        d = np.array([_displacement(beta, x) for beta in np.linspace(0.0, 180.0, 37)])
+        gap = np.abs(scf(below, d, LAM) - scf(above, d, LAM))
+        assert np.max(gap) <= 64.0 * EPS * (1.0 + LARGE_KAPPA_THRESHOLD + x)
