@@ -334,7 +334,14 @@ def _parse_array(r, kinds=("linear", "circular", "planar")):
         args = (count("n"), length("radius_over_lambda"))
     else:
         args = (count("nx"), count("ny"), length("dx_over_lambda"), length("dy_over_lambda"))
-    if wavelength is None or None in args:
+    if None in args:
+        return fields
+    # the geometry holds a displacement per element pair: n elements, n^2 points
+    elements = args[0] * args[1] if kind == "planar" else args[0]
+    if elements * elements > _MAX_GRID_COUNT:
+        return block.fail("nx * ny" if kind == "planar" else "n",
+                          f"must be <= {math.isqrt(_MAX_GRID_COUNT)}", fields)
+    if wavelength is None:
         return fields
     try:
         if kind == "linear":

@@ -1,6 +1,5 @@
 """Closed-form spatial and temporal correlation for vMF scattering channels."""
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -214,9 +213,9 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
 def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     """Overflow-safe exact evaluation, equal to scf for any kappa > 0.
 
-    Keeps every term of the sinh/sin ratio in the exponent, including the
-    1 - e^(-2jz) and 1 - e^(-2 kappa) corrections that the large-kappa form
-    drops; serves as the cross-check target for that approximation.
+    The large-kappa form plus the 1 - e^(-2 kappa) factor it drops, with the
+    series of csinc_sqrt inside |w| <= 0.25; serves as a cross-check of scf's
+    sinh path, which it shares no code with outside the series disc.
     """
     kappa = cluster.kappa
     radicand = complex(_radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength))
@@ -224,16 +223,7 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
         raise ValueError("log-domain evaluation requires kappa > 0")
     if abs(radicand) <= 0.25:
         return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(radicand)
-    jz = 1j * complex(_branch_sqrt(radicand))
-    log_value = (
-        math.log(kappa)
-        - kappa
-        - math.log1p(-math.exp(-2.0 * kappa))
-        + jz
-        - cmath.log(jz)
-        + cmath.log(1.0 - cmath.exp(-2.0 * jz))
-    )
-    return cmath.exp(log_value)
+    return complex(np.exp(_log_large_kappa(kappa, radicand) - math.log1p(-math.exp(-2.0 * kappa))))
 
 
 def scf_multicluster(clusters, d, wavelength: float):

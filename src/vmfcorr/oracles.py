@@ -34,6 +34,7 @@ _G7_WEIGHTS = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+_INITIAL_PANELS = 16  # of the first adaptive pass
 
 
 @dataclass(frozen=True)
@@ -73,16 +74,16 @@ def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
 
 
 def _adaptive_panels(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
-                     max_panels: int, initial: int = 16):
+                     max_panels: int):
     """Globally adaptive panel subdivision of the interval [lo, hi].
 
     f maps a vector of nodes to the integrand there. The first pass uses
-    initial panels, or max_panels if fewer; then the panels with the largest
-    error estimates are split until the summed error meets the tolerances.
-    Returns the integral; raises QuadratureToleranceError when the panel
-    budget runs out first.
+    _INITIAL_PANELS panels, or max_panels if fewer; then the panels with the
+    largest error estimates are split until the summed error meets the
+    tolerances. Returns the integral; raises QuadratureToleranceError when
+    the panel budget runs out first.
     """
-    edges = np.linspace(lo, hi, min(initial, max_panels) + 1)
+    edges = np.linspace(lo, hi, min(_INITIAL_PANELS, max_panels) + 1)
     panel_lo, panel_hi = edges[:-1], edges[1:]
     k15, err = _panel_rule(f, panel_lo, panel_hi)
     while True:

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from vmfcorr.cli import (
     _complex_columns,
     _write_output,
     main,
+    output_path,
     parse_config,
     run,
 )
@@ -214,6 +218,20 @@ class TestConfigSchema:
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(doc))
         assert info.value.errors == [f"{label}: unknown key 'bogus'"]
+
+
+# Every ```json block of the README is a complete config, so the docs cannot
+# drift from the schema.
+README_CONFIGS = re.findall(r"^```json\n(.*?)^```$",
+                            (Path(__file__).parents[1] / "README.md").read_text(),
+                            re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("text", README_CONFIGS, ids=lambda text: json.loads(text)["mode"])
+def test_readme_config_runs(tmp_path, text):
+    config = parse_config(text)
+    assert run(replace(config, out=str(tmp_path / output_path(config)))) == EXIT_OK
+    assert (tmp_path / output_path(config)).stat().st_size > 0
 
 
 class TestRunModes:
@@ -655,6 +673,28 @@ class TestMainExitCodes:
             parse_config(json.dumps(doc))
         doc["y_over_lambda"] = _grid(count=1000)
         parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("name, counts, key", [
+        ("array-matrix/linear", {"n": 1001}, "n"),
+        ("array-matrix/circular", {"n": 1001}, "n"),
+        ("array-path/linear", {"n": 1001}, "n"),
+        ("array-matrix/planar", {"nx": 7, "ny": 143}, "nx * ny"),
+    ])
+    def test_element_count_too_large_is_a_config_error(self, tmp_path, capsys, name, counts,
+                                                       key):
+        # the geometry holds all n^2 element pair displacements: 24 GB at n = 20,000
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv"}
+        doc["geometry"] = {**doc["geometry"], **counts}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: geometry.{key}: must be <= 1000\n"
+        assert not out.exists()
+
+    def test_element_count_at_the_limit_is_accepted(self):
+        doc = dict(FULL_CONFIGS["array-matrix/linear"])
+        doc["geometry"] = {**doc["geometry"], "n": 1000}
+        assert parse_config(json.dumps(doc)).geometry.positions.shape == (1000, 3)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"tolerance": 10**400}, "tolerance: must be finite"),

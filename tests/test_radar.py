@@ -113,6 +113,24 @@ class TestDecorrelationTable:
         )
         assert table[0, 1] == pytest.approx(table[0, 0] / 2.0, rel=1e-4)
 
+    @pytest.mark.parametrize("threshold", [0.05, 0.01])
+    def test_low_threshold_follows_radial_law(self, threshold):
+        # at zero elevation a receding target moves along the mean direction,
+        # where |ACF| ~ kappa / sqrt(kappa^2 + (2 pi f_m t)^2) falls to the
+        # threshold at t = kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past a
+        # horizon of (10 + 2 kappa) / f_m once the threshold is below 0.079
+        base = replace(BASE, target_elevation=0.0)
+        widths = [math.radians(w) for w in (2.0, 1.0, 0.5)]
+        speeds = [150.0 / 3.6, 40.0 / 3.6]
+        table = decorrelation_table(widths, speeds, base, threshold)
+        for i, width in enumerate(widths):
+            for j, speed in enumerate(speeds):
+                scenario = replace(base, target_angular_width=width, target_speed=speed)
+                cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
+                f_m = doppler_params(cluster, motion, lam, base.monostatic).f_m
+                radial = cluster.kappa * math.sqrt(1.0 / threshold**2 - 1.0) / (2.0 * math.pi)
+                assert table[i, j] == pytest.approx(radial / f_m, rel=1e-5)
+
     def test_empty_inputs(self):
         with pytest.raises(ValueError):
             decorrelation_table([], [10.0], BASE)
@@ -135,7 +153,7 @@ class TestDecorrelationTable:
                 scenario = replace(base, target_angular_width=width, target_speed=speed)
                 cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
                 f_m = doppler_params(cluster, motion, lam, base.monostatic).f_m
-                horizon = _search_horizon(cluster.kappa, f_m)
+                horizon = _search_horizon(cluster.kappa, f_m, threshold)
                 assert table[i, j] == decorrelation_time(cluster, motion, lam, base.monostatic,
                                                          threshold, horizon)
 

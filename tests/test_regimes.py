@@ -1,13 +1,13 @@
 """The closed form against a 40-digit mpmath reference at its regime boundaries,
 and the quadrature oracle against the same reference at radar concentrations.
 
-The reference evaluates log R = log(kappa / sinh kappa) + log(sin z / z),
-z^2 = w, from the same double inputs the library sees, so the comparison
-measures the library's arithmetic and dispatch, not input rounding. R itself
-must agree within the benchmark's 1e-9 absolute bound. That bound says
-nothing where R is tiny or underflows, so log R must agree within 1e-9 too,
-in its real part and its phase: the closed form's log for kappa <= 700, and
-for kappa > 700 the exponent that the large-kappa form exponentiates.
+The reference (mp_reference.py) evaluates log R from the same double inputs
+the library sees, so the comparison measures the library's arithmetic and
+dispatch, not input rounding. R itself must agree within the benchmark's 1e-9
+absolute bound. That bound says nothing where R is tiny or underflows, so
+log R must agree within 1e-9 too, in its real part and its phase: the closed
+form's log for kappa <= 700, and for kappa > 700 the exponent that the
+large-kappa form exponentiates.
 """
 
 import cmath
@@ -20,6 +20,8 @@ import pytest
 from vmfcorr import VmfCluster, scf, scf_quadrature
 from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _log_large_kappa, _radicand
 from vmfcorr.vmf import _SERIES_RADIUS, csinc_sqrt
+
+from mp_reference import reference_log
 
 BOUND = 1e-9
 EPS = np.finfo(float).eps
@@ -38,23 +40,6 @@ def _displacement(beta_deg, x, mu_phi=MU_PHI, mu_psi=MU_PSI):
     return np.array([x / K0 * (math.cos(beta) * m + math.sin(beta) * e) for m, e in zip(mean, up)])
 
 
-def _reference_log(cluster, d, wavelength):
-    """40-digit log R from the cluster's angles and the double displacement."""
-    with mp.workdps(40):
-        phi, psi = mp.mpf(cluster.mu_phi), mp.mpf(cluster.mu_psi)
-        mean = (mp.cos(phi) * mp.cos(psi), mp.sin(phi) * mp.cos(psi), mp.sin(psi))
-        d = [mp.mpf(float(c)) for c in d]
-        k0 = 2 * mp.pi / mp.mpf(wavelength)
-        kappa = mp.mpf(cluster.kappa)
-        w = (k0**2 * sum(c * c for c in d) - kappa**2
-             - 2j * kappa * k0 * sum(m * c for m, c in zip(mean, d)))
-        log_r = mp.mpc(0) if kappa == 0 else mp.mpc(mp.log(kappa / mp.sinh(kappa)))
-        if w != 0:
-            z = mp.sqrt(w)
-            log_r += mp.log(mp.sin(z) / z)
-        return log_r
-
-
 def _library_log(cluster, d, wavelength):
     if cluster.kappa > LARGE_KAPPA_THRESHOLD:
         w = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
@@ -65,7 +50,7 @@ def _library_log(cluster, d, wavelength):
 def _log_gap(cluster, d, wavelength):
     """Largest of the log-magnitude error and the wrapped phase error."""
     with mp.workdps(40):
-        gap = mp.mpc(_library_log(cluster, d, wavelength)) - _reference_log(cluster, d, wavelength)
+        gap = mp.mpc(_library_log(cluster, d, wavelength)) - reference_log(cluster, d, wavelength)
         phase = (gap.imag + mp.pi) % (2 * mp.pi) - mp.pi
         return float(max(abs(gap.real), abs(phase)))
 
@@ -117,7 +102,7 @@ def test_value_within_absolute_bound(kappa, beta_deg, x):
     cluster = VmfCluster(MU_PHI, MU_PSI, kappa)
     d = _displacement(beta_deg, x)
     with mp.workdps(40):
-        reference = mp.exp(_reference_log(cluster, d, LAM))
+        reference = mp.exp(reference_log(cluster, d, LAM))
         assert float(abs(mp.mpc(scf(cluster, d, LAM)) - reference)) <= BOUND
 
 
@@ -164,7 +149,7 @@ def test_quadrature_at_radar_concentrations(mean, kappa, beta_deg, x_per_kappa):
     cluster = VmfCluster(MU_PHI, mu_psi, kappa)
     d = _displacement(beta_deg, x, MU_PHI, mu_psi)
     with mp.workdps(40):
-        reference = mp.exp(_reference_log(cluster, d, LAM))
+        reference = mp.exp(reference_log(cluster, d, LAM))
         assert float(abs(mp.mpc(scf_quadrature(cluster, d, LAM)) - reference)) <= BOUND
 
 
