@@ -8,6 +8,8 @@ import numpy as np
 from .correlation import _check_wavelength, scf_multicluster
 
 _MIN_ELEMENT_SEPARATION = 1e-9
+# Element pairs per chunk of the separation check (384 kB of differences).
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -25,10 +27,17 @@ class ArrayGeometry:
             raise ValueError("positions must be finite")
         if not 0 <= self.reference_index < positions.shape[0]:
             raise ValueError(f"reference_index {self.reference_index} out of range")
-        if positions.shape[0] > 1:
-            deltas = positions[:, None, :] - positions[None, :, :]
-            dist = np.linalg.norm(deltas, axis=2)
-            dist[np.diag_indices_from(dist)] = np.inf
+        # a chunk of rows at a time against the elements after the chunk's
+        # first, so the distances held stay O(n * chunk); components lead,
+        # which reduces faster and rounds each norm the same way
+        n = positions.shape[0]
+        columns = positions.T
+        chunk = max(1, _PAIR_CHUNK // n)
+        for start in range(0, n - 1, chunk):
+            deltas = columns[:, start:start + chunk, None] - columns[:, None, start + 1:]
+            dist = np.linalg.norm(deltas, axis=0)
+            # below the diagonal: pairs with an element before the row's own
+            dist[np.tri(*dist.shape, -1, dtype=bool)] = np.inf
             if dist.min() < _MIN_ELEMENT_SEPARATION:
                 raise ValueError("two elements are closer than 1e-9 m")
         positions.setflags(write=False)

@@ -257,13 +257,16 @@ def scf_montecarlo(
     sum_n A_n^2 exp(j k0 doa_n . d); the phase average is exact, so the
     zero-displacement estimate is exactly one.
 
-    Realization i draws its n_paths uniforms, then its n_paths tangent angles,
-    from its own stream default_rng(SeedSequence(seed, spawn_key=(i,))), so
-    its directions are those of sample_vmf(cluster, n_paths, that sequence)
-    whatever the evaluation order. The draws are stacked into blocks of
-    realizations that are transformed and phase-averaged together; each row
-    rounds exactly as it would alone, so seeded results are bit-identical to
-    a per-realization loop.
+    The draws come from two streams per call, spawned from the seed as
+    build_ensemble spawns its own: u_rng, theta_rng = (default_rng(s) for s
+    in SeedSequence(seed).spawn(2)). Realization i takes row i of each, the
+    n_paths uniforms u_rng.random((n_realizations, n_paths))[i] and the
+    n_paths tangent angles theta_rng.uniform(0, 2 pi, (n_realizations,
+    n_paths))[i], and maps them through the sampler's transform. The rows
+    are drawn and phase-averaged in blocks of about 16k path samples; each
+    row rounds exactly as it would alone, so seeded results do not depend
+    on the block size. They differ from the 0.1.x releases, where every
+    realization had a stream of its own.
     """
     if n_realizations < 100:
         raise ValueError(f"at least 100 realizations are required, got {n_realizations}")
@@ -273,17 +276,13 @@ def scf_montecarlo(
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
     block = max(1, _BLOCK_PATH_SAMPLES // n_paths)
+    u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     terms = np.empty(n_realizations, dtype=complex)
-    u = np.empty((block, n_paths))
-    theta = np.empty((block, n_paths))
     for start in range(0, n_realizations, block):
         rows = min(block, n_realizations - start)
-        for row in range(rows):
-            seq = np.random.SeedSequence(entropy=seed, spawn_key=(start + row,))
-            rng = np.random.default_rng(seq)
-            u[row] = rng.random(n_paths)
-            theta[row] = rng.uniform(0.0, TWO_PI, n_paths)
-        doas = _vmf_directions(cluster, u[:rows], theta[:rows])
+        u = u_rng.random((rows, n_paths))
+        theta = theta_rng.uniform(0.0, TWO_PI, (rows, n_paths))
+        doas = _vmf_directions(cluster, u, theta)
         terms[start:start + rows] = np.mean(np.exp(1j * k0 * (doas @ d)), axis=-1)
     estimate = complex(np.mean(terms))
     spread = float(np.sum(np.abs(terms - estimate) ** 2))

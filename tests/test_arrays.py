@@ -115,6 +115,22 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(positions=np.zeros((2, 3)))
 
+    def test_separation_threshold(self):
+        close = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3 + 5e-10], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="closer than 1e-9 m"):
+            ArrayGeometry(positions=close)
+        apart = close.copy()
+        apart[1, 2] = 0.3 + 2e-9
+        assert ArrayGeometry(positions=apart).n_elements == 3
+
+    def test_duplicate_in_last_chunk(self):
+        # the separation check runs in row chunks; the only close pair sits
+        # in the last one
+        positions = linear_array(1000, 0.01).positions.copy()
+        positions[-1] = positions[-2]
+        with pytest.raises(ValueError, match="closer than 1e-9 m"):
+            ArrayGeometry(positions=positions)
+
     def test_reference_range(self):
         with pytest.raises(ValueError):
             ArrayGeometry(positions=np.array([[0.0, 0, 0]]), reference_index=1)

@@ -16,6 +16,7 @@ from vmfcorr import (
     sample_vmf,
     transfer_function,
 )
+from vmfcorr import oracles
 from vmfcorr.oracles import _BLOCK_PATH_SAMPLES
 from vmfcorr.vmf import TWO_PI, _tangent_basis, _vmf_directions
 
@@ -202,15 +203,17 @@ class TestMonteCarlo:
             scf_montecarlo(cluster, (0, 0, 0), LAM, n_paths=5, n_realizations=200)
 
 
-def _montecarlo_loop(cluster, d, wavelength, n_paths, n_realizations, seed):
-    # one sample_vmf call per realization: the reference the blocked
-    # evaluation must reproduce bit for bit
+def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
+    # one realization at a time, each reading its row of the two spawned
+    # streams: the reference the blocked evaluation must reproduce bit for bit
     k0 = TWO_PI / wavelength
     d = np.asarray(d, dtype=float)
+    u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     terms = np.empty(n_realizations, dtype=complex)
     for index in range(n_realizations):
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-        doas = sample_vmf(cluster, n_paths, seq)
+        u = u_rng.random(n_paths)
+        theta = theta_rng.uniform(0.0, TWO_PI, n_paths)
+        doas = _vmf_directions(cluster, u, theta)
         terms[index] = np.mean(np.exp(1j * k0 * (doas @ d)))
     estimate = complex(np.mean(terms))
     spread = float(np.sum(np.abs(terms - estimate) ** 2))
@@ -222,15 +225,15 @@ class TestMonteCarloBitIdentity:
         "cluster, d, n_paths, n_realizations, seed, expected",
         [
             (VmfCluster(0.3, -0.4, 10.0), (0.03, -0.02, 0.01), 64, 1000, 123456,
-             ((0.44927768127927015 + 0.6824251655064288j), 0.0023163342620496474)),
+             ((0.4498536341501564 + 0.6823588281887939j), 0.0022795048319753748)),
             (VmfCluster(2.0, 1.2, 1e5), (0.01, 0.005, -0.012), 10, 100, 2**32 - 1,
-             ((0.7686921504756344 - 0.6396142937700385j), 7.329747017691133e-05)),
+             ((0.768747351376629 - 0.639548119937784j), 8.244053002755852e-05)),
             (VmfCluster(-1.0, 0.0, 0.0), (0.05, 0.0, 0.02), 13, 300, 7,
-             ((-0.0672519909593148 - 0.009823298558673265j), 0.015987733610384882)),
+             ((-0.08297493884088336 + 0.006416525295029755j), 0.01558912747607587)),
         ],
     )
     def test_pinned_values(self, cluster, d, n_paths, n_realizations, seed, expected):
-        # values of the per-realization loop this evaluation replaced
+        # values of the two-stream contract introduced in 0.2.0
         assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed) == expected
 
     @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
@@ -244,7 +247,7 @@ class TestMonteCarloBitIdentity:
         cluster = VmfCluster(0.7, mu_psi, kappa)
         d = (0.03, -0.02, 0.01)
         blocked = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
-        assert blocked == _montecarlo_loop(cluster, d, 0.1, n_paths, n_realizations, 31)
+        assert blocked == _montecarlo_rows(cluster, d, 0.1, n_paths, n_realizations, 31)
 
     @pytest.mark.parametrize("n_paths, n_realizations", [(13, 300), (64, 1024), (10, 1700)])
     def test_block_boundaries(self, n_paths, n_realizations):
@@ -252,7 +255,20 @@ class TestMonteCarloBitIdentity:
         cluster = VmfCluster(-2.2, 0.1, 3.0)
         d = (0.05, 0.0, -0.02)
         blocked = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=8)
-        assert blocked == _montecarlo_loop(cluster, d, 0.1, n_paths, n_realizations, 8)
+        assert blocked == _montecarlo_rows(cluster, d, 0.1, n_paths, n_realizations, 8)
+
+    @pytest.mark.parametrize("rows", [1, 10, 300])
+    @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
+    @pytest.mark.parametrize("mu_psi", [-0.4, 1.3])
+    def test_block_invariance(self, monkeypatch, rows, kappa, mu_psi):
+        # blocks of one row, of ten rows and of 300 rows (three whole blocks
+        # and a partial one of 137) give the default blocking's values
+        n_paths, n_realizations = 64, 1037
+        cluster = VmfCluster(0.7, mu_psi, kappa)
+        d = (0.03, -0.02, 0.01)
+        default = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
+        monkeypatch.setattr(oracles, "_BLOCK_PATH_SAMPLES", rows * n_paths)
+        assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31) == default
 
     @pytest.mark.parametrize("kappa", [0.0, 10.0, 1e5])
     def test_stacked_rows_match_sample_vmf(self, kappa):

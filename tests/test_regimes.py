@@ -62,14 +62,14 @@ def _case(kappa, beta_deg, x, label="", marks=()):
 
 CASES = [
     _case(kappa, beta, x)
-    for kappa in (0.0, 1e-8, 1.0, 699.999, 700.0, 700.001, 1e4, 2e5)
+    for kappa in (0.0, 1e-8, 1.0, 699.999, 700.0, 700.001, 1e4, 2e5, 1e6)
     for beta in (0.0, 45.0, 90.0)
     for x in (0.9, 20.0)
 ] + [
     # k0 |d| = kappa along the mean and at 45 deg (R ~ 1e-49 at kappa 700,
     # underflowing from 1e4 on), and half of it transverse
     _case(kappa, beta, x)
-    for kappa in (699.999, 700.0, 700.001, 1e4, 2e5)
+    for kappa in (699.999, 700.0, 700.001, 1e4, 2e5, 1e6)
     for beta, x in ((0.0, kappa), (45.0, kappa), (90.0, 0.5 * kappa))
 ] + [
     # |w| just inside and just outside the series disc, w = x^2 - kappa^2
