@@ -89,18 +89,15 @@ def _per_kappa(fn, kappa) -> np.ndarray:
     return table[np.searchsorted(distinct, kappa)]
 
 
-def _radicand(kappa, mean, d: np.ndarray, wavelength: float) -> np.ndarray:
-    """Sinc radicand (2 pi / lam)^2 |d|^2 - kappa^2 - 2j kappa (2 pi / lam) (mean . d)
-    over displacements of shape (..., 3), with kappa of shape (...) and mean
-    directions of shape (..., 3) broadcast against them."""
+def _radicand(kappa, mean, d: np.ndarray, wavelength: float):
+    """(w, a, b): the sinc radicand w = a - kappa^2 - 2j b and its exact parts
+    a = (2 pi / lam)^2 |d|^2 and b = kappa (2 pi / lam) (mean . d), over d of
+    shape (..., 3), with kappa (...) and mean (..., 3) broadcast against it."""
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
-    kappa = np.asarray(kappa, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    return np.asarray(
-        (k0 * k0) * _dot(d, d) - _per_kappa(lambda k: k**2, kappa)
-        - 2.0j * kappa * k0 * _dot(d, mean)
-    )
+    a = (k0 * k0) * _dot(d, d)
+    b = kappa * k0 * _dot(d, np.asarray(mean, dtype=float))
+    return np.asarray(a - _per_kappa(lambda k: k**2, kappa) - 2.0j * b), a, b
 
 
 def _branch_sqrt(w):
@@ -109,28 +106,28 @@ def _branch_sqrt(w):
     return np.where(z.imag > 0.0, -z, z)
 
 
-def _log_large_kappa(kappa, w: np.ndarray, where=...) -> np.ndarray:
-    # log of kappa e^(-kappa) e^(jz) (1 - e^(-2jz)) / (jz), exponentiated only
-    # at the end so the value underflows to zero rather than overflow; where
-    # w = 0 the closed form is kappa / sinh(kappa) itself. kappa broadcasts
-    # against w, and the entries of w selected by where (all by default) are
-    # evaluated.
-    def pick(a):
-        return np.broadcast_to(a, np.shape(w))[where]
+def _log_large_kappa(kappa, w, a, b, where=...) -> np.ndarray:
+    # log of kappa e^(jz - kappa) (1 - e^(-2jz)) / (jz), exponentiated only at
+    # the end so the value underflows to zero rather than overflow; where w = 0
+    # it is kappa / sinh(kappa) itself. jz - kappa, two terms of size kappa, is
+    # formed as (2j b - a) / (jz + kappa): exact, as (jz)^2 - kappa^2 = 2j b - a,
+    # and free of cancellation, as Re(jz) >= 0. kappa, a and b broadcast against
+    # w, and the entries of w selected by where (all by default) are evaluated.
+    def pick(x):
+        return np.broadcast_to(x, np.shape(w))[where]
 
     jz = 1j * _branch_sqrt(pick(w))
-    log_value = np.empty(jz.shape, dtype=complex)
     zero = jz == 0.0
-    if zero.any():
-        log_value[zero] = pick(_per_kappa(_log_kappa_over_sinh, kappa))[zero]
-    jz = jz[~zero]
-    log_jz = pick(_per_kappa(lambda k: math.log(k) - k, kappa))[~zero] + jz - np.log(jz)
+    jz = np.where(zero, 1.0, jz)  # a finite stand-in where w = 0, replaced below
+    log_value = np.asarray(pick(_per_kappa(math.log, kappa))
+                           + pick(2.0j * b - a) / (jz + pick(kappa)) - np.log(jz))
     # e^(-2jz) is O(1) where z is near real and underflows to exactly 0 once
     # Re(jz) = -Im z exceeds 373, so only the points below that need the term
     near = jz.real < 373.0
     if near.any():
-        log_jz[near] += np.log1p(-np.exp(-2.0 * jz[near]))
-    log_value[~zero] = log_jz
+        log_value[near] += np.log1p(-np.exp(-2.0 * jz[near]))
+    if zero.any():
+        log_value[zero] = pick(_per_kappa(_log_kappa_over_sinh, kappa))[zero]
     return log_value
 
 
@@ -146,7 +143,7 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     """
     d = _as_displacement(d, batch=True)
     kappa = np.asarray(kappa, dtype=float)
-    w = _radicand(kappa, mean, d, wavelength)
+    w, a, b = _radicand(kappa, mean, d, wavelength)
 
     def spread(a):
         return np.broadcast_to(a, w.shape)
@@ -159,7 +156,7 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     if isotropic.any():
         value[isotropic] = scf_isotropic(spread(np.sqrt(_dot(d, d)))[isotropic], wavelength)
     if large.any():
-        value[large] = np.exp(_log_large_kappa(kappa, w, large))
+        value[large] = np.exp(_log_large_kappa(kappa, w, a, b, large))
     if moderate.any():
         scale = spread(_per_kappa(lambda k: math.exp(_log_kappa_over_sinh(k)), kappa))
         value[moderate] = scale[moderate] * csinc_sqrt(w[moderate])
@@ -205,8 +202,8 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
     if cluster.kappa <= 0.0:
         raise ValueError("large-kappa evaluation requires kappa > 0")
     d = _as_displacement(d, batch=True)
-    w = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
-    value = np.exp(_log_large_kappa(cluster.kappa, w))
+    w, a, b = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
+    value = np.exp(_log_large_kappa(cluster.kappa, w, a, b))
     return value.item() if value.ndim == 0 else value
 
 
@@ -218,12 +215,12 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     sinh path, which it shares no code with outside the series disc.
     """
     kappa = cluster.kappa
-    radicand = complex(_radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength))
+    w, a, b = _radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength)
     if kappa <= 0.0:
         raise ValueError("log-domain evaluation requires kappa > 0")
-    if abs(radicand) <= 0.25:
-        return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(radicand)
-    return complex(np.exp(_log_large_kappa(kappa, radicand) - math.log1p(-math.exp(-2.0 * kappa))))
+    if abs(w) <= 0.25:
+        return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(complex(w))
+    return complex(np.exp(_log_large_kappa(kappa, w, a, b) - math.log1p(-math.exp(-2.0 * kappa))))
 
 
 def scf_multicluster(clusters, d, wavelength: float):

@@ -165,11 +165,12 @@ def mean_resultant_length(kappa: float) -> float:
 
 
 def kappa_from_angular_width(delta_theta: float) -> float:
-    """Concentration whose density falls to exp(-2) of its peak at an angular
-    offset of half the given width: 2 / (1 - cos(delta_theta / 2))."""
+    """Concentration whose density falls to exp(-2) of its peak at an angular offset
+    of half the given width: 2 / (1 - cos(delta_theta / 2)) = 1 / sin^2(delta_theta / 4),
+    the latter free of cancellation for narrow widths."""
     if not 0.0 < delta_theta < TWO_PI:
         raise ValueError(f"angular width must lie in (0, 2 pi), got {delta_theta}")
-    return 2.0 / (1.0 - math.cos(0.5 * delta_theta))
+    return 1.0 / math.sin(0.25 * delta_theta) ** 2
 
 
 def csinc_sqrt(w):

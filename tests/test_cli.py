@@ -617,6 +617,14 @@ class TestMainExitCodes:
         doc["d_over_lambda"] = {"start": 0.0, "stop": 0.0, "count": 1}
         assert run(parse_config(json.dumps(doc))) == EXIT_OK
 
+    def test_validate_at_radar_concentrations(self, tmp_path):
+        # target widths of 1.6 to 0.23 deg, where the large-kappa form
+        # must hold 1e-12 against the quadrature oracle
+        doc = {"mode": "validate", "kappas": [2e4, 2e5, 1e6], "tolerance": 1e-12,
+               "out": str(tmp_path / "v.csv")}
+        path = write_config(tmp_path / "v.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_OK
+
     def test_uncertified_quadrature_is_a_validation_failure(self, tmp_path, capsys):
         doc = {"mode": "validate", "kappas": [0.0], "betas_deg": [0.0],
                "d_over_lambda": {"start": 0.0, "stop": 0.0, "count": 1},

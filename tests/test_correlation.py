@@ -50,15 +50,15 @@ class TestScfArgument:
 
     def test_zero_displacement(self):
         cluster = VmfCluster(0.4, -0.3, 5.0)
-        w = _radicand(cluster.kappa, cluster.mean_direction, np.zeros(3), LAM)
+        w, _, _ = _radicand(cluster.kappa, cluster.mean_direction, np.zeros(3), LAM)
         assert w == pytest.approx(-25.0)
 
     def test_isotropic_coefficients(self):
-        w = _radicand(0.0, (1.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
+        w, _, _ = _radicand(0.0, (1.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
         assert w == pytest.approx(math.pi**2)
 
     def test_along_mean_example(self):
-        w = _radicand(10.0, (1.0, 0.0, 0.0), np.array([LAM, 0.0, 0.0]), LAM)
+        w, _, _ = _radicand(10.0, (1.0, 0.0, 0.0), np.array([LAM, 0.0, 0.0]), LAM)
         expected = complex(4 * math.pi**2 - 100.0, -40.0 * math.pi)
         assert complex(w) == pytest.approx(expected, rel=1e-13)
 
@@ -68,7 +68,7 @@ class TestScfArgument:
             cluster = random_cluster(rng, max_kappa=1e5)
             cluster = replace(cluster, kappa=700.0 + cluster.kappa)
             d = rng.normal(size=(20, 3)) * LAM
-            z = _branch_sqrt(_radicand(cluster.kappa, cluster.mean_direction, d, LAM))
+            z = _branch_sqrt(_radicand(cluster.kappa, cluster.mean_direction, d, LAM)[0])
             assert np.all(z.imag <= 0.0)
 
     def test_bad_wavelength(self):
@@ -208,7 +208,7 @@ class TestLargeKappa:
         # where the closed form is kappa / sinh(kappa), which underflows
         cluster = VmfCluster(0.0, 0.0, 1000.0)
         d = (0.0, 1000.0 * lam / (2 * math.pi), 0.0)
-        assert _radicand(cluster.kappa, cluster.mean_direction, np.array(d), lam) == 0.0
+        assert _radicand(cluster.kappa, cluster.mean_direction, np.array(d), lam)[0] == 0.0
         assert scf(cluster, d, lam) == 0.0
         assert scf_large_kappa(cluster, d, lam) == 0.0
 
@@ -317,7 +317,8 @@ def _one_cluster_reference(cluster, d, lam):
     kappa, mean, k0 = cluster.kappa, cluster.mean_direction, TWO_PI / lam
     dd = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
     dm = d[:, 0] * mean[0] + d[:, 1] * mean[1] + d[:, 2] * mean[2]
-    w = (k0 * k0) * dd - kappa**2 - 2.0j * kappa * k0 * dm
+    a, b = (k0 * k0) * dd, kappa * k0 * dm
+    w = a - kappa**2 - 2.0j * b
     if kappa == 0.0:
         value = np.sinc(2.0 * np.sqrt(dd) / lam)
     elif kappa <= LARGE_KAPPA_THRESHOLD:
@@ -326,7 +327,7 @@ def _one_cluster_reference(cluster, d, lam):
         value = np.exp(np.full(1, _log_kappa_over_sinh(kappa), dtype=complex))
     else:
         jz = 1j * _branch_sqrt(w)
-        log_value = math.log(kappa) - kappa + jz - np.log(jz)
+        log_value = math.log(kappa) + (2.0j * b - a) / (jz + kappa) - np.log(jz)
         if jz[0].real < 373.0:
             log_value += np.log1p(-np.exp(-2.0 * jz))
         value = np.exp(log_value)

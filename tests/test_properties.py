@@ -8,7 +8,6 @@ examples and the module stays fast.
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -77,9 +76,6 @@ def test_magnitude_at_most_one(batch):
     _magnitude_at_most_one(batch)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the large-kappa form loses about one ulp of kappa in log R, so |R| exceeds 1 "
-    "by up to about 1.5 eps kappa (2e-11 at kappa 1e5) near the mean direction"))
 @PROPERTY
 @given(_batches(radar_kappas))
 @example([(67037.38671875, np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 0.015625]))])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -149,6 +150,15 @@ class TestKappaFromWidth:
     def test_narrow_targets(self):
         assert kappa_from_angular_width(math.radians(2.0)) == pytest.approx(13131.55873845995)
         assert kappa_from_angular_width(math.radians(0.5)) == pytest.approx(210099.93973448372)
+
+    @pytest.mark.parametrize("width_deg", [179.0, 4.0, 0.25, 0.01, 1e-4, 1e-6])
+    def test_against_mpmath(self, width_deg):
+        # 2 / (1 - cos(delta / 2)) at 40 digits from the same double width
+        delta = math.radians(width_deg)
+        with mp.workdps(40):
+            reference = 2 / (1 - mp.cos(mp.mpf(delta) / 2))
+            error = abs(kappa_from_angular_width(delta) - reference) / reference
+        assert error <= 4.0 * np.finfo(float).eps
 
     def test_strictly_decreasing(self):
         widths = np.linspace(0.01, 2 * math.pi - 0.01, 50)
