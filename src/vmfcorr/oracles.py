@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _as_displacement, _check_wavelength
-from .vmf import TWO_PI, VmfCluster, _tangent_basis, _vmf_directions, sample_vmf
+from .vmf import TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
 # the Gauss nodes are the odd-indexed Kronrod nodes).
@@ -262,11 +262,18 @@ def scf_montecarlo(
     in SeedSequence(seed).spawn(2)). Realization i takes row i of each, the
     n_paths uniforms u_rng.random((n_realizations, n_paths))[i] and the
     n_paths tangent angles theta_rng.uniform(0, 2 pi, (n_realizations,
-    n_paths))[i], and maps them through the sampler's transform. The rows
-    are drawn and phase-averaged in blocks of about 16k path samples; each
-    row rounds exactly as it would alone, so seeded results do not depend
-    on the block size. They differ from the 0.1.x releases, where every
-    realization had a stream of its own.
+    n_paths))[i]. The phase is evaluated in the frame of the mean direction
+    mu without building the directions: with along = k0 (mu . d), across =
+    k0 |d - (mu . d) mu|, w from u by the sampler's polar transform and
+    sp = sqrt(1 - w^2), a path's phase is along w + across sp cos(theta),
+    theta measured from the transverse direction of d. A realization's term
+    is mean(cos phase) + j mean(sin phase). The rows are drawn and averaged
+    in blocks of about 16k path samples; each row rounds exactly as it
+    would alone, so seeded results do not depend on the block size, and
+    two displacements with the same along and across, such as rotations of
+    each other about mu, give equal results. They differ from the 0.2.x
+    releases, which measured theta from a fixed tangent basis and summed
+    exp(j k0 doa . d) over the directions.
     """
     if n_realizations < 100:
         raise ValueError(f"at least 100 realizations are required, got {n_realizations}")
@@ -275,16 +282,27 @@ def scf_montecarlo(
     d = _as_displacement(d)
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
+    mean = cluster.mean_direction
+    projection = float(mean @ d)
+    along = k0 * projection
+    across = k0 * math.hypot(*(d - projection * mean))
     block = max(1, _BLOCK_PATH_SAMPLES // n_paths)
     u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    terms = np.empty(n_realizations, dtype=complex)
+    real = np.empty(n_realizations)
+    imag = np.empty(n_realizations)
     for start in range(0, n_realizations, block):
         rows = min(block, n_realizations - start)
         u = u_rng.random((rows, n_paths))
         theta = theta_rng.uniform(0.0, TWO_PI, (rows, n_paths))
-        doas = _vmf_directions(cluster, u, theta)
-        terms[start:start + rows] = np.mean(np.exp(1j * k0 * (doas @ d)), axis=-1)
-    estimate = complex(np.mean(terms))
-    spread = float(np.sum(np.abs(terms - estimate) ** 2))
+        w, sin_polar = _polar_transform(cluster.kappa, u)
+        # phase = along w + across sp cos(theta), in place
+        phase = np.multiply(w, along, out=w)
+        sin_polar *= across
+        sin_polar *= np.cos(theta, out=theta)
+        phase += sin_polar
+        real[start:start + rows] = np.mean(np.cos(phase, out=theta), axis=-1)
+        imag[start:start + rows] = np.mean(np.sin(phase, out=phase), axis=-1)
+    estimate = complex(np.mean(real), np.mean(imag))
+    spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     std_error = math.sqrt(spread / (n_realizations * (n_realizations - 1)))
     return estimate, std_error

@@ -1,12 +1,14 @@
 """von Mises-Fisher directional statistics and supporting special functions."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
+_TINY = sys.float_info.min  # smallest normal double
 
 # Power series of sinc(sqrt(w)) = sum_k (-w)^k / (2k+1)!; ten terms keep the
 # truncation error below 1e-16 for |w| <= 0.25.
@@ -113,20 +115,28 @@ def _tangent_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(unit, e1)
 
 
+def _polar_transform(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Uniforms u in [0, 1) to the cosine w of the angle from the mean
+    # direction and its sine, by the inversion sample_vmf states. The log1p
+    # argument lies in (-1, 0] for every u and kappa. Below the smallest
+    # normal double u expm1(-2 kappa) would underflow, and the density is
+    # uniform to within rounding: such kappa takes the kappa = 0 map.
+    # Elementwise, so each row of a stack maps exactly as it would alone.
+    if kappa < _TINY:
+        w = 2.0 * u - 1.0
+    else:
+        w = np.log1p(u * math.expm1(-2.0 * kappa))
+        w /= kappa
+        w += 1.0
+        np.clip(w, -1.0, 1.0, out=w)
+    return w, np.sqrt(1.0 - w * w)
+
+
 def _vmf_directions(cluster: VmfCluster, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
     # Uniforms u in [0, 1) and tangent angles theta of shape (..., n) to unit
     # vectors of shape (..., n, 3); elementwise, so each row of a stack maps
     # exactly as it would alone.
-    kappa = cluster.kappa
-    if kappa == 0.0:
-        w = 2.0 * u - 1.0
-    else:
-        # shift u into (0, 1] so the log argument stays positive even when
-        # exp(-2 kappa) underflows to zero
-        shifted = 1.0 - u
-        w = 1.0 + np.log(shifted + (1.0 - shifted) * math.exp(-2.0 * kappa)) / kappa
-        w = np.clip(w, -1.0, 1.0)
-    sin_polar = np.sqrt(np.maximum(0.0, 1.0 - w * w))
+    w, sin_polar = _polar_transform(cluster.kappa, u)
     mean = cluster.mean_direction
     e1, e2 = _tangent_basis(mean)
     along_e1 = sin_polar * np.cos(theta)
@@ -142,9 +152,12 @@ def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
     """Draw n unit vectors from the cluster's distribution, shape (n, 3).
 
     The cosine along the mean direction is sampled by exact CDF inversion
-    (Wood 1994), w = 1 + log(u + (1 - u) exp(-2 kappa)) / kappa for uniform u,
-    and the tangent angle uniformly. No rejection step, so the output is a
-    fixed deterministic function of the seed: n uniforms u, then n angles.
+    (Wood 1994), w = 1 + log1p(u expm1(-2 kappa)) / kappa for uniform u, and
+    the tangent angle uniformly. As kappa -> 0 the form tends to the uniform
+    w = 1 - 2u; the log(1 - u + u e^(-2 kappa)) of 0.2.x returned the mean
+    direction for every sample below kappa ~ 5e-17, and its seeded values
+    differ from these at rounding level. No rejection step, so the output is
+    a fixed deterministic function of the seed: n uniforms u, then n angles.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")

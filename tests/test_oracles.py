@@ -175,9 +175,29 @@ class TestMonteCarlo:
         assert stderr == 0.0
 
     def test_matches_closed_form(self):
-        cluster = VmfCluster(0.0, 0.0, 10.0)
-        d = (LAM / 2, 0.0, 0.0)
-        estimate, stderr = scf_montecarlo(cluster, d, LAM, n_realizations=4000, seed=5)
+        # concentrations from uniform to radar scale, a mean direction with
+        # |mu_z| > 0.9 and a displacement with parts along both tangents
+        mean = VmfCluster(0.5, 1.3, 0.0).mean_direction
+        e1, e2 = _tangent_basis(mean)
+        cases = [
+            (VmfCluster(0.0, 0.0, 10.0), (LAM / 2, 0.0, 0.0)),
+            (VmfCluster(0.0, 0.0, 0.0), (LAM / 2, 0.0, 0.0)),
+            (VmfCluster(-0.8, 0.3, 1e3), (3 * LAM, -2 * LAM, LAM)),
+            (VmfCluster(1.9, -0.5, 1e5), (30 * LAM, 10 * LAM, -20 * LAM)),
+            (VmfCluster(0.5, 1.3, 4.0), (0.2 * LAM, -0.1 * LAM, 0.3 * LAM)),
+            (VmfCluster(0.5, 1.3, 4.0), tuple(LAM * (0.4 * e1 - 0.3 * e2 + 0.2 * mean))),
+        ]
+        for cluster, d in cases:
+            estimate, stderr = scf_montecarlo(cluster, d, LAM, n_realizations=4000, seed=5)
+            assert abs(estimate - scf(cluster, d, LAM)) <= 4 * stderr, (cluster, d)
+
+    def test_near_uniform_at_tiny_kappa(self):
+        # below kappa ~ 5e-17 the 0.2.x transform put every path on the mean
+        # direction and returned exp(j k0 mu . d) with standard error 0
+        cluster = VmfCluster(0.3, 0.2, 1e-300)
+        d = tuple(LAM / 2 * cluster.mean_direction)
+        estimate, stderr = scf_montecarlo(cluster, d, LAM, n_realizations=2000, seed=6)
+        assert stderr > 0.0
         assert abs(estimate - scf(cluster, d, LAM)) <= 4 * stderr
 
     def test_isotropic_null(self):
@@ -205,18 +225,30 @@ class TestMonteCarlo:
 
 def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
     # one realization at a time, each reading its row of the two spawned
-    # streams: the reference the blocked evaluation must reproduce bit for bit
+    # streams and spelling the polar transform and the mean-frame phase out:
+    # the reference the blocked evaluation must reproduce bit for bit
     k0 = TWO_PI / wavelength
+    kappa = cluster.kappa
     d = np.asarray(d, dtype=float)
+    mean = cluster.mean_direction
+    projection = float(mean @ d)
+    along = k0 * projection
+    across = k0 * math.hypot(*(d - projection * mean))
     u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    terms = np.empty(n_realizations, dtype=complex)
+    real = np.empty(n_realizations)
+    imag = np.empty(n_realizations)
     for index in range(n_realizations):
         u = u_rng.random(n_paths)
         theta = theta_rng.uniform(0.0, TWO_PI, n_paths)
-        doas = _vmf_directions(cluster, u, theta)
-        terms[index] = np.mean(np.exp(1j * k0 * (doas @ d)))
-    estimate = complex(np.mean(terms))
-    spread = float(np.sum(np.abs(terms - estimate) ** 2))
+        if kappa == 0.0:
+            w = 2.0 * u - 1.0
+        else:
+            w = np.clip(1.0 + np.log1p(u * math.expm1(-2.0 * kappa)) / kappa, -1.0, 1.0)
+        phase = along * w + across * np.sqrt(1.0 - w * w) * np.cos(theta)
+        real[index] = np.mean(np.cos(phase))
+        imag[index] = np.mean(np.sin(phase))
+    estimate = complex(np.mean(real), np.mean(imag))
+    spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     return estimate, math.sqrt(spread / (n_realizations * (n_realizations - 1)))
 
 
@@ -225,15 +257,15 @@ class TestMonteCarloBitIdentity:
         "cluster, d, n_paths, n_realizations, seed, expected",
         [
             (VmfCluster(0.3, -0.4, 10.0), (0.03, -0.02, 0.01), 64, 1000, 123456,
-             ((0.4498536341501564 + 0.6823588281887939j), 0.0022795048319753748)),
+             ((0.454210337377511 + 0.68030193784268j), 0.00227735961508785)),
             (VmfCluster(2.0, 1.2, 1e5), (0.01, 0.005, -0.012), 10, 100, 2**32 - 1,
-             ((0.768747351376629 - 0.639548119937784j), 8.244053002755852e-05)),
+             ((0.7687063294476815 - 0.6395975811078858j), 7.687197409196084e-05)),
             (VmfCluster(-1.0, 0.0, 0.0), (0.05, 0.0, 0.02), 13, 300, 7,
-             ((-0.08297493884088336 + 0.006416525295029755j), 0.01558912747607587)),
+             ((-0.08049932470353371 - 0.0023756742001057114j), 0.015142568804305324)),
         ],
     )
     def test_pinned_values(self, cluster, d, n_paths, n_realizations, seed, expected):
-        # values of the two-stream contract introduced in 0.2.0
+        # values of the mean-frame contract introduced in 0.3.0
         assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed) == expected
 
     @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
@@ -269,6 +301,17 @@ class TestMonteCarloBitIdentity:
         default = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
         monkeypatch.setattr(oracles, "_BLOCK_PATH_SAMPLES", rows * n_paths)
         assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31) == default
+
+    @pytest.mark.parametrize("kappa", [0.0, 10.0, 1e5])
+    def test_rotations_about_the_mean_agree(self, kappa):
+        # mean (1, 0, 0): quarter turns about it and a mirror image give the
+        # same along and across bit for bit, so the same estimate
+        cluster = VmfCluster(0.0, 0.0, kappa)
+        assert cluster.mean_direction.tolist() == [1.0, 0.0, 0.0]
+        x, y, z = 0.02, 0.031, -0.017
+        reference = scf_montecarlo(cluster, (x, y, z), 0.1, 16, 300, seed=12)
+        for d in ((x, -z, y), (x, -y, -z), (x, z, -y), (x, y, -z)):
+            assert scf_montecarlo(cluster, d, 0.1, 16, 300, seed=12) == reference
 
     @pytest.mark.parametrize("kappa", [0.0, 10.0, 1e5])
     def test_stacked_rows_match_sample_vmf(self, kappa):

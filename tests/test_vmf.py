@@ -130,6 +130,18 @@ class TestSampler:
         stderr = float(np.std(along)) / math.sqrt(samples.shape[0])
         assert abs(observed - mean_resultant_length(kappa)) < 4 * stderr
 
+    @pytest.mark.parametrize("kappa", [5e-324, 1e-300, 1e-17, 1e-12])
+    def test_uniform_at_tiny_kappa(self, kappa):
+        # the cosine along the mean is uniform on [-1, 1] to within kappa;
+        # one-sample KS statistic under the 1 percent critical value
+        cluster = VmfCluster(0.9, 0.3, kappa)
+        n = 20_000
+        along = np.sort(sample_vmf(cluster, n, seed=13) @ cluster.mean_direction)
+        cdf = 0.5 * (along + 1.0)
+        ranks = np.arange(1, n + 1)
+        statistic = max(float(np.max(ranks / n - cdf)), float(np.max(cdf - (ranks - 1) / n)))
+        assert statistic < 1.628 / math.sqrt(n)
+
     def test_concentrated_mean_direction(self):
         cluster = VmfCluster(-0.7, 0.45, 10.0)
         samples = sample_vmf(cluster, 1_000_000, seed=4)
