@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from .arrays import ArrayGeometry, circular_array, correlation_matrix, linear_array, planar_grid, scf_along_path
-from .correlation import MotionState, scf, scf_multicluster
+from .correlation import MotionState, _lag_displacement, scf, scf_multicluster
 from .oracles import (_MAX_QUADRATURE_KAPPA, QuadratureSpec, QuadratureToleranceError,
                       scf_quadrature)
 from .radar import SPEED_OF_LIGHT, RadarScenario, decorrelation_table
@@ -482,9 +482,8 @@ def _rows_scf_field(config: SweepConfig):
 
 
 def _rows_acf_curve(config: SweepConfig):
-    factor = 2.0 if config.monostatic else 1.0
     lags = config.dt_grid.points()
-    d = (factor * lags)[:, None] * config.motion.velocity
+    d = _lag_displacement(lags, config.motion.velocity, config.monostatic)
     values = scf_multicluster(config.clusters, d, config.wavelength)
     return ["dt_s", "re", "im", "abs"], [lags, *_complex_columns(values)]
 

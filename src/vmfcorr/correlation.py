@@ -7,6 +7,7 @@ import numpy as np
 
 from .vmf import (
     _HALF_PI,
+    _SERIES_RADIUS,
     TWO_PI,
     VmfCluster,
     _log_kappa_over_sinh,
@@ -218,7 +219,7 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     w, a, b = _radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength)
     if kappa <= 0.0:
         raise ValueError("log-domain evaluation requires kappa > 0")
-    if abs(w) <= 0.25:
+    if abs(w) <= _SERIES_RADIUS:
         return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(complex(w))
     return complex(np.exp(_log_large_kappa(kappa, w, a, b) - math.log1p(-math.exp(-2.0 * kappa))))
 
@@ -270,8 +271,12 @@ def acf(
     dt = np.asarray(dt, dtype=float)
     if not np.all(np.isfinite(dt)):
         raise ValueError(f"time lag must be finite, got {dt}")
-    factor = 2.0 if monostatic else 1.0
-    return scf(cluster, (factor * dt)[..., None] * motion.velocity, wavelength)
+    return scf(cluster, _lag_displacement(dt, motion.velocity, monostatic), wavelength)
+
+
+def _lag_displacement(dt, velocity, monostatic: bool) -> np.ndarray:
+    """velocity * dt over lags dt, doubled for monostatic operation."""
+    return ((2.0 if monostatic else 1.0) * dt)[..., None] * velocity
 
 
 class DecorrelationNotFound(RuntimeError):
@@ -294,17 +299,17 @@ def decorrelation_time(
     The first downward crossing is bracketed on a geometric lag grid (64
     points per decade starting at 1 us) and refined by bisection to 1e-6
     relative. Raises DecorrelationNotFound if no crossing occurs before the
-    horizon, which defaults to 10 / f_m.
+    horizon, by default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in
+    decorrelation_table: 10 / f_m at kappa = 0, past any radial crossing.
     """
-    times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold,
-                                 lambda kappa, f_m: 10.0 / f_m if horizon is None else horizon)
+    times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold, horizon)
     return float(times[0])
 
 
 def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
-                         threshold: float, horizon) -> np.ndarray:
-    """decorrelation_time of each (cluster, motion) cell, whose search horizon
-    is horizon(kappa, f_m) seconds.
+                         threshold: float, horizon: float | None = None) -> np.ndarray:
+    """decorrelation_time of each (cluster, motion) cell, searched up to
+    horizon seconds, or up to each cell's default horizon when it is None.
 
     One kernel call evaluates the lag grids of all cells, padded to one
     length, for each cell's first crossing; the cells are then bisected
@@ -315,18 +320,22 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     if any(motion.speed <= 0.0 for motion in motions):
         raise ValueError("decorrelation time requires speed > 0")
-    horizon = np.array([horizon(c.kappa, doppler_params(c, m, wavelength, monostatic).f_m)
-                        for c, m in zip(clusters, motions)], dtype=float)
+    if horizon is None:
+        # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) / f_m (transverse) up
+        # to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past the 10 / f_m of
+        # broad scattering; cover both, in Python floats: an overflow is an inf, no warning.
+        horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(
+            c, m, wavelength, monostatic).f_m for c, m in zip(clusters, motions)]
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
     valid = np.isfinite(horizon) & (horizon > 0.0)
     if not valid.all():
         raise ValueError(f"horizon must be positive, got {horizon[~valid][0]}")
     kappa = np.array([c.kappa for c in clusters])
     mean = np.array([c.mean_direction for c in clusters])
     velocity = np.array([m.velocity for m in motions])
-    factor = 2.0 if monostatic else 1.0
 
     def excess(t, cells):
-        d = (factor * t)[..., None] * velocity[cells]
+        d = _lag_displacement(t, velocity[cells], monostatic)
         return np.abs(_closed_form(kappa[cells], mean[cells], d, wavelength)) - threshold
 
     # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products,
@@ -335,7 +344,7 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     # their horizon, which cannot come before a row's first crossing.
     ratio = 10.0 ** (1.0 / _GRID_POINTS_PER_DECADE)
     start = np.minimum(1e-6, horizon / _GRID_POINTS_PER_DECADE)
-    count = int(np.ceil(np.max(np.log(horizon / start)) / math.log(ratio))) + 2
+    count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
     steps = np.full((len(kappa), count), ratio)
     steps[:, 0] = start
     grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])

@@ -8,7 +8,6 @@ target motion, with Doppler doubled for monostatic operation.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -84,19 +83,12 @@ def radar_acf_curve(scenario: RadarScenario, dt_grid) -> list[tuple[float, float
     return [(float(t), abs(v)) for t, v in zip(grid, values.tolist())]
 
 
-def _search_horizon(kappa: float, f_m: float, threshold: float) -> float:
-    # |ACF| of a concentrated target decays on a timescale ~ sqrt(kappa) / f_m
-    # (transverse) up to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m),
-    # far beyond the 10 / f_m that suits broad scattering; cover both regimes.
-    return (10.0 + kappa / min(threshold, 0.5)) / f_m
-
-
 def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 0.5) -> np.ndarray:
     """Decorrelation time in seconds for every (angular width, speed) pair.
 
-    Each entry equals decorrelation_time for its cell, with a horizon of
-    (10 + kappa / min(threshold, 0.5)) / f_m; the cells are bracketed and
-    bisected together, one kernel call per step over every live cell.
+    Each entry equals decorrelation_time for its cell at its default horizon,
+    bit for bit; the cells are bracketed and bisected together, one kernel
+    call per step over every live cell.
     """
     widths = list(widths)
     speeds = list(speeds)
@@ -106,6 +98,5 @@ def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 
                                                     target_speed=speed))
              for width in widths for speed in speeds]
     clusters, motions, _ = zip(*cells)
-    times = _decorrelation_times(clusters, motions, base.wavelength, base.monostatic,
-                                 threshold, partial(_search_horizon, threshold=threshold))
+    times = _decorrelation_times(clusters, motions, base.wavelength, base.monostatic, threshold)
     return times.reshape(len(widths), len(speeds))

@@ -220,11 +220,10 @@ class TestConfigSchema:
         assert info.value.errors == [f"{label}: unknown key 'bogus'"]
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text()
 # Every ```json block of the README is a complete config, so the docs cannot
 # drift from the schema.
-README_CONFIGS = re.findall(r"^```json\n(.*?)^```$",
-                            (Path(__file__).parents[1] / "README.md").read_text(),
-                            re.MULTILINE | re.DOTALL)
+README_CONFIGS = re.findall(r"^```json\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
 
 
 @pytest.mark.parametrize("text", README_CONFIGS, ids=lambda text: json.loads(text)["mode"])
@@ -232,6 +231,14 @@ def test_readme_config_runs(tmp_path, text):
     config = parse_config(text)
     assert run(replace(config, out=str(tmp_path / output_path(config)))) == EXIT_OK
     assert (tmp_path / output_path(config)).stat().st_size > 0
+
+
+def test_readme_python_examples_run():
+    # every ```python block of the README runs as written, on a fresh namespace
+    examples = re.findall(r"^```python\n(.*?)^```$", README, re.MULTILINE | re.DOTALL)
+    assert examples
+    for code in examples:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 class TestRunModes:

@@ -458,14 +458,12 @@ class TestDecorrelationTime:
             decorrelation_time(cluster, motion, LAM, horizon=1e-9)
 
     def test_not_found_in_one_of_several_cells(self):
-        # the cells are bisected together; the one whose horizon ends before
-        # its crossing still raises
+        # the cells are bisected together; the one whose crossing (0.090 s at
+        # 1 m/s, against 0.045 and 0.030 s) lies past the horizon still raises
         cluster = VmfCluster(0.0, 0.0, 0.0)
         motions = [MotionState(speed, 0.0, 0.0) for speed in (1.0, 2.0, 3.0)]
-        horizons = {1.0 / LAM: 1.0, 2.0 / LAM: 1e-9, 3.0 / LAM: 1.0}
-        with pytest.raises(DecorrelationNotFound, match="horizon 1e-09 s"):
-            _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5,
-                                 lambda kappa, f_m: horizons[f_m])
+        with pytest.raises(DecorrelationNotFound, match="horizon 0.05 s"):
+            _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5, 0.05)
 
     def test_preconditions(self):
         cluster = VmfCluster(0.0, 0.0, 0.0)

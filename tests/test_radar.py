@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,8 @@ from vmfcorr import (
     scf,
 )
 from vmfcorr.cli import EXIT_OK, parse_config, run
-from vmfcorr.radar import _search_horizon
+
+from mp_reference import reference_log
 
 BASE = RadarScenario(
     carrier_frequency=10e9,
@@ -152,10 +154,43 @@ class TestDecorrelationTable:
             for j, speed in enumerate(speeds):
                 scenario = replace(base, target_angular_width=width, target_speed=speed)
                 cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
-                f_m = doppler_params(cluster, motion, lam, base.monostatic).f_m
-                horizon = _search_horizon(cluster.kappa, f_m, threshold)
                 assert table[i, j] == decorrelation_time(cluster, motion, lam, base.monostatic,
-                                                         threshold, horizon)
+                                                         threshold)
+
+    def test_scalar_search_at_a_concentrated_target(self):
+        # 1 deg at 40 km/h, kappa 52525: the crossing lies far past 10 / f_m, so
+        # the scalar search needs the table's horizon rule to find it
+        scenario = replace(BASE, target_angular_width=math.radians(1.0), target_speed=40.0 / 3.6)
+        cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
+        table = decorrelation_table([scenario.target_angular_width], [scenario.target_speed],
+                                    scenario)
+        t = decorrelation_time(cluster, motion, lam, scenario.monostatic)
+        assert t == table[0, 0]
+        assert t > 10.0 / doppler_params(cluster, motion, lam, scenario.monostatic).f_m
+        assert _brackets_crossing(scenario, t)
+
+    def test_horizons_past_1e302_seconds(self):
+        # at 1e-300 km/h the horizons are 3.5e302 s (4 deg) and 9.1e304 s
+        # (0.25 deg), past the 1.8e302 s where horizon / start (1e-6 s)
+        # overflows; the grid length is counted in logs
+        widths = [math.radians(w) for w in (4.0, 0.25)]
+        speeds = [1e-300 / 3.6, 40.0 / 3.6]
+        table = decorrelation_table(widths, speeds, BASE)
+        for i, width in enumerate(widths):
+            for j, speed in enumerate(speeds):
+                scenario = replace(BASE, target_angular_width=width, target_speed=speed)
+                assert _brackets_crossing(scenario, table[i, j])
+        assert table[0, 0] == pytest.approx(1.695e300, rel=1e-4)
+
+
+def _brackets_crossing(scenario: RadarScenario, t: float, threshold: float = 0.5) -> bool:
+    # the 40-digit |ACF| falls through the threshold within 2e-6 relative of t,
+    # the bracket perfbench/checks.py puts around each radar-table entry
+    cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
+    factor = 2.0 if scenario.monostatic else 1.0
+    before, after = (mp.exp(reference_log(cluster, factor * lag * motion.velocity, lam).real)
+                     for lag in (t * (1.0 - 2e-6), t * (1.0 + 2e-6)))
+    return t > 0.0 and before >= threshold > after
 
 
 # The radar-table of the benchmark's radar-chain workload (perfbench/workloads.py),
@@ -183,6 +218,20 @@ def test_pinned_radar_table(tmp_path):
     assert run(parse_config(json.dumps(doc))) == EXIT_OK
     rows = out.read_text().splitlines()[1:]
     assert [float(row.split(",")[2]).hex() for row in rows] == _PINNED_TABLE
+
+
+def test_radar_table_at_horizons_past_1e302_seconds(tmp_path):
+    out = tmp_path / "radar-table.csv"
+    doc = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
+           "elevation_deg": 20.0, "widths_deg": [4.0, 1.0, 0.25], "speeds_kmh": [1e-300, 40.0]}
+    assert run(parse_config(json.dumps(doc))) == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 6
+    for row in rows:
+        width, speed, t = map(float, row.split(","))
+        scenario = replace(BASE, target_angular_width=math.radians(width),
+                           target_speed=speed / 3.6)
+        assert _brackets_crossing(scenario, t)
 
 
 class TestMonostaticConsistency:
