@@ -275,8 +275,10 @@ def acf(
 
 
 def _lag_displacement(dt, velocity, monostatic: bool) -> np.ndarray:
-    """velocity * dt over lags dt, doubled for monostatic operation."""
-    return ((2.0 if monostatic else 1.0) * dt)[..., None] * velocity
+    """velocity * dt over lags dt, doubled for monostatic operation. The
+    doubling scales the velocity, so a lag past half the largest double
+    still maps onto a finite displacement."""
+    return dt[..., None] * ((2.0 if monostatic else 1.0) * velocity)
 
 
 class DecorrelationNotFound(RuntimeError):
@@ -284,6 +286,10 @@ class DecorrelationNotFound(RuntimeError):
 
 
 _GRID_POINTS_PER_DECADE = 64
+# Lag grid columns evaluated per kernel call while scanning for first crossings
+_SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
+# Bisection levels evaluated per kernel call: each live cell's 2^levels - 1 midpoints
+_LOOKAHEAD_LEVELS = 4
 
 
 def decorrelation_time(
@@ -297,9 +303,10 @@ def decorrelation_time(
     """Smallest positive lag at which |ACF| first falls to the threshold.
 
     The first downward crossing is bracketed on a geometric lag grid (64
-    points per decade starting at 1 us) and refined by bisection to 1e-6
-    relative. Raises DecorrelationNotFound if no crossing occurs before the
-    horizon, by default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in
+    points per decade starting at 1 us), scanned two decades per kernel call,
+    and refined by bisection to 1e-6 relative, four levels per kernel call.
+    Raises DecorrelationNotFound if no crossing occurs before the horizon, by
+    default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in
     decorrelation_table: 10 / f_m at kappa = 0, past any radial crossing.
     """
     times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold, horizon)
@@ -311,10 +318,14 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     """decorrelation_time of each (cluster, motion) cell, searched up to
     horizon seconds, or up to each cell's default horizon when it is None.
 
-    One kernel call evaluates the lag grids of all cells, padded to one
-    length, for each cell's first crossing; the cells are then bisected
-    together, one kernel call per step, each freezing at its 1e-6 relative
-    width, so each cell sees the lo/hi sequence it would alone.
+    The lag grids of all cells, padded to one length, are scanned one window
+    of columns per kernel call over the cells that have not crossed yet; a
+    cell leaves the scan at its first crossing. The cells are then bisected
+    together: one kernel call evaluates the midpoints of the next four
+    bisection levels of every live cell, each formed from its own bracket,
+    and each cell walks its path level by level, freezing at its 1e-6
+    relative width. So each cell sees the lo/hi sequence that bisecting it
+    alone, one level per call, would give.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -347,23 +358,46 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
     steps = np.full((len(kappa), count), ratio)
     steps[:, 0] = start
-    grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+    with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
+        grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
     cells = np.arange(len(kappa))
-    below = excess(grid, cells[:, None]) < 0.0
-    found = below.any(axis=1)
-    if not found.all():
+    first = np.zeros(len(kappa), dtype=int)
+    searching = cells
+    for offset in range(0, count, _SCAN_WINDOW):
+        if not searching.size:
+            break
+        below = excess(grid[searching, offset:offset + _SCAN_WINDOW], searching[:, None]) < 0.0
+        crossed = below.any(axis=1)
+        first[searching[crossed]] = offset + np.argmax(below[crossed], axis=1)
+        searching = searching[~crossed]
+    if searching.size:
         raise DecorrelationNotFound(
             f"|ACF| never fell below {threshold} within horizon "
-            f"{float(horizon[np.argmin(found)])} s"
+            f"{float(horizon[searching[0]])} s"
         )
-    first = np.argmax(below, axis=1)
     hi = grid[cells, first]
     lo = np.where(first > 0, grid[cells, first - 1], 0.0)
     live = cells[hi - lo > 1e-6 * hi]
     while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        below = excess(mid, live) < 0.0
-        hi[live[below]] = mid[below]
-        lo[live[~below]] = mid[~below]
-        live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
+        # the midpoints of each live cell's next bisection levels, level by level:
+        # node j of a level splits (a, b) at 0.5 * (a + b) into nodes 2j and 2j + 1
+        a, b = lo[live, None], hi[live, None]
+        levels = []
+        for _ in range(_LOOKAHEAD_LEVELS):
+            mid = 0.5 * (a + b)
+            levels.append(mid)
+            a = np.stack([a, mid], axis=-1).reshape(live.size, -1)
+            b = np.stack([mid, b], axis=-1).reshape(live.size, -1)
+        mids = np.concatenate(levels, axis=1)
+        below = excess(mids, live[:, None]) < 0.0
+        rows = np.arange(live.size)
+        node = np.zeros(live.size, dtype=int)
+        for level in range(_LOOKAHEAD_LEVELS):
+            at = (rows, 2**level - 1 + node)
+            cell, mid, down = live[rows], mids[at], below[at]
+            hi[cell[down]] = mid[down]
+            lo[cell[~down]] = mid[~down]
+            keep = hi[cell] - lo[cell] > 1e-6 * hi[cell]
+            rows, node = rows[keep], (2 * node + ~down)[keep]
+        live = live[rows]
     return 0.5 * (lo + hi)

@@ -1,5 +1,8 @@
 import math
+import re
 from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +21,8 @@ from vmfcorr import (
     scf_large_kappa,
     scf_multicluster,
 )
-from vmfcorr.correlation import (LARGE_KAPPA_THRESHOLD, _branch_sqrt, _closed_form,
-                                  _decorrelation_times, _radicand)
+from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _branch_sqrt,
+                                  _closed_form, _decorrelation_times, _radicand)
 from vmfcorr.vmf import TWO_PI, _log_kappa_over_sinh, csinc_sqrt
 
 from mp_reference import relative_error
@@ -428,6 +431,15 @@ class TestAcf:
                 b = scf(cluster, factor * dt * motion.velocity, LAM)
                 assert abs(a - b) <= 1e-13
 
+    def test_monostatic_lag_past_half_the_double_range(self):
+        # 2 dt overflows past 9e307 s, while the displacement 2 dt v is about a wavelength
+        cluster = VmfCluster(0.3, 0.2, 5.0)
+        motion = MotionState(1e-309, 0.7, 0.1)
+        dt = 1.5e308
+        d = [float(2 * Fraction(dt) * Fraction(float(v))) for v in motion.velocity]
+        assert relative_error(acf(cluster, motion, dt, LAM, monostatic=True), cluster, d,
+                              LAM) < 1e-12
+
 
 class TestDecorrelationTime:
     def test_isotropic_crossing(self):
@@ -471,3 +483,113 @@ class TestDecorrelationTime:
             decorrelation_time(cluster, MotionState(0.0, 0, 0), LAM)
         with pytest.raises(ValueError):
             decorrelation_time(cluster, MotionState(1.0, 0, 0), LAM, threshold=1.5)
+
+
+def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=None):
+    """The decorrelation search as one kernel call over every cell's whole lag
+    grid, then one bisection level per kernel call over the live cells: the
+    sequence of lo/hi values the windowed scan and the lookahead must
+    reproduce. Gives the times, each cell's first crossing column, the grid
+    length and each cell's number of bisection levels."""
+    factor = 2.0 if monostatic else 1.0
+    if horizon is None:
+        horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(c, m, lam, monostatic).f_m
+                   for c, m in zip(clusters, motions)]
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
+    kappa = np.array([c.kappa for c in clusters])
+    mean = np.array([c.mean_direction for c in clusters])
+    velocity = np.array([m.velocity for m in motions])
+
+    def excess(t, cells):
+        d = t[..., None] * (factor * velocity[cells])
+        return np.abs(_closed_form(kappa[cells], mean[cells], d, lam)) - threshold
+
+    ratio = 10.0 ** (1.0 / 64)
+    start = np.minimum(1e-6, horizon / 64)
+    count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
+    steps = np.full((len(kappa), count), ratio)
+    steps[:, 0] = start
+    grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+    cells = np.arange(len(kappa))
+    below = excess(grid, cells[:, None]) < 0.0
+    found = below.any(axis=1)
+    if not found.all():
+        raise DecorrelationNotFound(f"|ACF| never fell below {threshold} within horizon "
+                                    f"{float(horizon[np.argmin(found)])} s")
+    first = np.argmax(below, axis=1)
+    hi = grid[cells, first]
+    lo = np.where(first > 0, grid[cells, first - 1], 0.0)
+    levels = np.zeros(len(kappa), dtype=int)
+    live = cells[hi - lo > 1e-6 * hi]
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        below = excess(mid, live) < 0.0
+        hi[live[below]] = mid[below]
+        lo[live[~below]] = mid[~below]
+        levels[live] += 1
+        live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
+    return SimpleNamespace(times=0.5 * (lo + hi), first=first, count=count, levels=levels)
+
+
+class TestDecorrelationSearch:
+    """The windowed scan and the four-level lookahead give every entry of the
+    one-level search bit for bit, alone and in a table."""
+
+    def test_random_cells(self):
+        rng = np.random.default_rng(29)
+        for _ in range(8):
+            lam, monostatic = 10 ** rng.uniform(-2, 0), bool(rng.integers(2))
+            threshold = rng.uniform(0.1, 0.9)
+            clusters = [VmfCluster(rng.uniform(-math.pi, math.pi),
+                                   rng.uniform(-math.pi / 2, math.pi / 2),
+                                   0.0 if rng.random() < 0.2 else 10 ** rng.uniform(-2, 6))
+                        for _ in range(25)]
+            motions = [MotionState(10 ** rng.uniform(-1, 2), rng.uniform(-math.pi, math.pi),
+                                   rng.uniform(-math.pi / 2, math.pi / 2))
+                       for _ in range(25)]
+            expected = _lockstep_reference(clusters, motions, lam, monostatic, threshold).times
+            table = _decorrelation_times(clusters, motions, lam, monostatic, threshold)
+            assert np.array_equal(table, expected)
+            for cluster, motion, t in zip(clusters, motions, expected):
+                assert decorrelation_time(cluster, motion, lam, monostatic, threshold) == t
+
+    def test_crossing_before_the_first_column(self):
+        # 1e9 m/s at a 1 m wavelength crosses at 3e-10 s, before the grid's 1e-6 s
+        cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1e9, 0.0, 0.0)
+        reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 1.0)
+        assert reference.first[0] == 0
+        assert decorrelation_time(cluster, motion, 1.0, horizon=1.0) == reference.times[0]
+
+    def test_crossing_in_the_last_partial_window(self):
+        # 1 m/s at 1 m crosses at 0.3017 s, in the last columns of a grid to 0.31 s
+        cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1.0, 0.0, 0.0)
+        reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 0.31)
+        assert reference.count % _SCAN_WINDOW != 0
+        assert reference.first[0] >= (reference.count - 1) // _SCAN_WINDOW * _SCAN_WINDOW
+        assert decorrelation_time(cluster, motion, 1.0, horizon=0.31) == reference.times[0]
+
+    def test_cells_freeze_at_different_levels_of_one_call(self):
+        # crossings before the first column need as many levels as they lie
+        # deep below it, and the others sixteen, so that cells of one call
+        # freeze at every level of its lookahead
+        cluster = VmfCluster(0.0, 0.0, 0.0)
+        motions = [MotionState(speed, 0.0, 0.0)
+                   for speed in (1.0, 4e5, 1e6, 3e6, 1e7, 2e7, 4e7, 1e8, 3e8, 1e9)]
+        reference = _lockstep_reference([cluster] * 10, motions, 1.0, False, 0.5, 1.0)
+        assert set((reference.levels - 1) % 4) == {0, 1, 2, 3}
+        calls = (reference.levels - 1) // 4
+        assert any(len(set(reference.levels[calls == call])) > 1 for call in calls)
+        assert np.array_equal(_decorrelation_times([cluster] * 10, motions, 1.0, False, 0.5, 1.0),
+                              reference.times)
+
+    def test_not_found_names_the_first_unfound_cell(self):
+        # crossings at 0.090, 0.045 and 0.030 s against per-cell horizons: the
+        # first cell is found and the second is the first one that is not
+        cluster = VmfCluster(0.0, 0.0, 0.0)
+        motions = [MotionState(speed, 0.0, 0.0) for speed in (1.0, 2.0, 3.0)]
+        horizon = np.array([1.0, 0.01, 0.02])
+        message = re.escape("within horizon 0.01 s")
+        with pytest.raises(DecorrelationNotFound, match=message):
+            _lockstep_reference([cluster] * 3, motions, LAM, False, 0.5, horizon)
+        with pytest.raises(DecorrelationNotFound, match=message):
+            _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5, horizon)

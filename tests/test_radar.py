@@ -17,6 +17,7 @@ from vmfcorr import (
     scenario_to_cluster_and_motion,
     scf,
 )
+from vmfcorr import correlation
 from vmfcorr.cli import EXIT_OK, parse_config, run
 
 from mp_reference import reference_log
@@ -182,6 +183,19 @@ class TestDecorrelationTable:
                 assert _brackets_crossing(scenario, table[i, j])
         assert table[0, 0] == pytest.approx(1.695e300, rel=1e-4)
 
+    def test_lag_grids_past_9e307_seconds(self):
+        # at 5.6e-304 and 5.2e-304 km/h the 0.25 deg lag grids run to 1.6e308 and
+        # 1.7e308 s: past the 9e307 s where a doubled lag overflows, and at
+        # 5.2e-304 the grid's last products overflow before the clamp
+        widths = [math.radians(w) for w in (4.0, 0.25)]
+        speeds = [5.6e-304 / 3.6, 5.2e-304 / 3.6]
+        table = decorrelation_table(widths, speeds, BASE)
+        for i, width in enumerate(widths):
+            for j, speed in enumerate(speeds):
+                scenario = replace(BASE, target_angular_width=width, target_speed=speed)
+                assert _brackets_crossing(scenario, table[i, j])
+        assert table[1, 0] == pytest.approx(4.840e304, rel=1e-4)
+
 
 def _brackets_crossing(scenario: RadarScenario, t: float, threshold: float = 0.5) -> bool:
     # the 40-digit |ACF| falls through the threshold within 2e-6 relative of t,
@@ -232,6 +246,42 @@ def test_radar_table_at_horizons_past_1e302_seconds(tmp_path):
         scenario = replace(BASE, target_angular_width=math.radians(width),
                            target_speed=speed / 3.6)
         assert _brackets_crossing(scenario, t)
+
+
+def test_radar_table_at_lag_grids_past_9e307_seconds(tmp_path):
+    out = tmp_path / "radar-table.csv"
+    doc = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
+           "elevation_deg": 20.0, "widths_deg": [4.0, 0.25], "speeds_kmh": [5.6e-304, 5.2e-304]}
+    assert run(parse_config(json.dumps(doc))) == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        width, speed, t = map(float, row.split(","))
+        scenario = replace(BASE, target_angular_width=math.radians(width),
+                           target_speed=speed / 3.6)
+        assert _brackets_crossing(scenario, t)
+
+
+def test_radar_table_kernel_call_budget(monkeypatch):
+    # the pinned table: its windowed scan and four-level bisection take 8 kernel
+    # calls over 11,228 points, where a whole-grid call and then one level per
+    # call took 17 over 16,400
+    calls, points = 0, 0
+    closed_form = correlation._closed_form
+
+    def counted(*args):
+        nonlocal calls, points
+        value = closed_form(*args)
+        calls, points = calls + 1, points + value.size
+        return value
+
+    monkeypatch.setattr(correlation, "_closed_form", counted)
+    widths = [math.radians(w) for w in (4.0, 2.0, 1.0, 0.5, 0.25)]
+    speeds = [v / 3.6 for v in (300.0, 150.0, 80.0, 40.0, 10.0)]
+    table = decorrelation_table(widths, speeds, BASE)
+    assert [float(t).hex() for t in table.ravel()] == _PINNED_TABLE
+    assert calls <= 8
+    assert points < 16_400
 
 
 class TestMonostaticConsistency:
