@@ -133,11 +133,8 @@ def scf_along_path(geometry: ArrayGeometry, clusters, wavelength: float):
     """
     _check_wavelength(wavelength)
     positions = geometry.positions
-    if geometry.n_elements > 1:
-        steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-        cumulative = np.concatenate([[0.0], np.cumsum(steps)])
-    else:
-        cumulative = np.zeros(1)
+    steps = np.linalg.norm(np.diff(positions, axis=0), axis=1)
+    cumulative = np.concatenate([[0.0], np.cumsum(steps)])
     coords = cumulative - cumulative[geometry.reference_index]
     origin = positions[geometry.reference_index]
     values = scf_multicluster(clusters, positions - origin, wavelength)

@@ -194,25 +194,24 @@ def _read_cluster(block, require_kappa=True):
 
 
 def _read_clusters(r, require_kappa=True):
+    # a `cluster` object is read as a `clusters` list of one, under its own label
     one, many = r.has("cluster"), r.has("clusters")
     if one and many:
         return r.fail("cluster", "give either 'cluster' or 'clusters', not both", ())
-    if one:
-        cluster = _read_cluster(r.read("cluster", dict), require_kappa)
-        return (cluster,) if cluster is not None else ()
-    blocks = r.get("clusters")
-    if blocks is None:
-        return r.fail("clusters", "required", ())
-    if not isinstance(blocks, list) or not blocks:
-        return r.fail("clusters", "must be a nonempty list", ())
-    clusters = [_read_cluster(r.nested(f"clusters[{i}]", block), require_kappa)
-                for i, block in enumerate(blocks)]
-    clusters = tuple(c for c in clusters if c is not None)
-    if len(clusters) == len(blocks) > 1:
+    key = "cluster" if one else "clusters"
+    entries = [r.get(key)] if one else r.get(key)
+    if entries is None:
+        return r.fail(key, "required", ())
+    if not isinstance(entries, list) or not entries:
+        return r.fail(key, "must be a nonempty list", ())
+    labels = [key] if one else [f"{key}[{i}]" for i in range(len(entries))]
+    clusters = [_read_cluster(r.nested(label, entry), require_kappa)
+                for label, entry in zip(labels, entries)]
+    if None not in clusters:  # the powers of a fully parsed set sum to 1
         total = sum(c.power for c in clusters)
         if abs(total - 1.0) > 1e-9:
-            r.fail("clusters", f"powers must sum to 1, got {total}")
-    return clusters
+            r.fail(key, f"powers must sum to 1, got {total}")
+    return tuple(c for c in clusters if c is not None)
 
 
 # Points per grid, and per scf-field (x times y): a million doubles is 8 MB

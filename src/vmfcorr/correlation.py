@@ -380,11 +380,13 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     live = cells[hi - lo > 1e-6 * hi]
     while live.size:
         # the midpoints of each live cell's next bisection levels, level by level:
-        # node j of a level splits (a, b) at 0.5 * (a + b) into nodes 2j and 2j + 1
+        # node j of a level splits (a, b) at 0.5 * a + 0.5 * b into nodes 2j and 2j + 1;
+        # halving first keeps brackets past 9e307 s finite, and halving a normal
+        # double is exact, so below that each midpoint is 0.5 * (a + b) bit for bit
         a, b = lo[live, None], hi[live, None]
         levels = []
         for _ in range(_LOOKAHEAD_LEVELS):
-            mid = 0.5 * (a + b)
+            mid = 0.5 * a + 0.5 * b
             levels.append(mid)
             a = np.stack([a, mid], axis=-1).reshape(live.size, -1)
             b = np.stack([mid, b], axis=-1).reshape(live.size, -1)
@@ -400,4 +402,4 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
             keep = hi[cell] - lo[cell] > 1e-6 * hi[cell]
             rows, node = rows[keep], (2 * node + ~down)[keep]
         live = live[rows]
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi

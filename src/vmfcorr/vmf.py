@@ -132,22 +132,6 @@ def _polar_transform(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return w, np.sqrt(1.0 - w * w)
 
 
-def _vmf_directions(cluster: VmfCluster, u: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # Uniforms u in [0, 1) and tangent angles theta of shape (..., n) to unit
-    # vectors of shape (..., n, 3); elementwise, so each row of a stack maps
-    # exactly as it would alone.
-    w, sin_polar = _polar_transform(cluster.kappa, u)
-    mean = cluster.mean_direction
-    e1, e2 = _tangent_basis(mean)
-    along_e1 = sin_polar * np.cos(theta)
-    along_e2 = sin_polar * np.sin(theta)
-    # one component at a time: a length-3 trailing broadcast is several
-    # times slower and rounds each component the same way
-    return np.stack(
-        [w * mean[k] + along_e1 * e1[k] + along_e2 * e2[k] for k in range(3)], axis=-1
-    )
-
-
 def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
     """Draw n unit vectors from the cluster's distribution, shape (n, 3).
 
@@ -164,7 +148,16 @@ def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     theta = rng.uniform(0.0, TWO_PI, n)
-    return _vmf_directions(cluster, u, theta)
+    w, sin_polar = _polar_transform(cluster.kappa, u)
+    mean = cluster.mean_direction
+    e1, e2 = _tangent_basis(mean)
+    along_e1 = sin_polar * np.cos(theta)
+    along_e2 = sin_polar * np.sin(theta)
+    # one component at a time: a length-3 trailing broadcast is several
+    # times slower and rounds each component the same way
+    return np.stack(
+        [w * mean[k] + along_e1 * e1[k] + along_e2 * e2[k] for k in range(3)], axis=-1
+    )
 
 
 def mean_resultant_length(kappa: float) -> float:

@@ -185,6 +185,12 @@ class TestScfAlongPath:
         assert ref[0] == 0.0
         assert ref[1] == 1.0 + 0.0j
 
+    @pytest.mark.parametrize("geometry", [linear_array(1, 0.2), circular_array(1, 0.3),
+                                          planar_grid(1, 1, 0.2, 0.2)])
+    def test_single_element(self, geometry):
+        # no steps between elements: the path is the reference point alone
+        assert scf_along_path(geometry, [VmfCluster(0.5, 0.0, 10.0)], LAM) == [(0.0, 1 + 0j)]
+
     def test_linear_magnitude_even(self):
         geometry = linear_array(41, 0.15 * LAM, (1.0, 0.0, 0.0))
         clusters = [VmfCluster(math.radians(45.0), 0.0, 10.0)]

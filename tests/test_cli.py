@@ -706,6 +706,26 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"config error: geometry.{key}: must be <= 1000\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["cluster", "clusters"])
+    @pytest.mark.parametrize("name", ["scf-field", "acf-curve/wavelength",
+                                      "array-matrix/circular", "array-path/linear",
+                                      "scf-curve/direction", "scf-curve/sweep"])
+    def test_single_cluster_power_must_be_one(self, tmp_path, capsys, name, key):
+        # a `cluster` is a cluster set of one, as is a one-entry `clusters`:
+        # its power must sum to 1 like any set's, or run would raise (or the
+        # kappa sweep ignore it)
+        out = tmp_path / "out.csv"
+        doc = {k: v for k, v in FULL_CONFIGS[name].items() if k not in ("cluster", "clusters")}
+        doc["out"], doc["format"] = str(out), "csv"
+        block = _cluster_block(power=0.5)
+        doc[key] = block if key == "cluster" else [block]
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}: powers must sum to 1, got 0.5\n"
+        assert not out.exists()
+        block["power"] = 1.0 - 1e-12
+        assert parse_config(json.dumps(doc)).clusters[0].power == 1.0 - 1e-12
+
     def test_element_count_at_the_limit_is_accepted(self):
         doc = dict(FULL_CONFIGS["array-matrix/linear"])
         doc["geometry"] = {**doc["geometry"], "n": 1000}

@@ -196,13 +196,24 @@ class TestDecorrelationTable:
                 assert _brackets_crossing(scenario, table[i, j])
         assert table[1, 0] == pytest.approx(4.840e304, rel=1e-4)
 
+    def test_bisection_brackets_past_9e307_seconds(self):
+        # 4 deg at 3.92e-309 m/s crosses near 1.2e308 s; with an explicit
+        # horizon of 1.7e308 s the bisection brackets lie past 9e307 s, where
+        # 0.5 * (lo + hi) would overflow
+        scenario = replace(BASE, target_angular_width=math.radians(4.0), target_speed=3.92e-309)
+        cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
+        t = decorrelation_time(cluster, motion, lam, scenario.monostatic, horizon=1.7e308)
+        assert t == pytest.approx(1.201e308, rel=1e-3)
+        assert _brackets_crossing(scenario, t)
+
 
 def _brackets_crossing(scenario: RadarScenario, t: float, threshold: float = 0.5) -> bool:
     # the 40-digit |ACF| falls through the threshold within 2e-6 relative of t,
-    # the bracket perfbench/checks.py puts around each radar-table entry
+    # the bracket perfbench/checks.py puts around each radar-table entry; the
+    # velocity is doubled, not the lag, so lags past 9e307 s stay finite
     cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
     factor = 2.0 if scenario.monostatic else 1.0
-    before, after = (mp.exp(reference_log(cluster, factor * lag * motion.velocity, lam).real)
+    before, after = (mp.exp(reference_log(cluster, lag * (factor * motion.velocity), lam).real)
                      for lag in (t * (1.0 - 2e-6), t * (1.0 + 2e-6)))
     return t > 0.0 and before >= threshold > after
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -112,6 +113,19 @@ class TestSampler:
         a = sample_vmf(cluster, 1000, seed=7)
         b = sample_vmf(cluster, 1000, seed=7)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kappa, digest", [
+        (0.0, "3315013795441b00af3a895370999b5a4e6b44ffca47863919711871c9f85217"),
+        (10.0, "2bbcff61372233a88ea6c22dbbf16b9b2e4c75b0464041504fbe27a6bea34c0f"),
+        (1e5, "3d2d2370e6fdffc11134564dc9f709590c9d298db8df6ad99680f465f70211b7"),
+    ])
+    def test_pinned_values(self, kappa, digest):
+        # SHA-256 of the little-endian doubles of 17 seeded draws near the
+        # pole (mu_psi 1.4), where the tangent basis takes its other helper
+        # axis: a change to the sampler's arithmetic or draw order changes it
+        samples = sample_vmf(VmfCluster(0.4, 1.4, kappa), 17, seed=5)
+        assert samples.shape == (17, 3)
+        assert hashlib.sha256(samples.astype("<f8").tobytes()).hexdigest() == digest
 
     def test_unit_norm(self):
         samples = sample_vmf(VmfCluster(1.0, -0.4, 3.0), 5000, seed=3)
