@@ -178,13 +178,16 @@ class _Reader:
             self.errors.append(f"{self.label or 'config'}: unknown key '{key}'")
 
 
-def _read_cluster(block, require_kappa=True):
+def _read_cluster(block, require_kappa=True, direction_only=False):
+    # a direction-only block names the mean direction alone, and gives a
+    # unit-power cluster at kappa 0; kappa or power there is an unknown key
     if block is None:
         return None
-    kappa = block.read("kappa", float, 0.0, required=require_kappa, nonnegative=True)
+    kappa = 0.0 if direction_only else block.read(
+        "kappa", float, 0.0, required=require_kappa, nonnegative=True)
     mu_phi = block.read("mu_phi_deg", float, 0.0)
     mu_psi = block.read("mu_psi_deg", float, 0.0)
-    power = block.read("power", float, 1.0, positive=True)
+    power = 1.0 if direction_only else block.read("power", float, 1.0, positive=True)
     if block.errors:  # shared by the whole config: build only while it is clean
         return None
     try:
@@ -378,7 +381,7 @@ def _parse_radar_table(r):
 
 def _parse_validate(r):
     wavelength = r.read("wavelength", float, 1.0, positive=True)
-    clusters = ((_read_cluster(r.read("cluster", dict), require_kappa=False),)
+    clusters = ((_read_cluster(r.read("cluster", dict), direction_only=True),)
                 if r.has("cluster") else (VmfCluster(0.0, 0.0, 0.0),))
     return dict(
         wavelength=wavelength,

@@ -6,6 +6,8 @@ Monte-Carlo multipath ensemble built from the generative channel sum.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +244,14 @@ def transfer_function(ensemble: MultipathEnsemble, dr, wavelength: float) -> com
 _BLOCK_PATH_SAMPLES = 16384
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on; an affinity mask can make that fewer
+    # than os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scf_montecarlo(
     cluster: VmfCluster,
     d,
@@ -274,6 +284,13 @@ def scf_montecarlo(
     each other about mu, give equal results. They differ from the 0.2.x
     releases, which measured theta from a fixed tangent basis and summed
     exp(j k0 doa . d) over the directions.
+
+    The blocks are evaluated on every CPU the process may use, by the
+    calling thread and up to one helper thread per further CPU, never more
+    threads than blocks. Blocks are drawn from the streams in block order
+    and each writes only its own rows, so the result is bit-identical for
+    any CPU count. An exception raised in any block is raised by this call
+    once every helper has finished.
     """
     if n_realizations < 100:
         raise ValueError(f"at least 100 realizations are required, got {n_realizations}")
@@ -287,21 +304,53 @@ def scf_montecarlo(
     along = k0 * projection
     across = k0 * math.hypot(*(d - projection * mean))
     block = max(1, _BLOCK_PATH_SAMPLES // n_paths)
+    blocks = range(0, n_realizations, block)
+    starts = iter(blocks)
     u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     real = np.empty(n_realizations)
     imag = np.empty(n_realizations)
-    for start in range(0, n_realizations, block):
-        rows = min(block, n_realizations - start)
-        u = u_rng.random((rows, n_paths))
-        theta = theta_rng.uniform(0.0, TWO_PI, (rows, n_paths))
-        w, sin_polar = _polar_transform(cluster.kappa, u)
-        # phase = along w + across sp cos(theta), in place
-        phase = np.multiply(w, along, out=w)
-        sin_polar *= across
-        sin_polar *= np.cos(theta, out=theta)
-        phase += sin_polar
-        real[start:start + rows] = np.mean(np.cos(phase, out=theta), axis=-1)
-        imag[start:start + rows] = np.mean(np.sin(phase, out=phase), axis=-1)
+    lock = threading.Lock()
+    errors = []
+
+    def draw():
+        # the next block's start and draws, or None once the blocks are
+        # done or a block has failed; under the lock, so the streams are
+        # read in block order whichever thread asks
+        with lock:
+            start = next(starts, None)
+            if start is None or errors:
+                return None
+            rows = min(block, n_realizations - start)
+            return (start, u_rng.random((rows, n_paths)),
+                    theta_rng.uniform(0.0, TWO_PI, (rows, n_paths)))
+
+    def work():
+        try:
+            for start, u, theta in iter(draw, None):
+                w, sin_polar = _polar_transform(cluster.kappa, u)
+                # phase = along w + across sp cos(theta), in place
+                phase = np.multiply(w, along, out=w)
+                sin_polar *= across
+                sin_polar *= np.cos(theta, out=theta)
+                phase += sin_polar
+                stop = start + u.shape[0]
+                real[start:stop] = np.mean(np.cos(phase, out=theta), axis=-1)
+                imag[start:stop] = np.mean(np.sin(phase, out=phase), axis=-1)
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), len(blocks)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     estimate = complex(np.mean(real), np.mean(imag))
     spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     std_error = math.sqrt(spread / (n_realizations * (n_realizations - 1)))

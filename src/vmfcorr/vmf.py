@@ -109,10 +109,19 @@ def vmf_pdf(cluster: VmfCluster, phi, psi):
 
 
 def _tangent_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.array([0.0, 0.0, 1.0]) if abs(unit[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(helper, unit)
+    # e1 = helper x unit normalized, e2 = unit x e1, for the helper axis z,
+    # or x when unit is within about 26 degrees of a pole. Each cross product
+    # is spelled out with the products and differences np.cross forms, 0.0
+    # terms included, so signed zeros match; on a 3-vector np.cross costs
+    # several times the rest of the basis.
+    x, y, z = unit.tolist()
+    if abs(z) < 0.9:
+        e1 = np.array([0.0 * z - 1.0 * y, 1.0 * x - 0.0 * z, 0.0 * y - 0.0 * x])
+    else:
+        e1 = np.array([0.0 * z - 0.0 * y, 0.0 * x - 1.0 * z, 1.0 * y - 0.0 * x])
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(unit, e1)
+    a, b, c = e1.tolist()
+    return e1, np.array([y * c - z * b, z * a - x * c, x * b - y * a])
 
 
 def _polar_transform(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

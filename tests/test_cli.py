@@ -182,7 +182,7 @@ FULL_CONFIGS = {
     },
     "validate": {
         "mode": "validate", **_COMMON, "wavelength": 0.5,
-        "cluster": _cluster_block(),
+        "cluster": {"mu_phi_deg": 30.0, "mu_psi_deg": -10.0},
         "kappas": [0.0, 10.0], "betas_deg": [0.0, 90.0], "d_over_lambda": _grid(),
         "tolerance": 1e-6, "quad_abs_tol": 1e-9, "quad_rel_tol": 1e-9,
     },
@@ -725,6 +725,18 @@ class TestMainExitCodes:
         assert not out.exists()
         block["power"] = 1.0 - 1e-12
         assert parse_config(json.dumps(doc)).clusters[0].power == 1.0 - 1e-12
+
+    @pytest.mark.parametrize("key, value", [("kappa", 3.0), ("power", 0.5)])
+    def test_validate_cluster_names_the_mean_direction_only(self, tmp_path, capsys, key, value):
+        # validate sweeps its own kappas at unit power, so a cluster kappa or
+        # power would be ignored
+        out = tmp_path / "v.csv"
+        doc = {"mode": "validate", "cluster": {"mu_phi_deg": 10.0, key: value},
+               "kappas": [0.0, 10.0], "out": str(out)}
+        path = write_config(tmp_path / "v.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: cluster: unknown key '{key}'\n"
+        assert not out.exists()
 
     def test_element_count_at_the_limit_is_accepted(self):
         doc = dict(FULL_CONFIGS["array-matrix/linear"])

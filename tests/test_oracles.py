@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import time
 
 import numpy as np
@@ -18,7 +20,7 @@ from vmfcorr import (
 )
 from vmfcorr import oracles
 from vmfcorr.oracles import _BLOCK_PATH_SAMPLES
-from vmfcorr.vmf import TWO_PI, _tangent_basis
+from vmfcorr.vmf import TWO_PI, _polar_transform, _tangent_basis
 
 LAM = 0.4
 
@@ -262,6 +264,20 @@ def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
     return estimate, math.sqrt(spread / (n_realizations * (n_realizations - 1)))
 
 
+@pytest.fixture
+def helper_starts(monkeypatch):
+    # the threads scf_montecarlo starts, counted by wrapping threading.Thread
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
 class TestMonteCarloBitIdentity:
     @pytest.mark.parametrize(
         "cluster, d, n_paths, n_realizations, seed, expected",
@@ -322,3 +338,67 @@ class TestMonteCarloBitIdentity:
         reference = scf_montecarlo(cluster, (x, y, z), 0.1, 16, 300, seed=12)
         for d in ((x, -z, y), (x, -y, -z), (x, z, -y), (x, y, -z)):
             assert scf_montecarlo(cluster, d, 0.1, 16, 300, seed=12) == reference
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("rows", [1, 10, 300])
+    @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
+    def test_any_cpu_count(self, monkeypatch, helper_starts, cpus, rows, kappa):
+        # the blocks run on the calling thread and cpus - 1 helpers, never
+        # more threads than blocks (300 rows: four blocks), and give the row
+        # reference's values whichever thread takes which block
+        n_paths, n_realizations = 64, 1037
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(oracles, "_BLOCK_PATH_SAMPLES", rows * n_paths)
+        cluster = VmfCluster(0.7, -0.4, kappa)
+        d = (0.03, -0.02, 0.01)
+        result = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
+        assert result == _montecarlo_rows(cluster, d, 0.1, n_paths, n_realizations, 31)
+        assert len(helper_starts) == min(cpus, -(-n_realizations // rows)) - 1
+
+    def test_one_row_blocks_under_fast_thread_switching(self, monkeypatch):
+        # eight threads on one-row blocks, switching every 10 us: a block
+        # drawn out of order, or rows written by the wrong block, would move
+        # the result
+        n_paths, n_realizations = 16, 600
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(oracles, "_BLOCK_PATH_SAMPLES", n_paths)
+        cluster = VmfCluster(0.7, -0.4, 10.0)
+        d = (0.03, -0.02, 0.01)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            result = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == _montecarlo_rows(cluster, d, 0.1, n_paths, n_realizations, 5)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_block_error_raised_after_the_helpers_finish(self, monkeypatch, helper_starts,
+                                                         cpus):
+        calls = []
+        lock = threading.Lock()
+
+        def failing(kappa, u):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise FloatingPointError("third block")
+            return _polar_transform(kappa, u)
+
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(oracles, "_BLOCK_PATH_SAMPLES", 64)
+        monkeypatch.setattr(oracles, "_polar_transform", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third block"):
+            scf_montecarlo(VmfCluster(0.7, -0.4, 10.0), (0.03, -0.02, 0.01), 0.1, 64, 2000)
+        assert len(helper_starts) == cpus - 1
+        assert not any(helper.is_alive() for helper in helper_starts)
+        assert threading.active_count() == before
+        # the other threads stopped at their next block, long before the
+        # last of the 2000 one-row blocks
+        assert len(calls) < 2000
+
+    def test_one_block_starts_no_thread(self, monkeypatch, helper_starts):
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 8)
+        scf_montecarlo(VmfCluster(0.7, -0.4, 10.0), (0.03, -0.02, 0.01), 0.1, 64, 100)
+        assert helper_starts == []

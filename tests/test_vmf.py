@@ -16,6 +16,7 @@ from vmfcorr import (
     scf_quadrature,
     vmf_pdf,
 )
+from vmfcorr.vmf import _tangent_basis
 
 
 class TestDirection:
@@ -167,6 +168,23 @@ class TestSampler:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             sample_vmf(VmfCluster(0, 0, 1.0), 0, seed=0)
+
+
+def test_tangent_basis_matches_np_cross():
+    # the basis np.cross gives, bit for bit and signed zeros included, on
+    # both sides of the |z| = 0.9 helper switch and at the axes
+    units = np.random.default_rng(2).normal(size=(2000, 3))
+    units /= np.linalg.norm(units, axis=1)[:, None]
+    axes = [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0],
+            [0.0, 1.0, -0.0], [0.6, -0.8, 0.0], [math.sqrt(0.19), 0.0, 0.9]]
+    for unit in [*units, *np.array(axes)]:
+        helper = np.array([0.0, 0.0, 1.0]) if abs(unit[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+        e1 = np.cross(helper, unit)
+        e1 /= np.linalg.norm(e1)
+        expected = (e1, np.cross(unit, e1))
+        for got, want in zip(_tangent_basis(unit), expected):
+            assert got.tolist() == want.tolist()
+            assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
 class TestKappaFromWidth:
