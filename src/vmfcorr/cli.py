@@ -178,13 +178,17 @@ class _Reader:
             self.errors.append(f"{self.label or 'config'}: unknown key '{key}'")
 
 
-def _read_cluster(block, require_kappa=True, direction_only=False):
+def _read_cluster(block, kappa_swept=False, direction_only=False):
     # a direction-only block names the mean direction alone, and gives a
-    # unit-power cluster at kappa 0; kappa or power there is an unknown key
+    # unit-power cluster at kappa 0; kappa or power there is an unknown key.
+    # Where `kappas` sweeps the concentration, a kappa there would go unused
+    # and is an error.
     if block is None:
         return None
-    kappa = 0.0 if direction_only else block.read(
-        "kappa", float, 0.0, required=require_kappa, nonnegative=True)
+    if kappa_swept and block.has("kappa"):
+        block.fail("kappa", "cannot be combined with 'kappas', which sets each curve's kappa")
+    kappa = 0.0 if direction_only or kappa_swept else block.read(
+        "kappa", float, required=True, nonnegative=True)
     mu_phi = block.read("mu_phi_deg", float, 0.0)
     mu_psi = block.read("mu_psi_deg", float, 0.0)
     power = 1.0 if direction_only else block.read("power", float, 1.0, positive=True)
@@ -196,7 +200,7 @@ def _read_cluster(block, require_kappa=True, direction_only=False):
         return block.fail(None, str(exc))
 
 
-def _read_clusters(r, require_kappa=True):
+def _read_clusters(r, kappa_swept=False):
     # a `cluster` object is read as a `clusters` list of one, under its own label
     one, many = r.has("cluster"), r.has("clusters")
     if one and many:
@@ -208,7 +212,7 @@ def _read_clusters(r, require_kappa=True):
     if not isinstance(entries, list) or not entries:
         return r.fail(key, "must be a nonempty list", ())
     labels = [key] if one else [f"{key}[{i}]" for i in range(len(entries))]
-    clusters = [_read_cluster(r.nested(label, entry), require_kappa)
+    clusters = [_read_cluster(r.nested(label, entry), kappa_swept)
                 for label, entry in zip(labels, entries)]
     if None not in clusters:  # the powers of a fully parsed set sum to 1
         total = sum(c.power for c in clusters)
@@ -261,7 +265,7 @@ def _read_kappas(r, default=None, limit=math.inf):
 
 def _parse_scf_curve(r):
     wavelength = _read_wavelength(r)
-    clusters = _read_clusters(r, require_kappa=not r.has("kappas"))
+    clusters = _read_clusters(r, kappa_swept=r.has("kappas"))
     fields = dict(wavelength=wavelength, clusters=clusters, kappas=_read_kappas(r),
                   d_grid=_read_grid(r, "d_over_lambda", required=True, nonnegative=True))
     one, many = r.has("beta_deg"), r.has("betas_deg")
@@ -548,18 +552,23 @@ MODES = tuple(_MODES)
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+# Rows joined and written at a time, which bounds the memory of the joined text.
+_ROWS_PER_WRITE = 8192
+
+
 def _column_text(column, spelling, opening, close):
-    """The text of each entry of a column: its repr, or the dict spelling's
-    entry for that repr, between opening and close.
+    """The text of each entry of a column, as an object array: its repr, or
+    the dict spelling's entry for that repr, between opening and close.
 
     Each distinct entry is formatted once. Floats are told apart by bit
     pattern, so -0.0 and 0.0 keep their own text.
     """
     keys = column.view(np.int64) if column.dtype == np.float64 else column
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct, inverse = np.unique(keys, return_inverse=True)
     # tolist gives Python ints for index columns and floats for the rest
-    text = [opening + spelling.get(t, t) + close for t in map(repr, column[first].tolist())]
-    return np.array(text, dtype=object)[inverse.ravel()].tolist()
+    text = [opening + spelling.get(t, t) + close
+            for t in map(repr, distinct.view(column.dtype).tolist())]
+    return np.array(text, dtype=object)[inverse]
 
 
 def _write_output(config: SweepConfig, header, columns):
@@ -572,16 +581,18 @@ def _write_output(config: SweepConfig, header, columns):
         payload = {"mode": config.mode, "columns": list(header), "rows": []}
         head = json.dumps(payload, separators=(",", ":"))[:-2]  # ends with "rows":[
         sep, opening, close, spelling, tail = ",", "[", "]", _JSON_SPELLING, "]}\n"
-    # the first column's text carries the separator and the opening of its
-    # row, the last column's text the row's close
+    # each cell's text carries what follows it, a comma or the row's close;
+    # the first column's text also carries the separator and opening of its row
     last = len(columns) - 1
-    text = [_column_text(column, spelling, (sep + opening) * (i == 0), close * (i == last))
-            for i, column in enumerate(columns)]
-    rows = map(",".join, zip(*text))
+    cells = np.stack([_column_text(column, spelling, (sep + opening) * (i == 0),
+                                   close if i == last else ",")
+                      for i, column in enumerate(columns)], axis=1)
+    if len(cells):
+        cells[0, 0] = cells[0, 0][len(sep):]  # no separator before the first row
     with open(output_path(config), "w", encoding="utf-8", newline="") as fh:
         fh.write(head)
-        fh.write(next(rows, sep)[len(sep):])  # no separator before the first row
-        fh.writelines(rows)
+        for start in range(0, len(cells), _ROWS_PER_WRITE):
+            fh.write("".join(cells[start:start + _ROWS_PER_WRITE].ravel().tolist()))
         fh.write(tail)
 
 

@@ -18,6 +18,7 @@ from vmfcorr.cli import (
     EXIT_VALIDATION,
     ConfigError,
     SweepConfig,
+    _ROWS_PER_WRITE,
     _complex_columns,
     _write_output,
     main,
@@ -128,7 +129,8 @@ _COMMON = {"out": "unused.csv", "format": "json"}
 # every nesting level.
 FULL_CONFIGS = {
     "scf-curve/sweep": {
-        "mode": "scf-curve", **_COMMON, "wavelength": 0.5, "cluster": _cluster_block(),
+        "mode": "scf-curve", **_COMMON, "wavelength": 0.5,
+        "cluster": {k: v for k, v in _cluster_block().items() if k != "kappa"},
         "kappas": [0.0, 10.0], "betas_deg": [0.0, 45.0], "d_over_lambda": _grid(),
     },
     "scf-curve/beta": {
@@ -517,6 +519,18 @@ def _tables(draw):
     return [f"c{i}" for i in range(len(picks))], [candidates[i] for i in picks]
 
 
+def _block_table(n):
+    """n rows: an index column and row / 7, which tell every row apart, and
+    columns that repeat int64 extremes and the special cells, as plain,
+    strided and magnitude columns."""
+    rng = np.random.default_rng(n)
+    values = np.empty(n, dtype=complex)
+    values.real, values.imag = rng.choice(_SPECIAL_CELLS, n), np.resize(_SPECIAL_CELLS, n)
+    extremes = np.resize(np.array([0, 3, -2**63, 2**63 - 1], dtype=np.int64), n)
+    columns = [np.arange(n), extremes, np.arange(n) / 7, *_complex_columns(values)]
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
 class TestWriterBytes:
     @settings(derandomize=True, max_examples=100, deadline=None, database=None)
     @given(table=_tables())
@@ -534,9 +548,22 @@ class TestWriterBytes:
                 written[name] = (folder / f"{name}.{fmt}").read_bytes()
             assert written["new"] == written["reference"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [0, 1, _ROWS_PER_WRITE - 1, _ROWS_PER_WRITE,
+                                   _ROWS_PER_WRITE + 1, 2 * _ROWS_PER_WRITE + 1])
+    def test_matches_reference_writer_across_write_blocks(self, tmp_path, n, fmt):
+        header, columns = _block_table(n)
+        written = []
+        for writer in (_write_output, _reference_write):
+            out = tmp_path / f"{writer.__name__}.{fmt}"
+            writer(SweepConfig(mode="scf-field", format=fmt, out=str(out)), header, columns)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     # SHA-256 of the data files as written before the writer formatted each
-    # distinct cell once. A change to the formatting, or to any value by one
-    # ulp, changes them.
+    # distinct cell once, and before it wrote a block of rows at a time; the
+    # 16 x 16 matrix has 65,536 rows, eight write blocks. A change to the
+    # formatting, or to any value by one ulp, changes them.
     PINNED = {
         "array-matrix": (
             {"mode": "array-matrix", "wavelength": 1.0,
@@ -545,6 +572,13 @@ class TestWriterBytes:
                           "dx_over_lambda": 0.5, "dy_over_lambda": 0.5}},
             {"csv": "4443e4222e817d4b4c75c1d752f5994223aabb6284fafab8d0dfcde8e7b2a9e5",
              "json": "8632290453fd106d48c08552b87614e13145e95e30054d67e70646b95e1b3c69"}),
+        "array-matrix/16x16": (
+            {"mode": "array-matrix", "wavelength": 1.0,
+             "cluster": {"kappa": 5.0, "mu_phi_deg": 30.0, "mu_psi_deg": 10.0},
+             "geometry": {"kind": "planar", "nx": 16, "ny": 16,
+                          "dx_over_lambda": 0.5, "dy_over_lambda": 0.5}},
+            {"csv": "870a7b90275131449a2bdff7e3db1df9ebab0e8a26349734fb4676262996c2ba",
+             "json": "afe9a0733396d6f6a89f48e3477b5f634618cfe8e82eb9e491089f0fd8068e1d"}),
         "scf-field": (
             {"mode": "scf-field", "wavelength": 1.0,
              "clusters": [{"kappa": 4.0, "mu_phi_deg": 20.0, "mu_psi_deg": 10.0, "power": 0.25},
@@ -718,6 +752,8 @@ class TestMainExitCodes:
         doc = {k: v for k, v in FULL_CONFIGS[name].items() if k not in ("cluster", "clusters")}
         doc["out"], doc["format"] = str(out), "csv"
         block = _cluster_block(power=0.5)
+        if "kappas" in doc:  # the sweep sets each curve's kappa
+            del block["kappa"]
         doc[key] = block if key == "cluster" else [block]
         path = write_config(tmp_path / "c.json", doc)
         assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
@@ -736,6 +772,22 @@ class TestMainExitCodes:
         path = write_config(tmp_path / "v.json", doc)
         assert main(["validate", "--config", path]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: cluster: unknown key '{key}'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["cluster", "clusters"])
+    def test_scf_curve_cluster_kappa_with_kappas_is_a_config_error(self, tmp_path, capsys, key):
+        # the kappa sweep sets each curve's kappa, so a cluster kappa would be
+        # ignored
+        out = tmp_path / "c.csv"
+        block = {"kappa": 3.0, "mu_phi_deg": 10.0}
+        doc = {"mode": "scf-curve", "wavelength": 1.0, key: block if key == "cluster" else [block],
+               "kappas": [0.0, 10.0], "d_over_lambda": _grid(), "out": str(out)}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["scf-curve", "--config", path]) == EXIT_CONFIG
+        label = key if key == "cluster" else "clusters[0]"
+        assert capsys.readouterr().err == (
+            f"config error: {label}.kappa: cannot be combined with 'kappas', "
+            "which sets each curve's kappa\n")
         assert not out.exists()
 
     def test_element_count_at_the_limit_is_accepted(self):
