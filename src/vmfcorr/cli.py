@@ -10,7 +10,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -448,9 +447,10 @@ def _complex_columns(values):
 
 
 def _kappa_beta_sweep(config: SweepConfig, kappas, betas_deg):
-    """Key columns [kappa, beta_deg, d_over_lambda], the (cluster, d) of each
-    point and the closed form at each point, with d at angle beta from the
-    first cluster's mean direction, turned towards its first tangent."""
+    """Key columns [kappa, beta_deg, d_over_lambda], the cluster of each kappa,
+    the displacements d swept at each kappa and the closed form at each point,
+    with d at angle beta from the first cluster's mean direction, turned
+    towards its first tangent."""
     base = config.clusters[0]
     mean = base.mean_direction
     tangent, _ = _tangent_basis(mean)
@@ -461,7 +461,7 @@ def _kappa_beta_sweep(config: SweepConfig, kappas, betas_deg):
     clusters = [VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power) for kappa in kappas]
     keys = [grid.ravel() for grid in np.meshgrid(kappas, betas_deg, fractions, indexing="ij")]
     values = np.concatenate([scf(cluster, ds, config.wavelength) for cluster in clusters])
-    return keys, product(clusters, ds), values
+    return keys, clusters, ds, values
 
 
 def _rows_scf_curve(config: SweepConfig):
@@ -473,7 +473,7 @@ def _rows_scf_curve(config: SweepConfig):
         return ["d_over_lambda", "re", "im", "abs"], [fractions, *_complex_columns(values)]
     kappas = config.kappas if config.kappas is not None else (config.clusters[0].kappa,)
     betas = config.betas_deg if config.betas_deg is not None else (0.0,)
-    keys, _, values = _kappa_beta_sweep(config, kappas, betas)
+    keys, _, _, values = _kappa_beta_sweep(config, kappas, betas)
     header = ["kappa", "beta_deg", "d_over_lambda", "re", "im", "abs"]
     return header, [*keys, *_complex_columns(values)]
 
@@ -527,8 +527,8 @@ def _rows_radar_table(config: SweepConfig):
 def _rows_validate(config: SweepConfig):
     lam = config.wavelength
     spec = QuadratureSpec(abs_tol=config.quad_abs_tol, rel_tol=config.quad_rel_tol)
-    keys, points, closed = _kappa_beta_sweep(config, config.kappas, config.betas_deg)
-    quad = np.array([scf_quadrature(cluster, d, lam, spec) for cluster, d in points])
+    keys, clusters, ds, closed = _kappa_beta_sweep(config, config.kappas, config.betas_deg)
+    quad = np.concatenate([scf_quadrature(cluster, ds, lam, spec) for cluster in clusters])
     *_, error = _complex_columns(closed - quad)
     header = ["kappa", "beta_deg", "d_over_lambda", "closed_re", "closed_im",
               "quad_re", "quad_im", "abs_error"]

@@ -65,29 +65,29 @@ class QuadratureToleranceError(RuntimeError):
 
 
 def _panel_rule(f, lo: np.ndarray, hi: np.ndarray):
-    # Batched Kronrod/Gauss evaluation; f maps a node vector to its values.
+    # Batched Kronrod/Gauss evaluation; f maps a node vector to the values
+    # there, of one integrand (nodes,) or of several (integrands, nodes)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    vals = f(nodes.reshape(-1)).reshape(lo.size, _GK_NODES.size)
-    k15 = half * np.einsum("n,pn->p", _GK_WEIGHTS, vals)
-    g7 = half * np.einsum("n,pn->p", _G7_WEIGHTS, vals[:, 1::2])
+    vals = f(nodes.reshape(-1))
+    vals = vals.reshape(vals.shape[:-1] + nodes.shape)
+    k15 = half * np.einsum("n,...pn->...p", _GK_WEIGHTS, vals)
+    g7 = half * np.einsum("n,...pn->...p", _G7_WEIGHTS, vals[..., 1::2])
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive_panels(f, lo: float, hi: float, abs_tol: float, rel_tol: float,
-                     max_panels: int):
-    """Globally adaptive panel subdivision of the interval [lo, hi].
+def _adaptive_panels(f, panel_lo: np.ndarray, panel_hi: np.ndarray, k15: np.ndarray,
+                     err: np.ndarray, abs_tol: float, rel_tol: float, max_panels: int):
+    """Globally adaptive panel subdivision, continued from a pass over the
+    panels [panel_lo, panel_hi] whose Kronrod sums are k15 and error
+    estimates err.
 
-    f maps a vector of nodes to the integrand there. The first pass uses
-    _INITIAL_PANELS panels, or max_panels if fewer; then the panels with the
+    f maps a vector of nodes to the integrand there. The panels with the
     largest error estimates are split until the summed error meets the
     tolerances. Returns the integral; raises QuadratureToleranceError when
-    the panel budget runs out first.
+    the panel budget of max_panels runs out first.
     """
-    edges = np.linspace(lo, hi, min(_INITIAL_PANELS, max_panels) + 1)
-    panel_lo, panel_hi = edges[:-1], edges[1:]
-    k15, err = _panel_rule(f, panel_lo, panel_hi)
     while True:
         total = complex(k15.sum())
         total_err = float(err.sum())
@@ -126,20 +126,28 @@ _CHUNK_ENTRIES = 1 << 15
 
 def scf_quadrature(
     cluster: VmfCluster, d, wavelength: float, spec: QuadratureSpec | None = None
-) -> complex:
+):
     """Spatial correlation by direct numerical integration.
 
     Averages exp(j (2 pi / lam) doa . d) over the cluster's angular density in
     the frame of the mean direction: doa = (1 - s) mu + rho (cos a e1 + sin a e2)
     with rho = sqrt(s (2 - s)), where the density depends on s = 1 - cos(polar)
     alone. The outer integral over s is adaptively subdivided, the inner
-    azimuth average uses a trapezoid rule. Raises QuadratureToleranceError if
-    the requested accuracy cannot be certified or the point needs more work
-    than the oracle allows, and ValueError for concentrations beyond 1e6.
+    azimuth average uses a trapezoid rule. A 3-vector d gives a complex; an
+    array of shape (n, 3) gives a complex array of shape (n,), each entry
+    equal, bit for bit, to the call on its row alone.
+
+    Raises QuadratureToleranceError if the requested accuracy cannot be
+    certified or a point needs more work than the oracle allows, and
+    ValueError for concentrations beyond 1e6. Rows are checked in order: the
+    error raised is the first row's that fails, and no work is done on the
+    rows past one that exceeds the work bound.
     """
     if spec is None:
         spec = QuadratureSpec()
-    d = _as_displacement(d)
+    d = _as_displacement(d, batch=True)
+    if d.ndim > 2:
+        raise ValueError("displacements must be a 3-vector or an (n, 3) array in meters")
     _check_wavelength(wavelength)
     kappa = cluster.kappa
     if kappa > _MAX_QUADRATURE_KAPPA:
@@ -147,41 +155,84 @@ def scf_quadrature(
     k0 = TWO_PI / wavelength
     mean = cluster.mean_direction
     e1, e2 = _tangent_basis(mean)
-    along = k0 * float(mean @ d)
-    a1, a2 = k0 * float(e1 @ d), k0 * float(e2 @ d)
     # past s = 45 / kappa the density, and the tail mass left out, are below
     # e^-45 of the peak
     s_max = min(2.0, 45.0 / kappa) if kappa > 0.0 else 2.0
     rho_max = math.sqrt(s_max * (2.0 - s_max)) if s_max < 1.0 else 1.0
-    # The inner integrand exp(j z cos(a - a0)), z = rho hypot(a1, a2), is
-    # periodic and entire in a, so the m-point trapezoid rule is off by about
-    # 2 |J_m(z)| <= 2 (z / 2)^m / m!; m >= 2 z + 40 puts that below 1e-38.
-    m = 2 * math.ceil(math.hypot(a1, a2) * rho_max) + 40
-    if m * _GK_NODES.size * spec.max_subdivisions > _MAX_AZIMUTH_WORK:
-        raise QuadratureToleranceError(
-            f"{m} azimuth nodes on {spec.max_subdivisions} panels exceed the work bound",
-            estimate=complex(math.nan, math.nan), error=math.inf)
-    # Nodes a and a + pi carry opposite projections, so the rule's m phases
-    # pair into m / 2 cosines.
-    azimuth = TWO_PI / m * np.arange(m // 2)
-    projection = a1 * np.cos(azimuth) + a2 * np.sin(azimuth)
-    cols = min(projection.size, _CHUNK_ENTRIES)
-    rows = _CHUNK_ENTRIES // cols
     log_norm = math.log(kappa / -math.expm1(-2.0 * kappa)) if kappa > 0.0 else math.log(0.5)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        # density kappa e^(-kappa s) / (1 - e^(-2 kappa)) over s, times the
-        # phase along the mean, times the azimuth average
-        rho = np.sqrt(s * (2.0 - s))
-        inner = np.zeros(s.size)
-        for i in range(0, s.size, rows):
-            for j in range(0, projection.size, cols):
-                block = np.multiply.outer(rho[i:i + rows], projection[j:j + cols])
-                inner[i:i + rows] += np.cos(block, out=block).sum(axis=1)
-        return np.exp(log_norm - kappa * s + 1j * along * (1.0 - s)) * (inner / projection.size)
+    rows = np.ascontiguousarray(d).reshape(-1, 3)
+    along, a1, a2 = np.empty((3, len(rows)))
+    by_azimuths = {}  # azimuth count m -> the rows that take it, in order
+    refused = None
+    for i, row in enumerate(rows):
+        # each row's projections as the one-row call forms them; a matrix
+        # product over the rows rounds some of them differently
+        x, y = k0 * float(e1 @ row), k0 * float(e2 @ row)
+        along[i], a1[i], a2[i] = k0 * float(mean @ row), x, y
+        # The inner integrand exp(j z cos(a - a0)), z = rho hypot(a1, a2), is
+        # periodic and entire in a, so the m-point trapezoid rule is off by
+        # about 2 |J_m(z)| <= 2 (z / 2)^m / m!; m >= 2 z + 40 puts that below
+        # 1e-38.
+        m = 2 * math.ceil(math.hypot(x, y) * rho_max) + 40
+        if m * _GK_NODES.size * spec.max_subdivisions > _MAX_AZIMUTH_WORK:
+            refused = QuadratureToleranceError(
+                f"{m} azimuth nodes on {spec.max_subdivisions} panels exceed the work bound",
+                estimate=complex(math.nan, math.nan), error=math.inf)
+            rows = rows[:i]
+            break
+        by_azimuths.setdefault(m, []).append(i)
 
-    return _adaptive_panels(integrand, 0.0, s_max, spec.abs_tol, spec.rel_tol,
-                            spec.max_subdivisions)
+    def integrand(s: np.ndarray, along: np.ndarray, projection: np.ndarray) -> np.ndarray:
+        # density kappa e^(-kappa s) / (1 - e^(-2 kappa)) over s, times the
+        # phase along the mean, times the azimuth average, at the nodes s of
+        # each row of along (g,) and projection (g, m / 2); several rows come
+        # only in blocks whose nodes x azimuths fit in one chunk
+        rho = np.sqrt(s * (2.0 - s))
+        g, size = projection.shape
+        inner = np.zeros((g, s.size))
+        cols = min(size, _CHUNK_ENTRIES)
+        span = _CHUNK_ENTRIES // (g * cols)
+        for i in range(0, s.size, span):
+            for j in range(0, size, cols):
+                block = np.multiply(rho[i:i + span, None], projection[:, None, j:j + cols])
+                inner[:, i:i + span] += np.cos(block, out=block).sum(axis=-1)
+        return np.exp(log_norm - kappa * s + 1j * along[:, None] * (1.0 - s)) * (inner / size)
+
+    # The first adaptive pass of every row, a block of rows of one azimuth
+    # count at a time; the rows it leaves short of the tolerance are then
+    # refined one at a time, in order.
+    edges = np.linspace(0.0, s_max, min(_INITIAL_PANELS, spec.max_subdivisions) + 1)
+    panel_lo, panel_hi = edges[:-1], edges[1:]
+    nodes = panel_lo.size * _GK_NODES.size
+    values = np.empty(len(rows), dtype=complex)
+    unmet = {}
+    for m, members in by_azimuths.items():
+        # Nodes a and a + pi carry opposite projections, so the rule's m
+        # phases pair into m / 2 cosines.
+        azimuth = TWO_PI / m * np.arange(m // 2)
+        cos_azimuth, sin_azimuth = np.cos(azimuth), np.sin(azimuth)
+        per_block = max(1, _CHUNK_ENTRIES // (nodes * azimuth.size))
+        for start in range(0, len(members), per_block):
+            part = np.array(members[start:start + per_block])
+            projection = a1[part, None] * cos_azimuth + a2[part, None] * sin_azimuth
+            k15, err = _panel_rule(lambda s: integrand(s, along[part], projection),
+                                   panel_lo, panel_hi)
+            # the first test of _adaptive_panels, row by row
+            total = k15.sum(axis=1)
+            allowed = np.maximum(spec.abs_tol,
+                                 spec.rel_tol * np.hypot(total.real, total.imag))
+            values[part] = total
+            for j in np.flatnonzero(~(err.sum(axis=1) <= allowed)):
+                unmet[part[j]] = (k15[j], err[j], projection[j:j + 1])
+    for i in sorted(unmet):
+        k15, err, projection = unmet[i]
+        values[i] = _adaptive_panels(
+            lambda s: integrand(s, along[i:i + 1], projection)[0], panel_lo, panel_hi,
+            k15, err, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
+    if refused is not None:
+        raise refused
+    return complex(values[0]) if d.ndim == 1 else values
 
 
 @dataclass(frozen=True)

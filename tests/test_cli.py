@@ -586,6 +586,15 @@ class TestWriterBytes:
              "x_over_lambda": _grid(-1.0, 1.0, 5), "y_over_lambda": _grid(-1.0, 1.0, 5)},
             {"csv": "933f55d344d189ddf2f57bc66667a4fbb6bf1ac96f1b3b6e57a50c7f6e996664",
              "json": "eb91d138c5870a253b507bb38f0c2c7a741063d3d1a14716162c4bafa19dd75d"}),
+        # as written while the quadrature oracle took one point per call
+        "validate": (
+            {"mode": "validate"},
+            {"csv": "25ee619bf5a74902db85ccf80627fc7eb812a410c8de0b49c863e885318e0b4a",
+             "json": "f772d12da01bcbaea7e3c5bd70cf82bf5ced91ffdc67afc7594d15431eb55034"}),
+        "validate/radar-kappas": (
+            {"mode": "validate", "kappas": [2e4, 2e5, 1e6], "tolerance": 1e-12},
+            {"csv": "160f09ece06880840f2f8fdcc3f19aeecfda9d2e2789bfe7586fcd66553d7f50",
+             "json": "b7b667e1d584d7257c806d98649b46ed800be8a16a974fc73018a17b18cf855f"}),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -58,8 +58,9 @@ class TestQuadrature:
                 assert gap < 1e-9
 
     def test_concentration_limit(self):
-        with pytest.raises(ValueError):
-            scf_quadrature(VmfCluster(0, 0, 2e6), (0, 0, 0), LAM)
+        for d in ((0, 0, 0), np.zeros((3, 3))):
+            with pytest.raises(ValueError):
+                scf_quadrature(VmfCluster(0, 0, 2e6), d, LAM)
         assert abs(scf_quadrature(VmfCluster(0, 0, 1e6), (0, 0, 0), LAM) - 1.0) < 1e-10
 
     def test_work_bound(self):
@@ -93,6 +94,100 @@ class TestQuadrature:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+class TestQuadratureBatch:
+    CLUSTER = VmfCluster(0.3, 0.2, 10.0)
+    # max_subdivisions 64 admits the fifth row's 68,040 azimuth nodes, 34,020
+    # cosines per node, more than oracles._CHUNK_ENTRIES
+    SPEC = QuadratureSpec(abs_tol=1e-3, rel_tol=1e-3, max_subdivisions=64)
+    # Rows at 3, 10 and 30 wavelengths on one slant, the first negated, zero,
+    # far off the mean, and along the mean; several azimuth counts, two rows
+    # sharing one, and the 10 and 30 wavelength and far rows refined past the
+    # first pass.
+    ROWS = np.array([
+        [0.4919270032410835, 0.15217085426429774, 1.0839058329000362],
+        [0.0, 0.0, 0.0],
+        [1.639756677470278, 0.5072361808809924, 3.61301944300012],
+        [-0.4919270032410835, -0.15217085426429774, -1.0839058329000362],
+        [-639.6556227621928, 2067.832734021398, 0.0],
+        [0.7490346908673594, 0.23170358210041245, 0.158935464636049],
+        [4.919270032410834, 1.5217085426429773, 10.83905832900036],
+    ])
+    # float.hex of rows 1, 4 and 6 as the one-point-per-call oracle gave them
+    PINNED = {
+        1: ("0x1.fffffffffffe5p-1", "0x0.0p+0"),
+        4: ("-0x1.42ba7c0b7b265p-11", "-0x1.73a219d6f8e3ep-53"),
+        6: ("-0x1.19871e1a944d2p-13", "-0x1.fb8a38b128e0bp-11"),
+    }
+
+    def test_rows_equal_one_row_calls(self):
+        batch = scf_quadrature(self.CLUSTER, self.ROWS, LAM, self.SPEC)
+        assert batch.shape == (len(self.ROWS),)
+        singles = [scf_quadrature(self.CLUSTER, row, LAM, self.SPEC) for row in self.ROWS]
+        assert all(type(value) is complex for value in singles)
+        assert [(v.real.hex(), v.imag.hex()) for v in batch.tolist()] == [
+            (v.real.hex(), v.imag.hex()) for v in singles]
+        for i, pinned in self.PINNED.items():
+            assert (batch[i].real.hex(), batch[i].imag.hex()) == pinned
+
+    def test_first_pass_leaves_rows_to_refine(self, monkeypatch):
+        # the batch needs one first pass per block of rows, and refinement
+        # passes for rows 2, 4 and 6 alone
+        seen = []
+        rule = oracles._panel_rule
+
+        def counted(f, lo, hi):
+            k15, err = rule(f, lo, hi)
+            seen.append(k15.shape)
+            return k15, err
+
+        monkeypatch.setattr(oracles, "_panel_rule", counted)
+        scf_quadrature(self.CLUSTER, self.ROWS, LAM, self.SPEC)
+        first = [shape for shape in seen if len(shape) == 2]
+        assert sum(rows for rows, _ in first) == len(self.ROWS)
+        assert len(seen) > len(first)
+
+    def test_tolerance_failure_before_work_bound_row(self):
+        cluster = VmfCluster(0.0, 0.0, 100.0)
+        spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=8)
+        _, transverse = _tangent_basis(cluster.mean_direction)
+        failing = (LAM, 0.0, 0.0)
+        with pytest.raises(QuadratureToleranceError) as scalar:
+            scf_quadrature(cluster, failing, LAM, spec)
+        # k0 |d| = 1e6 transverse needs 1.7e6 azimuth nodes on each of the 8
+        # panels' nodes, past the work bound
+        beyond = 1e6 / (TWO_PI / LAM) * transverse
+        with pytest.raises(QuadratureToleranceError, match="work bound"):
+            scf_quadrature(cluster, beyond, LAM, spec)
+        # d = 0 misses the tolerance too, with another error estimate
+        with pytest.raises(QuadratureToleranceError) as batch:
+            scf_quadrature(cluster, [failing, (0.0, 0.0, 0.0), beyond, failing], LAM, spec)
+        assert str(batch.value) == str(scalar.value)
+        assert "work bound" not in str(batch.value)
+        assert batch.value.estimate == scalar.value.estimate
+        assert batch.value.error == scalar.value.error
+
+    def test_work_bound_row_refused_before_any_work(self):
+        cluster = VmfCluster(0.3, 0.2, 1e6)
+        _, transverse = _tangent_basis(cluster.mean_direction)
+        beyond = cluster.kappa / (TWO_PI / LAM) * transverse
+        near = [(0.0, 0.0, 0.0), (LAM, 0.0, 0.0)]
+        started = time.perf_counter()
+        with pytest.raises(QuadratureToleranceError, match="work bound") as info:
+            scf_quadrature(cluster, [*near, beyond, *near * 200], LAM)
+        assert time.perf_counter() - started < 1.0
+        assert info.value.error == math.inf
+
+    @pytest.mark.parametrize("d", [np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3)),
+                                   [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0)],
+                                   (math.inf, 0.0, 0.0)])
+    def test_rejects_malformed_displacements(self, d):
+        with pytest.raises(ValueError):
+            scf_quadrature(self.CLUSTER, d, LAM)
+
+    def test_empty_batch(self):
+        assert scf_quadrature(self.CLUSTER, np.zeros((0, 3)), LAM).shape == (0,)
 
 
 class TestEnsemble:
