@@ -28,17 +28,25 @@ class ArrayGeometry:
         if not 0 <= self.reference_index < positions.shape[0]:
             raise ValueError(f"reference_index {self.reference_index} out of range")
         # a chunk of rows at a time against the elements after the chunk's
-        # first, so the distances held stay O(n * chunk); components lead,
-        # which reduces faster and rounds each norm the same way
+        # first, so the distances held stay O(n * chunk); the squared
+        # distances are summed in np.linalg.norm's order, and sqrt is
+        # monotone, so the root of their minimum is the least norm
         n = positions.shape[0]
-        columns = positions.T
+        x, y, z = positions.T
         chunk = max(1, _PAIR_CHUNK // n)
         for start in range(0, n - 1, chunk):
-            deltas = columns[:, start:start + chunk, None] - columns[:, None, start + 1:]
-            dist = np.linalg.norm(deltas, axis=0)
-            # below the diagonal: pairs with an element before the row's own
-            dist[np.tri(*dist.shape, -1, dtype=bool)] = np.inf
-            if dist.min() < _MIN_ELEMENT_SEPARATION:
+            rows = slice(start, start + chunk)
+            squared = np.subtract.outer(x[rows], x[start + 1:])
+            squared *= squared
+            for axis in (y, z):
+                delta = np.subtract.outer(axis[rows], axis[start + 1:])
+                delta *= delta
+                squared += delta
+            # below the diagonal, which runs through the chunk's own columns:
+            # pairs with an element before the row's own
+            own = squared[:, :len(squared)]
+            own[np.tri(*own.shape, -1, dtype=bool)] = np.inf
+            if math.sqrt(squared.min()) < _MIN_ELEMENT_SEPARATION:
                 raise ValueError("two elements are closer than 1e-9 m")
         positions.setflags(write=False)
         object.__setattr__(self, "positions", positions)

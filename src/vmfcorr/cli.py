@@ -556,18 +556,34 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _ROWS_PER_WRITE = 8192
 
 
+def _distinct(column):
+    """The sorted distinct entries of a column and each entry's index among
+    them. Floats are told apart by bit pattern."""
+    if column.dtype.kind == "i" and len(column):
+        low = int(column.min())
+        span = int(column.max()) - low + 1  # as Python ints: int64 extremes do not wrap
+        if span <= len(column):
+            # no more values in range than rows: mark each one present, in
+            # order, instead of sorting the column
+            offsets = column - low
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offsets]
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct.view(column.dtype), inverse
+
+
 def _column_text(column, spelling, opening, close):
     """The text of each entry of a column, as an object array: its repr, or
     the dict spelling's entry for that repr, between opening and close.
 
-    Each distinct entry is formatted once. Floats are told apart by bit
-    pattern, so -0.0 and 0.0 keep their own text.
+    Each distinct entry is formatted once, so -0.0 and 0.0 keep their own
+    text.
     """
-    keys = column.view(np.int64) if column.dtype == np.float64 else column
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct, inverse = _distinct(column)
     # tolist gives Python ints for index columns and floats for the rest
-    text = [opening + spelling.get(t, t) + close
-            for t in map(repr, distinct.view(column.dtype).tolist())]
+    text = [opening + spelling.get(t, t) + close for t in map(repr, distinct.tolist())]
     return np.array(text, dtype=object)[inverse]
 
 

@@ -115,6 +115,53 @@ def _adaptive_panels(f, panel_lo: np.ndarray, panel_hi: np.ndarray, k15: np.ndar
         err = np.concatenate([err[keep], new_err])
 
 
+def _usable_cpus() -> int:
+    # the CPUs this process may run on; an affinity mask can make that fewer
+    # than os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(count: int, take, evaluate) -> None:
+    """Evaluate count work items on the calling thread and up to one helper
+    thread per further usable CPU, never more threads than items.
+
+    take() runs under one lock and returns the next item, or None once there
+    are none, so items are handed out in order whichever thread asks;
+    evaluate(item) runs outside the lock. The first exception raised by
+    either stops the hand-out and is raised here once every helper has been
+    joined.
+    """
+    lock = threading.Lock()
+    errors = []
+
+    def next_item():
+        with lock:
+            return None if errors else take()
+
+    def work():
+        try:
+            while (item := next_item()) is not None:
+                evaluate(item)
+        except BaseException as exc:  # raised again by the calling thread
+            with lock:
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), count) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 _MAX_QUADRATURE_KAPPA = 1e6
 # Bound on m * 15 * max_subdivisions: the azimuth count times the nodes of the
 # panel budget. An adaptive run evaluates fewer than four times the budget's
@@ -136,6 +183,12 @@ def scf_quadrature(
     azimuth average uses a trapezoid rule. A 3-vector d gives a complex; an
     array of shape (n, 3) gives a complex array of shape (n,), each entry
     equal, bit for bit, to the call on its row alone.
+
+    The first adaptive pass runs over blocks of rows on every CPU the process
+    may use, as scf_montecarlo's blocks do; each block writes only its own
+    rows, so the result is bit-identical for any CPU count. The rows that
+    pass leaves short of the tolerance are refined on the calling thread, in
+    order.
 
     Raises QuadratureToleranceError if the requested accuracy cannot be
     certified or a point needs more work than the oracle allows, and
@@ -187,44 +240,58 @@ def scf_quadrature(
         # density kappa e^(-kappa s) / (1 - e^(-2 kappa)) over s, times the
         # phase along the mean, times the azimuth average, at the nodes s of
         # each row of along (g,) and projection (g, m / 2); several rows come
-        # only in blocks whose nodes x azimuths fit in one chunk
+        # only in blocks whose nodes x azimuths fit in one chunk. A row whose
+        # projections are all zero averages m / 2 cosines of 0, exactly 1.
         rho = np.sqrt(s * (2.0 - s))
-        g, size = projection.shape
-        inner = np.zeros((g, s.size))
-        cols = min(size, _CHUNK_ENTRIES)
-        span = _CHUNK_ENTRIES // (g * cols)
-        for i in range(0, s.size, span):
-            for j in range(0, size, cols):
-                block = np.multiply(rho[i:i + span, None], projection[:, None, j:j + cols])
-                inner[:, i:i + span] += np.cos(block, out=block).sum(axis=-1)
-        return np.exp(log_norm - kappa * s + 1j * along[:, None] * (1.0 - s)) * (inner / size)
+        size = projection.shape[1]
+        average = np.ones((len(projection), s.size))
+        live = projection.any(axis=1)
+        if live.any():
+            projection = projection[live]
+            g = len(projection)
+            inner = np.zeros((g, s.size))
+            cols = min(size, _CHUNK_ENTRIES)
+            span = _CHUNK_ENTRIES // (g * cols)
+            for i in range(0, s.size, span):
+                for j in range(0, size, cols):
+                    block = np.multiply(rho[i:i + span, None], projection[:, None, j:j + cols])
+                    inner[:, i:i + span] += np.cos(block, out=block).sum(axis=-1)
+            average[live] = inner / size
+        return np.exp(log_norm - kappa * s + 1j * along[:, None] * (1.0 - s)) * average
 
     # The first adaptive pass of every row, a block of rows of one azimuth
-    # count at a time; the rows it leaves short of the tolerance are then
-    # refined one at a time, in order.
+    # count at a time, on every usable CPU; each block writes only its rows.
+    # The rows it leaves short of the tolerance are then refined one at a
+    # time, in order, on the calling thread.
     edges = np.linspace(0.0, s_max, min(_INITIAL_PANELS, spec.max_subdivisions) + 1)
     panel_lo, panel_hi = edges[:-1], edges[1:]
     nodes = panel_lo.size * _GK_NODES.size
-    values = np.empty(len(rows), dtype=complex)
-    unmet = {}
+    blocks = []  # (rows, cos a, sin a) of each block
     for m, members in by_azimuths.items():
         # Nodes a and a + pi carry opposite projections, so the rule's m
         # phases pair into m / 2 cosines.
         azimuth = TWO_PI / m * np.arange(m // 2)
         cos_azimuth, sin_azimuth = np.cos(azimuth), np.sin(azimuth)
         per_block = max(1, _CHUNK_ENTRIES // (nodes * azimuth.size))
-        for start in range(0, len(members), per_block):
-            part = np.array(members[start:start + per_block])
-            projection = a1[part, None] * cos_azimuth + a2[part, None] * sin_azimuth
-            k15, err = _panel_rule(lambda s: integrand(s, along[part], projection),
-                                   panel_lo, panel_hi)
-            # the first test of _adaptive_panels, row by row
-            total = k15.sum(axis=1)
-            allowed = np.maximum(spec.abs_tol,
-                                 spec.rel_tol * np.hypot(total.real, total.imag))
-            values[part] = total
-            for j in np.flatnonzero(~(err.sum(axis=1) <= allowed)):
-                unmet[part[j]] = (k15[j], err[j], projection[j:j + 1])
+        blocks += [(np.array(members[start:start + per_block]), cos_azimuth, sin_azimuth)
+                   for start in range(0, len(members), per_block)]
+    values = np.empty(len(rows), dtype=complex)
+    unmet = {}
+
+    def first_pass(block):
+        part, cos_azimuth, sin_azimuth = block
+        projection = a1[part, None] * cos_azimuth + a2[part, None] * sin_azimuth
+        k15, err = _panel_rule(lambda s: integrand(s, along[part], projection),
+                               panel_lo, panel_hi)
+        # the first test of _adaptive_panels, row by row
+        total = k15.sum(axis=1)
+        allowed = np.maximum(spec.abs_tol, spec.rel_tol * np.hypot(total.real, total.imag))
+        values[part] = total
+        for j in np.flatnonzero(~(err.sum(axis=1) <= allowed)):
+            unmet[part[j]] = (k15[j], err[j], projection[j:j + 1])
+
+    pending = iter(blocks)
+    _run_blocks(len(blocks), lambda: next(pending, None), first_pass)
     for i in sorted(unmet):
         k15, err, projection = unmet[i]
         values[i] = _adaptive_panels(
@@ -295,14 +362,6 @@ def transfer_function(ensemble: MultipathEnsemble, dr, wavelength: float) -> com
 _BLOCK_PATH_SAMPLES = 16384
 
 
-def _usable_cpus() -> int:
-    # the CPUs this process may run on; an affinity mask can make that fewer
-    # than os.cpu_count()
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def scf_montecarlo(
     cluster: VmfCluster,
     d,
@@ -360,48 +419,31 @@ def scf_montecarlo(
     u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     real = np.empty(n_realizations)
     imag = np.empty(n_realizations)
-    lock = threading.Lock()
-    errors = []
 
     def draw():
         # the next block's start and draws, or None once the blocks are
-        # done or a block has failed; under the lock, so the streams are
-        # read in block order whichever thread asks
-        with lock:
-            start = next(starts, None)
-            if start is None or errors:
-                return None
-            rows = min(block, n_realizations - start)
-            return (start, u_rng.random((rows, n_paths)),
-                    theta_rng.uniform(0.0, TWO_PI, (rows, n_paths)))
+        # done; under _run_blocks's lock, so the streams are read in block
+        # order whichever thread asks
+        start = next(starts, None)
+        if start is None:
+            return None
+        rows = min(block, n_realizations - start)
+        return (start, u_rng.random((rows, n_paths)),
+                theta_rng.uniform(0.0, TWO_PI, (rows, n_paths)))
 
-    def work():
-        try:
-            for start, u, theta in iter(draw, None):
-                w, sin_polar = _polar_transform(cluster.kappa, u)
-                # phase = along w + across sp cos(theta), in place
-                phase = np.multiply(w, along, out=w)
-                sin_polar *= across
-                sin_polar *= np.cos(theta, out=theta)
-                phase += sin_polar
-                stop = start + u.shape[0]
-                real[start:stop] = np.mean(np.cos(phase, out=theta), axis=-1)
-                imag[start:stop] = np.mean(np.sin(phase, out=phase), axis=-1)
-        except BaseException as exc:  # raised again by the calling thread
-            errors.append(exc)
+    def evaluate(item):
+        start, u, theta = item
+        w, sin_polar = _polar_transform(cluster.kappa, u)
+        # phase = along w + across sp cos(theta), in place
+        phase = np.multiply(w, along, out=w)
+        sin_polar *= across
+        sin_polar *= np.cos(theta, out=theta)
+        phase += sin_polar
+        stop = start + u.shape[0]
+        real[start:stop] = np.mean(np.cos(phase, out=theta), axis=-1)
+        imag[start:stop] = np.mean(np.sin(phase, out=phase), axis=-1)
 
-    helpers = []
-    try:
-        for _ in range(min(_usable_cpus(), len(blocks)) - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    _run_blocks(len(blocks), draw, evaluate)
     estimate = complex(np.mean(real), np.mean(imag))
     spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     std_error = math.sqrt(spread / (n_realizations * (n_realizations - 1)))

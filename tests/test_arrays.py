@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,72 @@ class TestArrayGeometry:
         positions[-1] = positions[-2]
         with pytest.raises(ValueError, match="closer than 1e-9 m"):
             ArrayGeometry(positions=positions)
+
+    @staticmethod
+    def _separated_by_norm(positions):
+        # the check as np.linalg.norm of every pair's difference makes it
+        deltas = positions.T[:, :, None] - positions.T[:, None, :]
+        dist = np.linalg.norm(deltas, axis=0)
+        dist[np.tri(len(positions), dtype=bool)] = np.inf
+        return not dist.min() < 1e-9
+
+    @staticmethod
+    def _separated(positions):
+        try:
+            ArrayGeometry(positions=positions)
+        except ValueError:
+            return False
+        return True
+
+    def test_separation_a_few_ulp_from_the_threshold(self):
+        # a pair 1e-9 m apart along an axis, along a diagonal and at an
+        # offset where the subtraction rounds, give or take up to 4 ulp
+        outcomes = set()
+        for direction in ((1.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.3, -0.4, 1.2)):
+            unit = np.array(direction) / np.linalg.norm(direction)
+            for origin in ((0.0, 0.0, 0.0), (0.1, 0.2, 0.3), (3.0, -7.0, 1e3)):
+                for steps in range(-4, 5):
+                    gap = 1e-9
+                    for _ in range(abs(steps)):
+                        gap = np.nextafter(gap, math.copysign(1.0, steps))
+                    positions = np.array([origin, np.add(origin, gap * unit), (5.0, 5.0, 5.0)])
+                    separated = self._separated(positions)
+                    assert separated == self._separated_by_norm(positions)
+                    outcomes.add(separated)
+        assert outcomes == {True, False}
+
+    def test_separation_matches_norm_on_random_geometries(self):
+        # 300 geometries of 2 to 300 elements (several row chunks for the
+        # larger ones), a third with one pair moved to about 1e-9 m apart
+        rng = np.random.default_rng(97)
+        outcomes = set()
+        for index in range(300):
+            n = int(rng.integers(2, 301)) if index % 10 == 0 else int(rng.integers(2, 30))
+            positions = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 3)
+            if index % 3 == 0:
+                i, j = rng.choice(n, 2, replace=False)
+                step = rng.normal(size=3)
+                positions[j] = positions[i] + step / np.linalg.norm(step) * rng.uniform(0.9e-9, 1.1e-9)
+            separated = self._separated(positions)
+            assert separated == self._separated_by_norm(positions)
+            outcomes.add(separated)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("positions", [
+        [[1e200, 0.0, 0.0], [-1e200, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[1.5e308, 0.0, 0.0], [-1.5e308, 0.0, 0.0], [0.0, 1e-10, 0.0], [0.0, 0.0, 0.0]],
+    ])
+    def test_overflowing_coordinates_warn_as_norm_does(self, positions):
+        # squares (and, past 9e307, differences) overflow to inf in both forms
+        positions = np.array(positions)
+        with warnings.catch_warnings(record=True) as ours:
+            warnings.simplefilter("always")
+            separated = self._separated(positions)
+        with warnings.catch_warnings(record=True) as norm:
+            warnings.simplefilter("always")
+            assert separated == self._separated_by_norm(positions)
+        messages = {str(w.message) for w in ours}
+        assert messages and messages == {str(w.message) for w in norm}
 
     def test_reference_range(self):
         with pytest.raises(ValueError):

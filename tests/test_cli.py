@@ -20,6 +20,7 @@ from vmfcorr.cli import (
     SweepConfig,
     _ROWS_PER_WRITE,
     _complex_columns,
+    _distinct,
     _write_output,
     main,
     output_path,
@@ -557,6 +558,37 @@ class TestWriterBytes:
         for writer in (_write_output, _reference_write):
             out = tmp_path / f"{writer.__name__}.{fmt}"
             writer(SweepConfig(mode="scf-field", format=fmt, out=str(out)), header, columns)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    # index columns: empty, one row, negative values with repeats, a range
+    # exactly as long as the column, a gap wider than the column, int64
+    # extremes (whose range is past int64), and a 91 x 91 matrix's row and
+    # col, 8,281 rows across a write block
+    INDEX_COLUMNS = {
+        "empty": np.zeros(0, dtype=np.int64),
+        "one": np.array([7]),
+        "negative": np.array([-3, -1, -3, 0, -1, -2]),
+        "full-range": np.arange(-5, 5)[::-1],
+        "gap": np.array([5, 9, 5, 9]),
+        "extremes": np.array([-2**63, 2**63 - 1, 0, -2**63, 2**63 - 1]),
+        "matrix-rows": np.indices((91, 91))[0].ravel(),
+        "matrix-cols": np.indices((91, 91))[1].ravel(),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(INDEX_COLUMNS))
+    def test_index_columns_match_reference_writer(self, tmp_path, name, fmt):
+        column = self.INDEX_COLUMNS[name]
+        distinct, inverse = _distinct(column)
+        expected = np.unique(column, return_inverse=True)
+        assert distinct.tolist() == expected[0].tolist()
+        assert inverse.tolist() == expected[1].tolist()
+        header, columns = ["row", "col", "re"], [column, column[::-1], column / 3.0]
+        written = []
+        for writer in (_write_output, _reference_write):
+            out = tmp_path / f"{writer.__name__}.{fmt}"
+            writer(SweepConfig(mode="array-matrix", format=fmt, out=str(out)), header, columns)
             written.append(out.read_bytes())
         assert written[0] == written[1]
 

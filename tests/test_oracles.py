@@ -189,6 +189,124 @@ class TestQuadratureBatch:
     def test_empty_batch(self):
         assert scf_quadrature(self.CLUSTER, np.zeros((0, 3)), LAM).shape == (0,)
 
+    # float.hex of rows whose projections off the mean are all zero (d = 0
+    # and d along the mean (1, 0, 0)) or below the smallest subnormal, as the
+    # oracle gave them while it still summed the cosines of 0; at kappa 1e6
+    # all five rows take 40 azimuth nodes, so the tiny rows share a block
+    # with the zero ones
+    ZERO_ROWS = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-3.1, 0.0, 0.0],
+                          [0.3, 5e-324, 0.0], [0.3, 0.0, -5e-324]])
+    ZERO_PINNED = {
+        10.0: [("0x1.fffffffffffe5p-1", "0x0.0p+0"),
+               ("-0x1.fdb3e4c002e20p-2", "-0x1.cf8d777265f3fp-2"),
+               ("-0x1.938f71e278b00p-3", "0x1.4b80a7f8ffea2p-5"),
+               ("-0x1.8adceac0f4091p-2", "-0x1.a2f66d975fcc5p-1"),
+               ("-0x1.8adceac0f4091p-2", "-0x1.a2f66d975fcc5p-1")],
+        1e6: [("0x1.fffffffffffe1p-1", "0x0.0p+0"),
+              ("-0x1.70f343909452ep-17", "-0x1.fffffffef6200p-1"),
+              ("-0x1.987b0abe664d7p-15", "0x1.ffffffeba1ba9p-1"),
+              ("-0x1.3c3e39e9fb1b7p-18", "-0x1.ffffffffcf290p-1"),
+              ("-0x1.3c3e39e9fb1b7p-18", "-0x1.ffffffffcf290p-1")],
+    }
+
+    @pytest.mark.parametrize("kappa", sorted(ZERO_PINNED))
+    def test_zero_projection_rows(self, kappa):
+        cluster = VmfCluster(0.0, 0.0, kappa)
+        assert cluster.mean_direction.tolist() == [1.0, 0.0, 0.0]
+        batch = scf_quadrature(cluster, self.ZERO_ROWS, LAM)
+        singles = [scf_quadrature(cluster, row, LAM) for row in self.ZERO_ROWS]
+        for values in (batch.tolist(), singles):
+            assert [(v.real.hex(), v.imag.hex()) for v in values] == self.ZERO_PINNED[kappa]
+
+    @staticmethod
+    def _many_blocks():
+        # rows out to 6 wavelengths across the mean, each its own azimuth
+        # count, and rows at 0.03 wavelengths sharing one: 36 blocks
+        _, transverse = _tangent_basis(TestQuadratureBatch.CLUSTER.mean_direction)
+        rows = [j * 0.2 * LAM * transverse for j in range(1, 31)]
+        rows += [0.03 * LAM * transverse] * 36
+        return np.array(rows)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_cpu_count(self, monkeypatch, helper_starts, cpus):
+        # the first pass runs on the calling thread and cpus - 1 helpers,
+        # never more threads than blocks, and gives the one-row calls' values
+        # and the pinned ones whichever thread takes which block
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+        batch = scf_quadrature(self.CLUSTER, self.ROWS, LAM, self.SPEC)
+        for i, pinned in self.PINNED.items():
+            assert (batch[i].real.hex(), batch[i].imag.hex()) == pinned
+        many = self._many_blocks()
+        first_passes = []
+        rule = oracles._panel_rule
+
+        def counted(f, lo, hi):
+            k15, err = rule(f, lo, hi)
+            if k15.ndim == 2:
+                first_passes.append(k15.shape[0])
+            return k15, err
+
+        monkeypatch.setattr(oracles, "_panel_rule", counted)
+        del helper_starts[:]
+        values = scf_quadrature(self.CLUSTER, many, LAM)
+        assert len(first_passes) == 36
+        assert len(helper_starts) == min(cpus, 36) - 1
+        monkeypatch.setattr(oracles, "_panel_rule", rule)
+        with monkeypatch.context() as serial:
+            serial.setattr(oracles, "_usable_cpus", lambda: 1)
+            singles = [scf_quadrature(self.CLUSTER, row, LAM) for row in many]
+        assert [(v.real.hex(), v.imag.hex()) for v in values.tolist()] == [
+            (v.real.hex(), v.imag.hex()) for v in singles]
+
+    def test_blocks_under_fast_thread_switching(self, monkeypatch):
+        # eight threads switching every 10 us: rows written by the wrong
+        # block, or a refinement taken from another block's pass, would move
+        # the result
+        many = self._many_blocks()
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 1)
+        serial = scf_quadrature(self.CLUSTER, many, LAM)
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = scf_quadrature(self.CLUSTER, many, LAM)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.tobytes() == serial.tobytes()
+
+    def test_one_block_starts_no_thread(self, monkeypatch, helper_starts):
+        # three rows of one azimuth count fit in one block
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 8)
+        scf_quadrature(self.CLUSTER, np.zeros((3, 3)), LAM)
+        scf_quadrature(self.CLUSTER, self.ROWS[0], LAM)
+        assert helper_starts == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_block_error_raised_after_the_helpers_finish(self, monkeypatch, helper_starts,
+                                                         cpus):
+        calls = []
+        lock = threading.Lock()
+        rule = oracles._panel_rule
+
+        def failing(f, lo, hi):
+            with lock:
+                calls.append(None)
+                if len(calls) == 3:
+                    raise FloatingPointError("third block")
+            return rule(f, lo, hi)
+
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(oracles, "_panel_rule", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="third block"):
+            scf_quadrature(self.CLUSTER, self._many_blocks(), LAM)
+        assert len(helper_starts) == cpus - 1
+        assert not any(helper.is_alive() for helper in helper_starts)
+        assert threading.active_count() == before
+        # the other threads stopped at their next block, long before the
+        # last of the 36
+        assert len(calls) < 36
+
 
 class TestEnsemble:
     def test_unit_power(self):
@@ -361,7 +479,7 @@ def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
 
 @pytest.fixture
 def helper_starts(monkeypatch):
-    # the threads scf_montecarlo starts, counted by wrapping threading.Thread
+    # the threads the oracles start, counted by wrapping threading.Thread
     started = []
 
     class Counted(threading.Thread):
