@@ -1,7 +1,8 @@
 """Independent verification paths for the closed-form correlation results.
 
-Two routes that never touch the closed form: two-dimensional quadrature of
-the plane-wave phase averaged over the angular density, and a
+Two routes that never touch the closed form: quadrature of the plane-wave
+phase averaged over the angular density, one-dimensional with the average
+over the azimuth around the mean taken in closed form as a Bessel J0, and a
 Monte-Carlo multipath ensemble built from the generative channel sum.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _as_displacement, _check_wavelength
+from .correlation import _as_displacement, _check_wavelength, _dot
 from .vmf import TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
@@ -163,12 +164,53 @@ def _run_blocks(count: int, take, evaluate) -> None:
 
 
 _MAX_QUADRATURE_KAPPA = 1e6
-# Bound on m * 15 * max_subdivisions: the azimuth count times the nodes of the
-# panel budget. An adaptive run evaluates fewer than four times the budget's
-# panels, so no accepted point costs more than a few seconds.
-_MAX_AZIMUTH_WORK = 10**8
-# Node x azimuth entries evaluated at once (256 kB of doubles).
+# Row x node entries of the first adaptive pass evaluated at once.
 _CHUNK_ENTRIES = 1 << 15
+
+# Cephes j0.c: for x <= 5, J0(x) = (z - DR1)(z - DR2) RP(z) / RQ(z) with z = x^2,
+# DR1 and DR2 the squares of the first two zeros; above 5,
+# J0(x) = sqrt(2 / (pi x)) (P cos(x - pi/4) - (5 / x) Q sin(x - pi/4)) with
+# P = PP(q) / PQ(q) and Q = QP(q) / QQ(q), q = 25 / x^2. Coefficients run from
+# the highest power down; a leading 1.0 is the one Cephes's p1evl implies.
+_J0_DR1, _J0_DR2 = 5.78318596294678452118e0, 3.04712623436620863991e1
+_J0_RP = (-4.79443220978201773821e9, 1.95617491946556577543e12, -2.49248344360967716204e14,
+          9.70862251047306323952e15)
+_J0_RQ = (1.0, 4.99563147152651017219e2, 1.73785401676374683123e5, 4.84409658339962045305e7,
+          1.11855537045356834862e10, 2.11277520115489217587e12, 3.10518229857422583814e14,
+          3.18121955943204943306e16, 1.71086294081043136091e18)
+_J0_PP = (7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
+          5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
+          9.99999999999999997821e-1)
+_J0_PQ = (9.24408810558863637013e-4, 8.56288474354474431428e-2, 1.25352743901058953537e0,
+          5.47097740330417105182e0, 8.76190883237069594232e0, 5.30605288235394617618e0,
+          1.00000000000000000218e0)
+_J0_QP = (-1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
+          -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
+          -5.14105326766599330220e1, -6.05014350600728481186e0)
+_J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+          7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
+          2.42005740240291393179e2)
+
+
+def _bessel_j0(x: np.ndarray) -> np.ndarray:
+    """The Bessel function J0 of each entry of x >= 0, by Cephes's rational
+    approximations (np.polyval is Cephes's polevl); J0(0) is exactly 1.
+    q = (5 / x)^2 in place of Cephes's 25 / (x x) keeps every finite x from
+    overflowing."""
+    value = np.empty_like(x)
+    near = x <= 5.0
+    z = x[near] * x[near]
+    value[near] = ((z - _J0_DR1) * (z - _J0_DR2) * np.polyval(_J0_RP, z)
+                   / np.polyval(_J0_RQ, z))
+    far = x[~near]
+    w = 5.0 / far
+    q = w * w
+    p = np.polyval(_J0_PP, q) / np.polyval(_J0_PQ, q)
+    q = np.polyval(_J0_QP, q) / np.polyval(_J0_QQ, q)
+    phase = far - 0.25 * math.pi
+    value[~near] = ((p * np.cos(phase) - w * q * np.sin(phase)) * math.sqrt(2.0 / math.pi)
+                    / np.sqrt(far))
+    return value
 
 
 def scf_quadrature(
@@ -179,22 +221,21 @@ def scf_quadrature(
     Averages exp(j (2 pi / lam) doa . d) over the cluster's angular density in
     the frame of the mean direction: doa = (1 - s) mu + rho (cos a e1 + sin a e2)
     with rho = sqrt(s (2 - s)), where the density depends on s = 1 - cos(polar)
-    alone. The outer integral over s is adaptively subdivided, the inner
-    azimuth average uses a trapezoid rule. A 3-vector d gives a complex; an
-    array of shape (n, 3) gives a complex array of shape (n,), each entry
-    equal, bit for bit, to the call on its row alone.
+    alone. The azimuth average is taken in closed form,
+    (1 / 2 pi) int exp(j z cos a) da = J0(z) (Abramowitz & Stegun 9.1.18),
+    with z = rho k0 |d across mu|, so the integral left is one-dimensional:
+    the density times exp(j k0 (mu . d) (1 - s)) J0(z) over s, by adaptively
+    subdivided Gauss-Kronrod panels. A 3-vector d gives a complex; an array of
+    shape (n, 3) gives a complex array of shape (n,), each entry equal, bit
+    for bit, to the call on its row alone.
 
-    The first adaptive pass runs over blocks of rows on every CPU the process
-    may use, as scf_montecarlo's blocks do; each block writes only its own
-    rows, so the result is bit-identical for any CPU count. The rows that
-    pass leaves short of the tolerance are refined on the calling thread, in
-    order.
+    The first adaptive pass runs over a block of rows at a time; the rows it
+    leaves short of the tolerance are then refined one at a time, in order.
 
     Raises QuadratureToleranceError if the requested accuracy cannot be
-    certified or a point needs more work than the oracle allows, and
-    ValueError for concentrations beyond 1e6. Rows are checked in order: the
-    error raised is the first row's that fails, and no work is done on the
-    rows past one that exceeds the work bound.
+    certified within the panel budget, with the error of the first row that
+    fails, or, before any work, if the phase k0 d of some row overflows (with
+    estimate nan and error inf); ValueError for concentrations beyond 1e6.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -211,94 +252,43 @@ def scf_quadrature(
     # past s = 45 / kappa the density, and the tail mass left out, are below
     # e^-45 of the peak
     s_max = min(2.0, 45.0 / kappa) if kappa > 0.0 else 2.0
-    rho_max = math.sqrt(s_max * (2.0 - s_max)) if s_max < 1.0 else 1.0
     log_norm = math.log(kappa / -math.expm1(-2.0 * kappa)) if kappa > 0.0 else math.log(0.5)
 
-    rows = np.ascontiguousarray(d).reshape(-1, 3)
-    along, a1, a2 = np.empty((3, len(rows)))
-    by_azimuths = {}  # azimuth count m -> the rows that take it, in order
-    refused = None
-    for i, row in enumerate(rows):
-        # each row's projections as the one-row call forms them; a matrix
-        # product over the rows rounds some of them differently
-        x, y = k0 * float(e1 @ row), k0 * float(e2 @ row)
-        along[i], a1[i], a2[i] = k0 * float(mean @ row), x, y
-        # The inner integrand exp(j z cos(a - a0)), z = rho hypot(a1, a2), is
-        # periodic and entire in a, so the m-point trapezoid rule is off by
-        # about 2 |J_m(z)| <= 2 (z / 2)^m / m!; m >= 2 z + 40 puts that below
-        # 1e-38.
-        m = 2 * math.ceil(math.hypot(x, y) * rho_max) + 40
-        if m * _GK_NODES.size * spec.max_subdivisions > _MAX_AZIMUTH_WORK:
-            refused = QuadratureToleranceError(
-                f"{m} azimuth nodes on {spec.max_subdivisions} panels exceed the work bound",
-                estimate=complex(math.nan, math.nan), error=math.inf)
-            rows = rows[:i]
-            break
-        by_azimuths.setdefault(m, []).append(i)
+    rows = d.reshape(-1, 3)
+    # a phase past the largest double leaves nothing to integrate; hypot, not
+    # the root of a sum of squares, overflows only where across itself does
+    with np.errstate(over="ignore", invalid="ignore"):
+        along = k0 * _dot(rows, mean)
+        across = k0 * np.hypot(_dot(rows, e1), _dot(rows, e2))
+    if not (np.isfinite(along).all() and np.isfinite(across).all()):
+        raise QuadratureToleranceError(
+            "the phase k0 d overflows", estimate=complex(math.nan, math.nan), error=math.inf)
 
-    def integrand(s: np.ndarray, along: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    def integrand(s: np.ndarray, part: slice) -> np.ndarray:
         # density kappa e^(-kappa s) / (1 - e^(-2 kappa)) over s, times the
         # phase along the mean, times the azimuth average, at the nodes s of
-        # each row of along (g,) and projection (g, m / 2); several rows come
-        # only in blocks whose nodes x azimuths fit in one chunk. A row whose
-        # projections are all zero averages m / 2 cosines of 0, exactly 1.
+        # each row in part
         rho = np.sqrt(s * (2.0 - s))
-        size = projection.shape[1]
-        average = np.ones((len(projection), s.size))
-        live = projection.any(axis=1)
-        if live.any():
-            projection = projection[live]
-            g = len(projection)
-            inner = np.zeros((g, s.size))
-            cols = min(size, _CHUNK_ENTRIES)
-            span = _CHUNK_ENTRIES // (g * cols)
-            for i in range(0, s.size, span):
-                for j in range(0, size, cols):
-                    block = np.multiply(rho[i:i + span, None], projection[:, None, j:j + cols])
-                    inner[:, i:i + span] += np.cos(block, out=block).sum(axis=-1)
-            average[live] = inner / size
-        return np.exp(log_norm - kappa * s + 1j * along[:, None] * (1.0 - s)) * average
+        return (np.exp(log_norm - kappa * s + 1j * along[part, None] * (1.0 - s))
+                * _bessel_j0(rho * across[part, None]))
 
-    # The first adaptive pass of every row, a block of rows of one azimuth
-    # count at a time, on every usable CPU; each block writes only its rows.
-    # The rows it leaves short of the tolerance are then refined one at a
-    # time, in order, on the calling thread.
     edges = np.linspace(0.0, s_max, min(_INITIAL_PANELS, spec.max_subdivisions) + 1)
     panel_lo, panel_hi = edges[:-1], edges[1:]
-    nodes = panel_lo.size * _GK_NODES.size
-    blocks = []  # (rows, cos a, sin a) of each block
-    for m, members in by_azimuths.items():
-        # Nodes a and a + pi carry opposite projections, so the rule's m
-        # phases pair into m / 2 cosines.
-        azimuth = TWO_PI / m * np.arange(m // 2)
-        cos_azimuth, sin_azimuth = np.cos(azimuth), np.sin(azimuth)
-        per_block = max(1, _CHUNK_ENTRIES // (nodes * azimuth.size))
-        blocks += [(np.array(members[start:start + per_block]), cos_azimuth, sin_azimuth)
-                   for start in range(0, len(members), per_block)]
+    per_block = max(1, _CHUNK_ENTRIES // (panel_lo.size * _GK_NODES.size))
     values = np.empty(len(rows), dtype=complex)
-    unmet = {}
-
-    def first_pass(block):
-        part, cos_azimuth, sin_azimuth = block
-        projection = a1[part, None] * cos_azimuth + a2[part, None] * sin_azimuth
-        k15, err = _panel_rule(lambda s: integrand(s, along[part], projection),
-                               panel_lo, panel_hi)
-        # the first test of _adaptive_panels, row by row
+    for start in range(0, len(rows), per_block):
+        part = slice(start, start + per_block)
+        k15, err = _panel_rule(lambda s: integrand(s, part), panel_lo, panel_hi)
+        # the first test of _adaptive_panels, row by row; the rows short of
+        # the tolerance are refined from there, in order
         total = k15.sum(axis=1)
         allowed = np.maximum(spec.abs_tol, spec.rel_tol * np.hypot(total.real, total.imag))
         values[part] = total
         for j in np.flatnonzero(~(err.sum(axis=1) <= allowed)):
-            unmet[part[j]] = (k15[j], err[j], projection[j:j + 1])
-
-    pending = iter(blocks)
-    _run_blocks(len(blocks), lambda: next(pending, None), first_pass)
-    for i in sorted(unmet):
-        k15, err, projection = unmet[i]
-        values[i] = _adaptive_panels(
-            lambda s: integrand(s, along[i:i + 1], projection)[0], panel_lo, panel_hi,
-            k15, err, spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
-    if refused is not None:
-        raise refused
+            row = slice(start + j, start + j + 1)
+            values[row] = _adaptive_panels(
+                lambda s: integrand(s, row)[0], panel_lo, panel_hi,
+                k15[j], err[j], spec.abs_tol, spec.rel_tol, spec.max_subdivisions)
     return complex(values[0]) if d.ndim == 1 else values
 
 
