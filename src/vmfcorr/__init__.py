@@ -54,7 +54,7 @@ from .vmf import (
     vmf_pdf,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ArrayGeometry",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import _as_displacement, _check_wavelength, _dot
-from .vmf import TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
+from .vmf import _HALF_PI, TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
 # the Gauss nodes are the odd-indexed Kronrod nodes).
@@ -122,45 +122,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _run_blocks(count: int, take, evaluate) -> None:
-    """Evaluate count work items on the calling thread and up to one helper
-    thread per further usable CPU, never more threads than items.
-
-    take() runs under one lock and returns the next item, or None once there
-    are none, so items are handed out in order whichever thread asks;
-    evaluate(item) runs outside the lock. The first exception raised by
-    either stops the hand-out and is raised here once every helper has been
-    joined.
-    """
-    lock = threading.Lock()
-    errors = []
-
-    def next_item():
-        with lock:
-            return None if errors else take()
-
-    def work():
-        try:
-            while (item := next_item()) is not None:
-                evaluate(item)
-        except BaseException as exc:  # raised again by the calling thread
-            with lock:
-                errors.append(exc)
-
-    helpers = []
-    try:
-        for _ in range(min(_usable_cpus(), count) - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
 
 
 _MAX_QUADRATURE_KAPPA = 1e6
@@ -371,26 +332,33 @@ def scf_montecarlo(
     build_ensemble spawns its own: u_rng, theta_rng = (default_rng(s) for s
     in SeedSequence(seed).spawn(2)). Realization i takes row i of each, the
     n_paths uniforms u_rng.random((n_realizations, n_paths))[i] and the
-    n_paths tangent angles theta_rng.uniform(0, 2 pi, (n_realizations,
-    n_paths))[i]. The phase is evaluated in the frame of the mean direction
-    mu without building the directions: with along = k0 (mu . d), across =
-    k0 |d - (mu . d) mu|, w from u by the sampler's polar transform and
-    sp = sqrt(1 - w^2), a path's phase is along w + across sp cos(theta),
-    theta measured from the transverse direction of d. A realization's term
-    is mean(cos phase) + j mean(sin phase). The rows are drawn and averaged
-    in blocks of about 16k path samples; each row rounds exactly as it
-    would alone, so seeded results do not depend on the block size, and
-    two displacements with the same along and across, such as rotations of
-    each other about mu, give equal results. They differ from the 0.2.x
-    releases, which measured theta from a fixed tangent basis and summed
-    exp(j k0 doa . d) over the directions.
+    n_paths tangent angles theta_rng.uniform(-pi / 2, pi / 2,
+    (n_realizations, n_paths))[i]. The phase is evaluated in the frame of
+    the mean direction mu without building the directions: with along =
+    k0 (mu . d), across = k0 |d - (mu . d) mu|, w from u by the sampler's
+    polar transform and sp = sqrt(1 - w^2), a path's phase relative to
+    along is along (w - 1) + across sp sin(phi). Over a half turn sin(phi)
+    has the arcsine law of the cosine of a uniform angle over a full turn,
+    and the shift keeps the phase short, of order 1 for a concentrated
+    cluster, where the trigonometric functions cost least. A realization's
+    term is mean(cos phase) + j mean(sin phase); the estimate is the mean of
+    the terms rotated once by exp(j along), and its standard error, which
+    the rotation leaves unchanged, is that of the terms. The rows are drawn
+    and averaged in blocks of about 16k path samples; each row rounds
+    exactly as it would alone, so seeded results do not depend on the block
+    size, and two displacements with the same along and across, such as
+    rotations of each other about mu, give equal results. They differ from
+    the 0.3.x releases, which drew theta over [0, 2 pi) and formed the
+    unshifted phase along w + across sp cos(theta).
 
     The blocks are evaluated on every CPU the process may use, by the
     calling thread and up to one helper thread per further CPU, never more
     threads than blocks. Blocks are drawn from the streams in block order
     and each writes only its own rows, so the result is bit-identical for
-    any CPU count. An exception raised in any block is raised by this call
-    once every helper has finished.
+    any CPU count. An exception raised in any block stops the hand-out of
+    blocks and is raised by this call once every helper has finished.
+
+    Raises ValueError, before any draw, if the phase k0 d overflows.
     """
     if n_realizations < 100:
         raise ValueError(f"at least 100 realizations are required, got {n_realizations}")
@@ -400,41 +368,68 @@ def scf_montecarlo(
     _check_wavelength(wavelength)
     k0 = TWO_PI / wavelength
     mean = cluster.mean_direction
-    projection = float(mean @ d)
-    along = k0 * projection
-    across = k0 * math.hypot(*(d - projection * mean))
+    with np.errstate(over="ignore", invalid="ignore"):
+        projection = float(mean @ d)
+        along = k0 * projection
+        across = k0 * math.hypot(*(d - projection * mean))
+    if not (math.isfinite(along) and math.isfinite(across)):
+        raise ValueError("the phase k0 d overflows")
     block = max(1, _BLOCK_PATH_SAMPLES // n_paths)
     blocks = range(0, n_realizations, block)
     starts = iter(blocks)
     u_rng, theta_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
     real = np.empty(n_realizations)
     imag = np.empty(n_realizations)
+    lock = threading.Lock()
+    errors = []
 
     def draw():
-        # the next block's start and draws, or None once the blocks are
-        # done; under _run_blocks's lock, so the streams are read in block
+        # the next block's start and draws, or None once the blocks are done
+        # or one has failed; under the lock, so the streams are read in block
         # order whichever thread asks
-        start = next(starts, None)
-        if start is None:
-            return None
-        rows = min(block, n_realizations - start)
-        return (start, u_rng.random((rows, n_paths)),
-                theta_rng.uniform(0.0, TWO_PI, (rows, n_paths)))
+        with lock:
+            start = None if errors else next(starts, None)
+            if start is None:
+                return None
+            rows = min(block, n_realizations - start)
+            return (start, u_rng.random((rows, n_paths)),
+                    theta_rng.uniform(-_HALF_PI, _HALF_PI, (rows, n_paths)))
 
-    def evaluate(item):
-        start, u, theta = item
+    def evaluate(start, u, phi):
+        # a function of its own, so that a thread holds none of a finished
+        # block's arrays while it draws the next
         w, sin_polar = _polar_transform(cluster.kappa, u)
-        # phase = along w + across sp cos(theta), in place
+        # phase = along (w - 1) + across sp sin(phi), in place
+        w -= 1.0
         phase = np.multiply(w, along, out=w)
         sin_polar *= across
-        sin_polar *= np.cos(theta, out=theta)
+        sin_polar *= np.sin(phi, out=phi)
         phase += sin_polar
         stop = start + u.shape[0]
-        real[start:stop] = np.mean(np.cos(phase, out=theta), axis=-1)
+        real[start:stop] = np.mean(np.cos(phase, out=phi), axis=-1)
         imag[start:stop] = np.mean(np.sin(phase, out=phase), axis=-1)
 
-    _run_blocks(len(blocks), draw, evaluate)
+    def work():
+        try:
+            while (item := draw()) is not None:
+                evaluate(*item)
+        except BaseException as exc:  # raised again by the calling thread
+            with lock:
+                errors.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(_usable_cpus(), len(blocks)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     estimate = complex(np.mean(real), np.mean(imag))
     spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     std_error = math.sqrt(spread / (n_realizations * (n_realizations - 1)))
-    return estimate, std_error
+    return estimate * complex(math.cos(along), math.sin(along)), std_error

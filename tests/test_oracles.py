@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -443,11 +444,33 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             scf_montecarlo(cluster, (0, 0, 0), LAM, n_paths=5, n_realizations=200)
 
+    @pytest.mark.parametrize("mu_phi, d, wavelength", [(0.0, (1e307, 0.0, 0.0), 0.1),
+                                                       (0.0, (0.0, 1e300, 0.0), 1e-10),
+                                                       (0.0, (0.0, 0.0, 0.0), 5e-324),
+                                                       (math.pi / 4, (1.5e308, 1.5e308, 0.0),
+                                                        1.0)])
+    def test_overflowing_phase_refused_before_any_draw(self, monkeypatch, helper_starts,
+                                                       mu_phi, d, wavelength):
+        # along or across past the largest double, k0 itself at a subnormal
+        # wavelength, or mu . d past it: refused before a stream is made or a
+        # helper started, without a floating-point warning
+        drawn = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: drawn.append(seed) or default_rng(seed))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the phase k0 d overflows"):
+                scf_montecarlo(VmfCluster(mu_phi, 0, 10), d, wavelength, 16, 100_000, 1)
+        assert drawn == [] and helper_starts == []
+
 
 def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
     # one realization at a time, each reading its row of the two spawned
-    # streams and spelling the polar transform and the mean-frame phase out:
-    # the reference the blocked evaluation must reproduce bit for bit
+    # streams and spelling the polar transform and the mean-frame phase out,
+    # shifted by along, with the tangent factor a sine over a half turn: the
+    # reference the blocked evaluation must reproduce bit for bit
     k0 = TWO_PI / wavelength
     kappa = cluster.kappa
     d = np.asarray(d, dtype=float)
@@ -460,17 +483,18 @@ def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
     imag = np.empty(n_realizations)
     for index in range(n_realizations):
         u = u_rng.random(n_paths)
-        theta = theta_rng.uniform(0.0, TWO_PI, n_paths)
+        phi = theta_rng.uniform(-0.5 * math.pi, 0.5 * math.pi, n_paths)
         if kappa == 0.0:
             w = 2.0 * u - 1.0
         else:
             w = np.clip(1.0 + np.log1p(u * math.expm1(-2.0 * kappa)) / kappa, -1.0, 1.0)
-        phase = along * w + across * np.sqrt(1.0 - w * w) * np.cos(theta)
+        phase = along * (w - 1.0) + across * np.sqrt(1.0 - w * w) * np.sin(phi)
         real[index] = np.mean(np.cos(phase))
         imag[index] = np.mean(np.sin(phase))
     estimate = complex(np.mean(real), np.mean(imag))
     spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
-    return estimate, math.sqrt(spread / (n_realizations * (n_realizations - 1)))
+    rotation = complex(math.cos(along), math.sin(along))
+    return estimate * rotation, math.sqrt(spread / (n_realizations * (n_realizations - 1)))
 
 
 @pytest.fixture
@@ -492,15 +516,15 @@ class TestMonteCarloBitIdentity:
         "cluster, d, n_paths, n_realizations, seed, expected",
         [
             (VmfCluster(0.3, -0.4, 10.0), (0.03, -0.02, 0.01), 64, 1000, 123456,
-             ((0.454210337377511 + 0.68030193784268j), 0.00227735961508785)),
+             ((0.4541724240710599 + 0.6800250349015263j), 0.0022637319086498448)),
             (VmfCluster(2.0, 1.2, 1e5), (0.01, 0.005, -0.012), 10, 100, 2**32 - 1,
-             ((0.7687063294476815 - 0.6395975811078858j), 7.687197409196084e-05)),
+             ((0.7686961894257021 - 0.6396097743852684j), 7.456829583039823e-05)),
             (VmfCluster(-1.0, 0.0, 0.0), (0.05, 0.0, 0.02), 13, 300, 7,
-             ((-0.08049932470353371 - 0.0023756742001057114j), 0.015142568804305324)),
+             ((-0.06679302481113022 - 0.022752441081014187j), 0.015039786399794466)),
         ],
     )
     def test_pinned_values(self, cluster, d, n_paths, n_realizations, seed, expected):
-        # values of the mean-frame contract introduced in 0.3.0
+        # values of the shifted half-turn contract introduced in 0.4.0
         assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed) == expected
 
     @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
