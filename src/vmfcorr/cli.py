@@ -223,6 +223,9 @@ def _read_clusters(r, kappa_swept=False):
 # Points per grid, and per scf-field (x times y): a million doubles is 8 MB
 # per column.
 _MAX_GRID_COUNT = 10**6
+# Largest |start| and |stop| of a grid in wavelength units (an *_over_lambda
+# key): the phase k0 |d| stays below 1e15, past which it keeps no correct digit.
+_MAX_WAVELENGTHS = 1e14
 
 
 def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
@@ -238,6 +241,9 @@ def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
         return r.fail(key, "stop must be >= start", default)
     if nonnegative and start < 0.0:
         return grid.fail("start", "must be >= 0", default)
+    if key.endswith("_over_lambda") and max(abs(start), abs(stop)) > _MAX_WAVELENGTHS:
+        end = "start" if abs(start) > _MAX_WAVELENGTHS else "stop"
+        return grid.fail(end, f"must lie in [-{_MAX_WAVELENGTHS:g}, {_MAX_WAVELENGTHS:g}]", default)
     return GridSpec(start, stop, count)
 
 

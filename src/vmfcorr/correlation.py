@@ -90,14 +90,22 @@ def _per_kappa(fn, kappa) -> np.ndarray:
     return table[np.searchsorted(distinct, kappa)]
 
 
+def _split_k0(d: np.ndarray, wavelength: float):
+    """(m, e, d 2^e) with 2 pi / lam = m 2^e by frexp. k0 d = m (d 2^e) exactly,
+    so the kernel sees d / lam only: squares of d 2^e stay ordinary where k0 |d|
+    is, and where k0^2 and |d|^2 are too, each product rounds as unscaled."""
+    _check_wavelength(wavelength)
+    m, e = math.frexp(TWO_PI / wavelength)
+    return m, e, np.ldexp(d, e)
+
+
 def _radicand(kappa, mean, d: np.ndarray, wavelength: float):
     """(w, a, b): the sinc radicand w = a - kappa^2 - 2j b and its exact parts
     a = (2 pi / lam)^2 |d|^2 and b = kappa (2 pi / lam) (mean . d), over d of
     shape (..., 3), with kappa (...) and mean (..., 3) broadcast against it."""
-    _check_wavelength(wavelength)
-    k0 = TWO_PI / wavelength
-    a = (k0 * k0) * _dot(d, d)
-    b = kappa * k0 * _dot(d, np.asarray(mean, dtype=float))
+    m, _, scaled = _split_k0(d, wavelength)
+    a = (m * m) * _dot(scaled, scaled)
+    b = kappa * m * _dot(scaled, np.asarray(mean, dtype=float))
     return np.asarray(a - _per_kappa(lambda k: k**2, kappa) - 2.0j * b), a, b
 
 
@@ -139,8 +147,8 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
 
     Each regime is one mask, taken per element: d = 0 gives exactly one,
     kappa = 0 the isotropic sinc, kappa above the sinh overflow threshold the
-    log-domain large-kappa form, and otherwise csinc_sqrt splits its series
-    and direct sin(z)/z.
+    log-domain large-kappa form, and otherwise kappa / sinh(kappa) times
+    csinc_sqrt's sin(z)/z.
     """
     d = _as_displacement(d, batch=True)
     kappa = np.asarray(kappa, dtype=float)
@@ -155,7 +163,9 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     large = live & (kappa > LARGE_KAPPA_THRESHOLD)
     moderate = live & ~isotropic & ~large
     if isotropic.any():
-        value[isotropic] = scf_isotropic(spread(np.sqrt(_dot(d, d)))[isotropic], wavelength)
+        _, e, scaled = _split_k0(d, wavelength)
+        distance = np.ldexp(np.sqrt(_dot(scaled, scaled)), -e)
+        value[isotropic] = scf_isotropic(spread(distance)[isotropic], wavelength)
     if large.any():
         value[large] = np.exp(_log_large_kappa(kappa, w, a, b, large))
     if moderate.any():
@@ -211,9 +221,9 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
 def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
     """Overflow-safe exact evaluation, equal to scf for any kappa > 0.
 
-    The large-kappa form plus the 1 - e^(-2 kappa) factor it drops, with the
-    series of csinc_sqrt inside |w| <= 0.25; serves as a cross-check of scf's
-    sinh path, which it shares no code with outside the series disc.
+    The large-kappa form plus the 1 - e^(-2 kappa) factor it drops, or scf's
+    sin(z)/z inside |w| <= 0.25, where log1p(-e^(-2jz)) would cancel; outside
+    it a cross-check of scf's sinh path, with which it shares no code.
     """
     kappa = cluster.kappa
     w, a, b = _radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength)

@@ -10,10 +10,9 @@ TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _TINY = sys.float_info.min  # smallest normal double
 
-# Power series of sinc(sqrt(w)) = sum_k (-w)^k / (2k+1)!; ten terms keep the
-# truncation error below 1e-16 for |w| <= 0.25.
+# Inside |w| <= _SERIES_RADIUS the log form of scf_exact_log cancels, and the
+# closed form is taken through csinc_sqrt instead.
 _SERIES_RADIUS = 0.25
-_SERIES_COEFFS = [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(10)]
 
 
 def direction_from_angles(phi: float, psi: float) -> np.ndarray:
@@ -110,18 +109,11 @@ def vmf_pdf(cluster: VmfCluster, phi, psi):
 
 def _tangent_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # e1 = helper x unit normalized, e2 = unit x e1, for the helper axis z,
-    # or x when unit is within about 26 degrees of a pole. Each cross product
-    # is spelled out with the products and differences np.cross forms, 0.0
-    # terms included, so signed zeros match; on a 3-vector np.cross costs
-    # several times the rest of the basis.
-    x, y, z = unit.tolist()
-    if abs(z) < 0.9:
-        e1 = np.array([0.0 * z - 1.0 * y, 1.0 * x - 0.0 * z, 0.0 * y - 0.0 * x])
-    else:
-        e1 = np.array([0.0 * z - 0.0 * y, 0.0 * x - 1.0 * z, 1.0 * y - 0.0 * x])
+    # or x when unit is within about 26 degrees of a pole.
+    helper = [0.0, 0.0, 1.0] if abs(unit[2]) < 0.9 else [1.0, 0.0, 0.0]
+    e1 = np.cross(helper, unit)
     e1 /= np.linalg.norm(e1)
-    a, b, c = e1.tolist()
-    return e1, np.array([y * c - z * b, z * a - x * c, x * b - y * a])
+    return e1, np.cross(unit, e1)
 
 
 def _polar_transform(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,11 +154,7 @@ def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
     e1, e2 = _tangent_basis(mean)
     along_e1 = sin_polar * np.cos(theta)
     along_e2 = sin_polar * np.sin(theta)
-    # one component at a time: a length-3 trailing broadcast is several
-    # times slower and rounds each component the same way
-    return np.stack(
-        [w * mean[k] + along_e1 * e1[k] + along_e2 * e2[k] for k in range(3)], axis=-1
-    )
+    return w[:, None] * mean + along_e1[:, None] * e1 + along_e2[:, None] * e2
 
 
 def mean_resultant_length(kappa: float) -> float:
@@ -191,21 +179,16 @@ def kappa_from_angular_width(delta_theta: float) -> float:
 def csinc_sqrt(w):
     """sinc of the square root, evaluated as an entire function of w.
 
-    Equals sum_k (-w)^k / (2k+1)!, so both square-root branches give the same
-    value. Small arguments use the power series to dodge the 0/0 at w = 0;
-    elsewhere sin(z)/z with z = sqrt(w). A scalar w gives a complex, an array
-    a complex array of the same shape.
+    sin(z)/z with z = sqrt(w), which is even in z, so both square-root
+    branches give the same value. The one special point is the removable
+    singularity at w = 0, where the value is exactly 1. A scalar w gives a
+    complex, an array a complex array of the same shape.
     """
     w = np.asarray(w, dtype=complex)
     if not np.all(np.isfinite(w)):
         raise ValueError("argument must be finite")
-    value = np.empty(w.shape, dtype=complex)
-    series = np.abs(w) <= _SERIES_RADIUS
-    small = w[series]
-    acc = np.zeros(small.shape, dtype=complex)
-    for coeff in reversed(_SERIES_COEFFS):
-        acc = acc * small + coeff
-    value[series] = acc
-    z = np.sqrt(w[~series])
-    value[~series] = np.sin(z) / z
+    z = np.sqrt(w)
+    zero = z == 0.0
+    z = np.where(zero, 1.0, z)  # a finite stand-in where w = 0, replaced below
+    value = np.where(zero, 1.0, np.sin(z) / z)
     return value.item() if value.ndim == 0 else value

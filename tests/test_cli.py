@@ -745,6 +745,46 @@ class TestMainExitCodes:
             doc["x_over_lambda"] = _grid(count=1)
         parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("name, key, end", [
+        ("validate", "d_over_lambda", "stop"), ("scf-curve/beta", "d_over_lambda", "stop"),
+        ("scf-field", "x_over_lambda", "start"), ("scf-field", "y_over_lambda", "stop"),
+    ])
+    def test_grid_past_1e14_wavelengths_is_a_config_error(self, tmp_path, capsys, name, key,
+                                                          end):
+        # past k0 |d| ~ 1e15 the phase keeps no correct digit; at 1e14
+        # wavelengths it stays below 8.9e14, an scf-field's x and y together
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv"}
+        sign = -1.0 if end == "start" else 1.0
+        for bound in (float(np.nextafter(1e14, math.inf)), 1e300):
+            doc[key] = _grid(**{end: sign * bound})
+            path = write_config(tmp_path / "c.json", doc)
+            assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: {key}.{end}: must lie in [-1e+14, 1e+14]\n")
+            assert not out.exists()
+        doc[key] = _grid(**{end: sign * 1e14})
+        path = write_config(tmp_path / "c.json", doc)
+        status = main([doc["mode"], "--config", path])
+        if doc["mode"] == "validate":  # the quadrature is not certified out there
+            assert status == EXIT_VALIDATION and not out.exists()
+        else:
+            assert status == EXIT_OK
+            cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+    def test_validate_past_the_grid_bound_is_a_config_error(self, tmp_path, capsys):
+        # the closed form's phase overflows at 1e300 wavelengths: refused on
+        # parse, before any evaluation
+        out = tmp_path / "out.csv"
+        doc = {"mode": "validate", "kappas": [10], "betas_deg": [30], "out": str(out),
+               "d_over_lambda": {"start": 1e300, "stop": 1e300, "count": 1}}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: d_over_lambda.start: must lie in [-1e+14, 1e+14]\n")
+        assert not out.exists()
+
     def test_field_point_count_too_large_is_a_config_error(self, tmp_path, capsys):
         # each count is allowed, but np.meshgrid would need 7.3 TiB for the field
         out = tmp_path / "out.csv"

@@ -4,10 +4,12 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from vmfcorr import (
+    SPEED_OF_LIGHT,
     DecorrelationNotFound,
     MotionState,
     VmfCluster,
@@ -25,7 +27,7 @@ from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _branch_sq
                                   _closed_form, _decorrelation_times, _radicand)
 from vmfcorr.vmf import TWO_PI, _log_kappa_over_sinh, csinc_sqrt
 
-from mp_reference import relative_error
+from mp_reference import reference_log, relative_error
 
 LAM = 0.3
 
@@ -439,6 +441,28 @@ class TestAcf:
         d = [float(2 * Fraction(dt) * Fraction(float(v))) for v in motion.velocity]
         assert relative_error(acf(cluster, motion, dt, LAM, monostatic=True), cluster, d,
                               LAM) < 1e-12
+
+
+class TestCarrierAt1e300Hz:
+    """At 1e300 Hz, k0 = 2.1e292 / m: k0^2 overflows and |d|^2 underflows,
+    while k0 |d| and R are ordinary numbers."""
+
+    LAM = SPEED_OF_LIGHT / 1e300
+
+    @pytest.mark.parametrize("kappa", [0.0, 1000.0])
+    def test_scf_and_acf_against_mpmath(self, kappa):
+        cluster = VmfCluster(0.4, 0.3, kappa)
+        rng = np.random.default_rng(41)
+        ds = rng.normal(size=(40, 3))
+        ds *= (rng.uniform(0.02, 3.0, 40) * self.LAM / np.linalg.norm(ds, axis=1))[:, None]
+        motion = MotionState(1.0, 0.7, 0.1)
+        dts = np.linspace(0.0, 3e-292, 4)
+        cases = [*zip(scf(cluster, ds, self.LAM), ds),
+                 *zip(acf(cluster, motion, dts, self.LAM), dts[:, None] * motion.velocity)]
+        for value, d in cases:
+            with mp.workdps(40):
+                reference = mp.exp(reference_log(cluster, d, self.LAM))
+                assert abs(mp.mpc(value) - reference) <= 1e-14, d
 
 
 class TestDecorrelationTime:

@@ -273,6 +273,22 @@ def test_radar_table_at_lag_grids_past_9e307_seconds(tmp_path):
         assert _brackets_crossing(scenario, t)
 
 
+def test_radar_table_at_a_1e300_hz_carrier(tmp_path):
+    # the wavelength is 3.0e-292 m: k0^2 overflows and the displacements'
+    # squares underflow, while the phase k0 |d| at the crossing is ordinary
+    out = tmp_path / "radar-table.csv"
+    doc = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e300,
+           "elevation_deg": 20.0, "widths_deg": [4.0, 0.25], "speeds_kmh": [40.0]}
+    assert run(parse_config(json.dumps(doc))) == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        width, speed, t = map(float, row.split(","))
+        scenario = replace(BASE, carrier_frequency=1e300, target_angular_width=math.radians(width),
+                           target_speed=speed / 3.6)
+        assert _brackets_crossing(scenario, t)
+
+
 def test_radar_table_kernel_call_budget(monkeypatch):
     # the pinned table: its windowed scan and four-level bisection take 8 kernel
     # calls over 11,228 points, where a whole-grid call and then one level per

@@ -236,16 +236,21 @@ class TestCsincSqrt:
             b = np.sin(-z) / (-z)
             assert abs(a - b) <= 1e-13 * abs(a)
 
-    def test_series_matches_direct_near_switchover(self):
+    def test_against_mpmath_over_the_disc(self):
+        # sin(z)/z on |w| <= 0.25 against 40 digits: half the points uniform
+        # over the disc, half with |w| log-uniform down to 1e-300, plus w = 0
+        # and the disc's four axis points
         rng = np.random.default_rng(9)
-        for _ in range(500):
-            radius = rng.uniform(0.05, 0.25)
-            angle = rng.uniform(0, 2 * math.pi)
-            w = radius * complex(math.cos(angle), math.sin(angle))
-            series = csinc_sqrt(w)
-            z = np.sqrt(complex(w))
-            direct = complex(np.sin(z) / z)
-            assert abs(series - direct) <= 1e-13 * abs(direct)
+        angles = rng.uniform(0.0, 2.0 * math.pi, 1000)
+        radii = np.concatenate([0.25 * np.sqrt(rng.random(500)),
+                                10.0 ** rng.uniform(-300.0, math.log10(0.25), 500)])
+        points = [*(radii * np.exp(1j * angles)), 0j, 0.25, -0.25, 0.25j, -0.25j]
+        values = csinc_sqrt(np.array(points))
+        with mp.workdps(40):
+            for w, value in zip(points, values):
+                z = mp.sqrt(mp.mpc(w))
+                reference = mp.sin(z) / z if z != 0 else mp.mpc(1)
+                assert abs(mp.mpc(value) - reference) <= 1e-15, w
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
