@@ -18,7 +18,7 @@ from .correlation import MotionState, _lag_displacement, scf, scf_multicluster
 from .oracles import (_MAX_QUADRATURE_KAPPA, QuadratureSpec, QuadratureToleranceError,
                       scf_quadrature)
 from .radar import SPEED_OF_LIGHT, RadarScenario, decorrelation_table
-from .vmf import VmfCluster, _tangent_basis, direction_from_angles
+from .vmf import VmfCluster, _tangent_basis, direction_from_angles, kappa_from_angular_width
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,20 +156,20 @@ class _Reader:
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 return self.fail(key, "must be an integer", default)
-            if minimum is not None and value < minimum:
-                return self.fail(key, f"must be >= {minimum}", default)
-            if maximum is not None and value > maximum:
-                return self.fail(key, f"must be <= {maximum}", default)
-            return value
-        if not _is_number(value):
+        elif not _is_number(value):
             return self.fail(key, "must be a number", default)
-        value = _to_float(value)
-        if not math.isfinite(value):
-            return self.fail(key, "must be finite", default)
-        if positive and value <= 0.0:
-            return self.fail(key, "must be > 0", default)
-        if nonnegative and value < 0.0:
-            return self.fail(key, "must be >= 0", default)
+        else:
+            value = _to_float(value)
+            if not math.isfinite(value):
+                return self.fail(key, "must be finite", default)
+            if positive and value <= 0.0:
+                return self.fail(key, "must be > 0", default)
+            if nonnegative and value < 0.0:
+                return self.fail(key, "must be >= 0", default)
+        if minimum is not None and value < minimum:
+            return self.fail(key, f"must be >= {minimum}", default)
+        if maximum is not None and value > maximum:
+            return self.fail(key, f"must be <= {maximum}", default)
         return value
 
     def close(self):
@@ -187,7 +187,7 @@ def _read_cluster(block, kappa_swept=False, direction_only=False):
     if kappa_swept and block.has("kappa"):
         block.fail("kappa", "cannot be combined with 'kappas', which sets each curve's kappa")
     kappa = 0.0 if direction_only or kappa_swept else block.read(
-        "kappa", float, required=True, nonnegative=True)
+        "kappa", float, required=True, nonnegative=True, maximum=_MAX_KAPPA)
     mu_phi = block.read("mu_phi_deg", float, 0.0)
     mu_psi = block.read("mu_psi_deg", float, 0.0)
     power = 1.0 if direction_only else block.read("power", float, 1.0, positive=True)
@@ -220,6 +220,9 @@ def _read_clusters(r, kappa_swept=False):
     return tuple(c for c in clusters if c is not None)
 
 
+# Largest concentration of a cluster or a radar target: the radicand forms
+# kappa^2, which overflows a double past 1.34e154.
+_MAX_KAPPA = 1e150
 # Points per grid, and per scf-field (x times y): a million doubles is 8 MB
 # per column.
 _MAX_GRID_COUNT = 10**6
@@ -254,12 +257,19 @@ def _read_wavelength(r, carrier=False):
             return r.fail("wavelength",
                           "give exactly one of 'wavelength' or 'carrier_frequency_hz'")
         if has_freq:
-            freq = r.read("carrier_frequency_hz", float, positive=True)
+            freq = _read_carrier(r)
             return SPEED_OF_LIGHT / freq if freq else None
     return r.read("wavelength", float, required=True, positive=True)
 
 
-def _read_kappas(r, default=None, limit=math.inf):
+def _read_carrier(r):
+    freq = r.read("carrier_frequency_hz", float, required=True, positive=True)
+    if freq and not math.isfinite(SPEED_OF_LIGHT / freq):
+        return r.fail("carrier_frequency_hz", "must give a finite wavelength c / f")
+    return freq
+
+
+def _read_kappas(r, default=None, limit=_MAX_KAPPA):
     kappas = r.read("kappas", list) or default
     if kappas and any(k < 0.0 for k in kappas):
         r.fail("kappas", "entries must be >= 0")
@@ -371,7 +381,7 @@ def _parse_array(r, kinds=("linear", "circular", "planar")):
 
 def _parse_radar_table(r):
     fields = dict(
-        carrier_frequency=r.read("carrier_frequency_hz", float, required=True, positive=True),
+        carrier_frequency=_read_carrier(r),
         elevation_deg=r.read("elevation_deg", float, 0.0),
         widths_deg=r.read("widths_deg", list, required=True, positive=True),
         speeds_kmh=r.read("speeds_kmh", list, required=True, positive=True),
@@ -381,8 +391,13 @@ def _parse_radar_table(r):
     )
     if not 0.0 < fields["threshold"] < 1.0:
         r.fail("threshold", "must lie in (0, 1)")
-    if fields["widths_deg"] and any(w >= 180.0 for w in fields["widths_deg"]):
-        r.fail("widths_deg", "entries must be below 180")
+    for i, width in enumerate(fields["widths_deg"] or ()):
+        # kappa grows as the width falls; below 1e-100 deg, where it is past the
+        # bound, sin^2(width / 4) can underflow to 0
+        if width >= 180.0:
+            r.fail(f"widths_deg[{i}]", "must be below 180")
+        elif kappa_from_angular_width(math.radians(max(width, 1e-100))) > _MAX_KAPPA:
+            r.fail(f"widths_deg[{i}]", f"gives a kappa above {_MAX_KAPPA:g}")
     if abs(fields["elevation_deg"]) > 90.0:
         r.fail("elevation_deg", "must lie in [-90, 90]")
     return fields

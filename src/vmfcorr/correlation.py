@@ -298,8 +298,8 @@ class DecorrelationNotFound(RuntimeError):
 _GRID_POINTS_PER_DECADE = 64
 # Lag grid columns evaluated per kernel call while scanning for first crossings
 _SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
-# Bisection levels evaluated per kernel call: each live cell's 2^levels - 1 midpoints
-_LOOKAHEAD_LEVELS = 4
+# Fractions of a bracket evaluated per kernel call while refining a crossing
+_SECTIONS = np.arange(1, 16) / 16
 
 
 def decorrelation_time(
@@ -314,7 +314,7 @@ def decorrelation_time(
 
     The first downward crossing is bracketed on a geometric lag grid (64
     points per decade starting at 1 us), scanned two decades per kernel call,
-    and refined by bisection to 1e-6 relative, four levels per kernel call.
+    and refined to 1e-6 relative, one sixteenth of the bracket per kernel call.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
     default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in
     decorrelation_table: 10 / f_m at kappa = 0, past any radial crossing.
@@ -330,12 +330,12 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
 
     The lag grids of all cells, padded to one length, are scanned one window
     of columns per kernel call over the cells that have not crossed yet; a
-    cell leaves the scan at its first crossing. The cells are then bisected
-    together: one kernel call evaluates the midpoints of the next four
-    bisection levels of every live cell, each formed from its own bracket,
-    and each cell walks its path level by level, freezing at its 1e-6
-    relative width. So each cell sees the lo/hi sequence that bisecting it
-    alone, one level per call, would give.
+    cell leaves the scan at its first crossing. The cells are then refined
+    together: one kernel call evaluates 15 evenly spaced lags inside the
+    bracket of every live cell, which keeps the sixteenth that holds its
+    first lag below the threshold (the last one where none is), and a cell
+    leaves at its 1e-6 relative width. Each cell's rounds use its own bracket
+    only, so a cell's time does not depend on the cells searched with it.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
@@ -389,27 +389,12 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     lo = np.where(first > 0, grid[cells, first - 1], 0.0)
     live = cells[hi - lo > 1e-6 * hi]
     while live.size:
-        # the midpoints of each live cell's next bisection levels, level by level:
-        # node j of a level splits (a, b) at 0.5 * a + 0.5 * b into nodes 2j and 2j + 1;
-        # halving first keeps brackets past 9e307 s finite, and halving a normal
-        # double is exact, so below that each midpoint is 0.5 * (a + b) bit for bit
+        # the edges and 15 inner lags lo + (hi - lo) k / 16, finite past 9e307 s;
+        # the first lag below the threshold (else hi) and the one before it bracket next
         a, b = lo[live, None], hi[live, None]
-        levels = []
-        for _ in range(_LOOKAHEAD_LEVELS):
-            mid = 0.5 * a + 0.5 * b
-            levels.append(mid)
-            a = np.stack([a, mid], axis=-1).reshape(live.size, -1)
-            b = np.stack([mid, b], axis=-1).reshape(live.size, -1)
-        mids = np.concatenate(levels, axis=1)
-        below = excess(mids, live[:, None]) < 0.0
-        rows = np.arange(live.size)
-        node = np.zeros(live.size, dtype=int)
-        for level in range(_LOOKAHEAD_LEVELS):
-            at = (rows, 2**level - 1 + node)
-            cell, mid, down = live[rows], mids[at], below[at]
-            hi[cell[down]] = mid[down]
-            lo[cell[~down]] = mid[~down]
-            keep = hi[cell] - lo[cell] > 1e-6 * hi[cell]
-            rows, node = rows[keep], (2 * node + ~down)[keep]
-        live = live[rows]
+        edges = np.hstack([a, a + (b - a) * _SECTIONS, b])
+        below = excess(edges[:, 1:-1], live[:, None]) < 0.0
+        k = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, 16)
+        lo[live], hi[live] = np.take_along_axis(edges, np.stack([k - 1, k], axis=1), axis=1).T
+        live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
     return 0.5 * lo + 0.5 * hi

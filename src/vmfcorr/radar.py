@@ -87,7 +87,7 @@ def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 
     """Decorrelation time in seconds for every (angular width, speed) pair.
 
     Each entry equals decorrelation_time for its cell at its default horizon,
-    bit for bit; the cells are bracketed and bisected together, one kernel
+    bit for bit; the cells are bracketed and refined together, one kernel
     call per step over every live cell.
     """
     widths = list(widths)

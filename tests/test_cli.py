@@ -785,6 +785,69 @@ class TestMainExitCodes:
             "config error: d_over_lambda.start: must lie in [-1e+14, 1e+14]\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, key", [
+        ("scf-curve/beta", "cluster"), ("scf-curve/sweep", "kappas"), ("scf-field", "clusters"),
+        ("acf-curve/carrier", "cluster"), ("array-matrix/linear", "cluster"),
+    ])
+    def test_kappa_past_1e150_is_a_config_error(self, tmp_path, capsys, name, key):
+        # the radicand forms kappa^2, which overflows a double past 1.34e154
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv"}
+        error = {"cluster": "cluster.kappa: must be", "clusters": "clusters[0].kappa: must be",
+                 "kappas": "kappas: entries must be"}[key] + " <= 1e+150"
+
+        def with_kappa(kappa):
+            if key == "kappas":
+                return [0.0, kappa]
+            if key == "clusters":
+                return [_cluster_block(kappa=kappa, power=0.25), *doc["clusters"][1:]]
+            return _cluster_block(kappa=kappa)
+
+        for kappa in (float(np.nextafter(1e150, math.inf)), 1e160, 1e300):
+            doc[key] = with_kappa(kappa)
+            path = write_config(tmp_path / "c.json", doc)
+            assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {error}\n"
+            assert not out.exists()
+        doc[key] = with_kappa(1e150)
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_OK
+        assert out.exists()
+
+    def test_radar_width_past_the_kappa_bound_is_a_config_error(self, tmp_path, capsys):
+        # 1e-150 deg gives kappa 5.3e304, and below about 1e-160 deg the
+        # concentration's sin^2(width / 4) underflows to 0; 1e-70 deg gives 5.3e144
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS["radar-table"], "out": str(out), "format": "csv",
+               "widths_deg": [2.0, 1e-150, 1e-70, 1e-200]}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["radar-table", "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: widths_deg[1]: gives a kappa above 1e+150\n"
+            "config error: widths_deg[3]: gives a kappa above 1e+150\n")
+        assert not out.exists()
+        doc["widths_deg"] = [2.0, 1e-70]
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["radar-table", "--config", path]) == EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("name", ["acf-curve/carrier", "radar-table"])
+    def test_carrier_without_a_finite_wavelength_is_a_config_error(self, tmp_path, capsys,
+                                                                    name):
+        # c / 1e-300 Hz overflows to inf; c / 1e-290 Hz is 3.0e298 m
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv",
+               "carrier_frequency_hz": 1e-300}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: carrier_frequency_hz: must give a finite wavelength c / f\n")
+        assert not out.exists()
+        doc["carrier_frequency_hz"] = 1e-290
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_OK
+        assert out.exists()
+
     def test_field_point_count_too_large_is_a_config_error(self, tmp_path, capsys):
         # each count is allowed, but np.meshgrid would need 7.3 TiB for the field
         out = tmp_path / "out.csv"

@@ -23,6 +23,7 @@ from vmfcorr import (
     scf_large_kappa,
     scf_multicluster,
 )
+from vmfcorr import correlation
 from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _branch_sqrt,
                                   _closed_form, _decorrelation_times, _radicand)
 from vmfcorr.vmf import TWO_PI, _log_kappa_over_sinh, csinc_sqrt
@@ -505,7 +506,7 @@ class TestDecorrelationTime:
             decorrelation_time(cluster, motion, LAM, horizon=1e-9)
 
     def test_not_found_in_one_of_several_cells(self):
-        # the cells are bisected together; the one whose crossing (0.090 s at
+        # the cells are refined together; the one whose crossing (0.090 s at
         # 1 m/s, against 0.045 and 0.030 s) lies past the horizon still raises
         cluster = VmfCluster(0.0, 0.0, 0.0)
         motions = [MotionState(speed, 0.0, 0.0) for speed in (1.0, 2.0, 3.0)]
@@ -522,10 +523,10 @@ class TestDecorrelationTime:
 
 def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=None):
     """The decorrelation search as one kernel call over every cell's whole lag
-    grid, then one bisection level per kernel call over the live cells: the
-    sequence of lo/hi values the windowed scan and the lookahead must
-    reproduce. Gives the times, each cell's first crossing column, the grid
-    length and each cell's number of bisection levels."""
+    grid, then one bisection level per kernel call over the live cells: an
+    independent reference for the windowed scan and the section search.
+    Gives the times, the lag grid, each cell's first crossing column and the
+    grid length."""
     factor = 2.0 if monostatic else 1.0
     if horizon is None:
         horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(c, m, lam, monostatic).f_m
@@ -554,21 +555,28 @@ def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=N
     first = np.argmax(below, axis=1)
     hi = grid[cells, first]
     lo = np.where(first > 0, grid[cells, first - 1], 0.0)
-    levels = np.zeros(len(kappa), dtype=int)
     live = cells[hi - lo > 1e-6 * hi]
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
         below = excess(mid, live) < 0.0
         hi[live[below]] = mid[below]
         lo[live[~below]] = mid[~below]
-        levels[live] += 1
         live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
-    return SimpleNamespace(times=0.5 * (lo + hi), first=first, count=count, levels=levels)
+    return SimpleNamespace(times=0.5 * (lo + hi), grid=grid, first=first, count=count)
+
+
+def _assert_agrees(times, reference):
+    # each time lies in the reference's lag-grid bracket (grid[first - 1], grid[first]],
+    # or (0, grid[0]], and within the search's 1e-6 relative width of its time
+    for t, row, first in zip(times, reference.grid, reference.first):
+        assert np.searchsorted(row, t) == first
+    np.testing.assert_allclose(times, reference.times, rtol=1e-6, atol=0.0)
 
 
 class TestDecorrelationSearch:
-    """The windowed scan and the four-level lookahead give every entry of the
-    one-level search bit for bit, alone and in a table."""
+    """The windowed scan and the section search agree with the one-level
+    bisection to the search's width, and give each cell the same bits alone
+    and in a table."""
 
     def test_random_cells(self):
         rng = np.random.default_rng(29)
@@ -582,10 +590,9 @@ class TestDecorrelationSearch:
             motions = [MotionState(10 ** rng.uniform(-1, 2), rng.uniform(-math.pi, math.pi),
                                    rng.uniform(-math.pi / 2, math.pi / 2))
                        for _ in range(25)]
-            expected = _lockstep_reference(clusters, motions, lam, monostatic, threshold).times
             table = _decorrelation_times(clusters, motions, lam, monostatic, threshold)
-            assert np.array_equal(table, expected)
-            for cluster, motion, t in zip(clusters, motions, expected):
+            _assert_agrees(table, _lockstep_reference(clusters, motions, lam, monostatic, threshold))
+            for cluster, motion, t in zip(clusters, motions, table):
                 assert decorrelation_time(cluster, motion, lam, monostatic, threshold) == t
 
     def test_crossing_before_the_first_column(self):
@@ -593,7 +600,7 @@ class TestDecorrelationSearch:
         cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1e9, 0.0, 0.0)
         reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 1.0)
         assert reference.first[0] == 0
-        assert decorrelation_time(cluster, motion, 1.0, horizon=1.0) == reference.times[0]
+        _assert_agrees([decorrelation_time(cluster, motion, 1.0, horizon=1.0)], reference)
 
     def test_crossing_in_the_last_partial_window(self):
         # 1 m/s at 1 m crosses at 0.3017 s, in the last columns of a grid to 0.31 s
@@ -601,21 +608,30 @@ class TestDecorrelationSearch:
         reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 0.31)
         assert reference.count % _SCAN_WINDOW != 0
         assert reference.first[0] >= (reference.count - 1) // _SCAN_WINDOW * _SCAN_WINDOW
-        assert decorrelation_time(cluster, motion, 1.0, horizon=0.31) == reference.times[0]
+        _assert_agrees([decorrelation_time(cluster, motion, 1.0, horizon=0.31)], reference)
 
-    def test_cells_freeze_at_different_levels_of_one_call(self):
-        # crossings before the first column need as many levels as they lie
-        # deep below it, and the others sixteen, so that cells of one call
-        # freeze at every level of its lookahead
+    def test_table_equals_each_cell_searched_alone(self, monkeypatch):
+        # crossings before the first column need more rounds the deeper below it
+        # they lie, so the cells of one table leave the refinement at different
+        # rounds; a round of one cell evaluates its 15 inner lags
         cluster = VmfCluster(0.0, 0.0, 0.0)
         motions = [MotionState(speed, 0.0, 0.0)
                    for speed in (1.0, 4e5, 1e6, 3e6, 1e7, 2e7, 4e7, 1e8, 3e8, 1e9)]
-        reference = _lockstep_reference([cluster] * 10, motions, 1.0, False, 0.5, 1.0)
-        assert set((reference.levels - 1) % 4) == {0, 1, 2, 3}
-        calls = (reference.levels - 1) // 4
-        assert any(len(set(reference.levels[calls == call])) > 1 for call in calls)
-        assert np.array_equal(_decorrelation_times([cluster] * 10, motions, 1.0, False, 0.5, 1.0),
-                              reference.times)
+        table = _decorrelation_times([cluster] * 10, motions, 1.0, False, 0.5, 1.0)
+        sizes, closed_form = [], correlation._closed_form
+
+        def counted(*args):
+            value = closed_form(*args)
+            sizes.append(value.size)
+            return value
+
+        monkeypatch.setattr(correlation, "_closed_form", counted)
+        rounds = []
+        for motion, t in zip(motions, table):
+            sizes.clear()
+            assert decorrelation_time(cluster, motion, 1.0, horizon=1.0) == t
+            rounds.append(sizes.count(15))
+        assert min(rounds) == 4 and max(rounds) == 8
 
     def test_not_found_names_the_first_unfound_cell(self):
         # crossings at 0.090, 0.045 and 0.030 s against per-cell horizons: the

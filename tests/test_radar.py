@@ -147,7 +147,7 @@ class TestDecorrelationTable:
     @pytest.mark.parametrize("base, threshold", [(BASE, 0.5),
                                                  (replace(BASE, monostatic=False), 0.3)])
     def test_equals_per_cell_decorrelation_times(self, base, threshold):
-        # the cells are bisected together; each must see its own bisection
+        # the cells are refined together; each must keep its own brackets
         widths = [math.radians(w) for w in (0.25, 0.6, 1.5, 4.0)]
         speeds = [v / 3.6 for v in (10.0, 55.0, 170.0, 300.0)]
         table = decorrelation_table(widths, speeds, base, threshold)
@@ -198,7 +198,7 @@ class TestDecorrelationTable:
 
     def test_bisection_brackets_past_9e307_seconds(self):
         # 4 deg at 3.92e-309 m/s crosses near 1.2e308 s; with an explicit
-        # horizon of 1.7e308 s the bisection brackets lie past 9e307 s, where
+        # horizon of 1.7e308 s the refinement brackets lie past 9e307 s, where
         # 0.5 * (lo + hi) would overflow
         scenario = replace(BASE, target_angular_width=math.radians(4.0), target_speed=3.92e-309)
         cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
@@ -219,18 +219,18 @@ def _brackets_crossing(scenario: RadarScenario, t: float, threshold: float = 0.5
 
 
 # The radar-table of the benchmark's radar-chain workload (perfbench/workloads.py),
-# as float.hex: a change to the lag grid or to any cell's bisection sequence
-# changes these bits.
+# as float.hex: a change to the lag grid or to the brackets any cell's section
+# search keeps changes these bits.
 _PINNED_TABLE = [
     "0x1.72472f701af94p-8", "0x1.72473b2063b96p-7", "0x1.5b22c18f3f9c4p-6",
-    "0x1.5b22c1df1ddd0p-5", "0x1.5b22be9377873p-3", "0x1.721d214a18ff0p-7",
-    "0x1.721d1ac325af4p-6", "0x1.5afb4f31dc0d7p-5", "0x1.5afb507e7cf0ep-4",
-    "0x1.5afb499a8f6b0p-2", "0x1.72128cd8cefe2p-6", "0x1.72128acc87862p-5",
-    "0x1.5af16c8710857p-4", "0x1.5af16c612bd72p-3", "0x1.5af16bdf3d3a6p-1",
+    "0x1.5b22c1df1ddd1p-5", "0x1.5b22be9377873p-3", "0x1.721d214a18ff0p-7",
+    "0x1.721d1ac325af4p-6", "0x1.5afb4f31dc0d8p-5", "0x1.5afb507e7cf0ep-4",
+    "0x1.5afb499a8f6b1p-2", "0x1.72128cd8cefe0p-6", "0x1.72128acc87862p-5",
+    "0x1.5af16c8710858p-4", "0x1.5af16c612bd72p-3", "0x1.5af16bdf3d3a6p-1",
     "0x1.720fedc0723e8p-5", "0x1.720fe66ebca91p-4", "0x1.5aeef3351d790p-3",
-    "0x1.5aeef14b23ea3p-2", "0x1.5aeef335c248cp+0", "0x1.720f44cbf22cfp-4",
-    "0x1.720f3d906e07fp-3", "0x1.5aee516ef7a0dp-2", "0x1.5aee506ebace8p-1",
-    "0x1.5aee4bb7a630cp+1",
+    "0x1.5aeef14b23ea2p-2", "0x1.5aeef335c248dp+0", "0x1.720f44cbf22cfp-4",
+    "0x1.720f3d906e080p-3", "0x1.5aee516ef7a0ep-2", "0x1.5aee506ebace8p-1",
+    "0x1.5aee4bb7a630ep+1",
 ]
 
 
@@ -290,9 +290,9 @@ def test_radar_table_at_a_1e300_hz_carrier(tmp_path):
 
 
 def test_radar_table_kernel_call_budget(monkeypatch):
-    # the pinned table: its windowed scan and four-level bisection take 8 kernel
-    # calls over 11,228 points, where a whole-grid call and then one level per
-    # call took 17 over 16,400
+    # the pinned table: its windowed scan and sixteen-section search take 8
+    # kernel calls over 11,228 points, where a whole-grid call and then one
+    # bisection level per call took 17 over 16,400
     calls, points = 0, 0
     closed_form = correlation._closed_form
 

@@ -17,9 +17,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vmfcorr import VmfCluster, scf, scf_quadrature
+from vmfcorr import VmfCluster, scf, scf_exact_log, scf_quadrature
 from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _log_large_kappa, _radicand
-from vmfcorr.vmf import _SERIES_RADIUS, csinc_sqrt
+from vmfcorr.vmf import _SERIES_RADIUS
 
 from mp_reference import reference_log
 
@@ -155,24 +155,44 @@ def test_quadrature_at_radar_concentrations(mean, kappa, beta_deg, x_per_kappa):
         assert float(abs(mp.mpc(scf_quadrature(cluster, d, LAM)) - reference)) <= BOUND
 
 
-def _nudged(w, inside):
-    """w moved one ulp at a time, both parts towards zero or both away from it,
-    until it lies inside the series disc or outside it, as the library's mask
-    np.abs(w) <= radius decides."""
-    while (np.abs(w) <= _SERIES_RADIUS) != inside:
-        w = complex(*(np.nextafter(c, 0.0 if inside else math.copysign(math.inf, c)) if c else c
-                      for c in (w.real, w.imag)))
-    return w
+def _straddle(cluster, d):
+    """Two displacements one ulp apart in each component, the first inside the
+    disc |w| <= 0.25 and the second outside it, as the library's radicand
+    decides: d walked away from zero one ulp at a time, from 64 ulps nearer."""
+    def inside(d):
+        w, _, _ = _radicand(cluster.kappa, cluster.mean_direction, d, LAM)
+        return bool(abs(w) <= _SERIES_RADIUS)
+
+    for _ in range(64):
+        d = np.nextafter(d, 0.0)
+    for _ in range(128):
+        step = np.where(d == 0.0, d, np.nextafter(d, np.copysign(math.inf, d)))
+        if inside(d) != inside(step):
+            return (d, step) if inside(d) else (step, d)
+        d = step
+    raise AssertionError(f"no switch within 64 ulps of {d}")
 
 
 def test_continuous_across_series_radius():
-    # the series and sin(z)/z one ulp of w apart, around the whole circle
-    # |w| = 0.25 in steps of 0.5 deg
-    circle = [_SERIES_RADIUS * cmath.exp(1j * t) for t in np.linspace(0.0, 2.0 * math.pi, 721)]
-    inner = np.array([_nudged(w, inside=True) for w in circle])
-    outer = np.array([_nudged(w, inside=False) for w in circle])
-    assert np.all(np.abs(inner) <= _SERIES_RADIUS) and np.all(np.abs(outer) > _SERIES_RADIUS)
-    assert np.max(np.abs(csinc_sqrt(inner) - csinc_sqrt(outer))) <= 8.0 * EPS
+    # scf_exact_log's switch between sin(z)/z and the log-domain form, one ulp
+    # of d either side of |w| = 0.25, at every beta (15 deg steps) where k0 |d|
+    # = x reaches the circle: |w|^2 = (x^2 - kappa^2)^2 + 4 kappa^2 x^2 cos^2(beta)
+    # = 1/16, a quadratic in x^2. Across the switch the value moves as scf, whose
+    # one path serves both sides, moves over the same ulp, within 8 eps of the
+    # value (5.6 eps at most)
+    cases = 0
+    for kappa in (0.05, 0.3, 0.7, 2.0, 30.0):
+        cluster = VmfCluster(MU_PHI, MU_PSI, kappa)
+        for beta in np.arange(0.0, 181.0, 15.0):
+            c2 = math.cos(math.radians(beta)) ** 2
+            roots = np.roots([1.0, (4.0 * c2 - 2.0) * kappa**2, kappa**4 - 1.0 / 16.0])
+            for y in roots[(roots.imag == 0.0) & (roots.real > 0.0)].real:
+                inner, outer = _straddle(cluster, _displacement(beta, math.sqrt(y)))
+                step = scf_exact_log(cluster, inner, LAM) - scf_exact_log(cluster, outer, LAM)
+                expected = scf(cluster, inner, LAM) - scf(cluster, outer, LAM)
+                assert abs(step - expected) <= 8.0 * EPS * abs(scf(cluster, inner, LAM))
+                cases += 1
+    assert cases == 36
 
 
 def test_continuous_across_large_kappa_threshold():
