@@ -8,12 +8,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
-from .arrays import ArrayGeometry, circular_array, correlation_matrix, linear_array, planar_grid, scf_along_path
+from .arrays import circular_array, correlation_matrix, linear_array, planar_grid, scf_along_path
 from .correlation import MotionState, _lag_displacement, scf, scf_multicluster
 from .oracles import (_MAX_QUADRATURE_KAPPA, QuadratureSpec, QuadratureToleranceError,
                       scf_quadrature)
@@ -35,49 +35,18 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    start: float
-    stop: float
-    count: int
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
-
-
-@dataclass(frozen=True)
 class SweepConfig:
-    """Validated sweep description; exactly one mode, defaults filled in."""
+    """A validated sweep: its mode, the path and format of its data file, and the
+    keyword arguments of the mode's row builder, defaults filled in by its reader."""
 
     mode: str
-    out: str | None = None
-    format: str = "csv"
-    wavelength: float | None = None
-    clusters: tuple = ()
-    kappas: tuple | None = None
-    betas_deg: tuple | None = None
-    direction: tuple | None = None
-    d_grid: GridSpec | None = None
-    x_grid: GridSpec | None = None
-    y_grid: GridSpec | None = None
-    dt_grid: GridSpec | None = None
-    motion: MotionState | None = None
-    monostatic: bool = False
-    geometry: ArrayGeometry | None = None
-    carrier_frequency: float | None = None
-    elevation_deg: float = 0.0
-    widths_deg: tuple | None = None
-    speeds_kmh: tuple | None = None
-    motion_azimuth_deg: float = 0.0
-    threshold: float = 0.5
-    tolerance: float = 1e-8
-    quad_abs_tol: float = 1e-10
-    quad_rel_tol: float = 1e-10
+    out: str | None
+    format: str
+    args: dict = field(default_factory=dict)
 
 
 def output_path(config: SweepConfig) -> str:
-    if config.out:
-        return config.out
-    return f"{config.mode.replace('-', '_')}.{config.format}"
+    return config.out or f"{config.mode.replace('-', '_')}.{config.format}"
 
 
 def _is_number(value) -> bool:
@@ -226,12 +195,16 @@ _MAX_KAPPA = 1e150
 # Points per grid, and per scf-field (x times y): a million doubles is 8 MB
 # per column.
 _MAX_GRID_COUNT = 10**6
-# Largest |start| and |stop| of a grid in wavelength units (an *_over_lambda
-# key): the phase k0 |d| stays below 1e15, past which it keeps no correct digit.
+# Largest displacement in wavelengths, of a grid endpoint in wavelength units, an acf-curve
+# lag or two array elements: the phase k0 |d| stays below 1e15, past which no digit is correct.
 _MAX_WAVELENGTHS = 1e14
+# Largest travel of a radar-table search in wavelengths, 10 + kappa / min(threshold, 0.5):
+# the radicand squares the phase, 2 pi times the travel, which overflows past 1.34e154.
+_MAX_SEARCH_TRAVEL = 2e153
 
 
 def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
+    """The np.linspace points of the grid at key, or default after recording why."""
     grid = r.read(key, dict, required=required, expect="an object with start/stop/count")
     if grid is None:
         return default
@@ -247,7 +220,7 @@ def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
     if key.endswith("_over_lambda") and max(abs(start), abs(stop)) > _MAX_WAVELENGTHS:
         end = "start" if abs(start) > _MAX_WAVELENGTHS else "stop"
         return grid.fail(end, f"must lie in [-{_MAX_WAVELENGTHS:g}, {_MAX_WAVELENGTHS:g}]", default)
-    return GridSpec(start, stop, count)
+    return np.linspace(start, stop, count)
 
 
 def _read_wavelength(r, carrier=False):
@@ -281,16 +254,16 @@ def _read_kappas(r, default=None, limit=_MAX_KAPPA):
 def _parse_scf_curve(r):
     wavelength = _read_wavelength(r)
     clusters = _read_clusters(r, kappa_swept=r.has("kappas"))
-    fields = dict(wavelength=wavelength, clusters=clusters, kappas=_read_kappas(r),
-                  d_grid=_read_grid(r, "d_over_lambda", required=True, nonnegative=True))
+    fields = dict(wavelength=wavelength, clusters=clusters, kappas=_read_kappas(r), direction=None,
+                  fractions=_read_grid(r, "d_over_lambda", required=True, nonnegative=True))
     one, many = r.has("beta_deg"), r.has("betas_deg")
     if one and many:
-        r.fail("beta_deg", "give either 'beta_deg' or 'betas_deg', not both")
+        betas = r.fail("beta_deg", "give either 'beta_deg' or 'betas_deg', not both")
     elif one:
         beta = r.read("beta_deg", float)
-        fields["betas_deg"] = (beta,) if beta is not None else None
+        betas = (beta,) if beta is not None else None
     else:
-        fields["betas_deg"] = r.read("betas_deg", list)
+        betas = r.read("betas_deg", list)
     if r.has("direction"):
         block = r.read("direction", dict, expect="an object with phi_deg/psi_deg")
         if block is not None:
@@ -300,26 +273,29 @@ def _parse_scf_curve(r):
                 block.fail("psi_deg", "must lie in [-90, 90]")
             elif phi is not None:
                 fields["direction"] = tuple(direction_from_angles(*map(math.radians, (phi, psi))))
-        if fields.get("betas_deg") is not None or fields["kappas"] is not None:
+        if betas is not None or fields["kappas"] is not None:
             r.fail("direction", "cannot be combined with beta/kappa sweeps")
     elif len(clusters) > 1:
         r.fail("direction", "required when more than one cluster is given")
+    if fields["kappas"] is None and clusters:  # one curve, at the cluster's own kappa
+        fields["kappas"] = (clusters[0].kappa,)
+    fields["betas_deg"] = betas or (0.0,)
     return fields
 
 
 def _parse_scf_field(r):
     fields = dict(wavelength=_read_wavelength(r), clusters=_read_clusters(r),
-                  x_grid=_read_grid(r, "x_over_lambda", required=True),
-                  y_grid=_read_grid(r, "y_over_lambda", required=True))
-    x, y = fields["x_grid"], fields["y_grid"]
-    if x and y and x.count * y.count > _MAX_GRID_COUNT:
+                  x=_read_grid(r, "x_over_lambda", required=True),
+                  y=_read_grid(r, "y_over_lambda", required=True))
+    x, y = fields["x"], fields["y"]
+    if x is not None and y is not None and x.size * y.size > _MAX_GRID_COUNT:
         r.fail("x_over_lambda.count * y_over_lambda.count", f"must be <= {_MAX_GRID_COUNT}")
     return fields
 
 
 def _parse_acf_curve(r):
     fields = dict(wavelength=_read_wavelength(r, carrier=True), clusters=_read_clusters(r),
-                  dt_grid=_read_grid(r, "dt_s", required=True, nonnegative=True),
+                  lags=_read_grid(r, "dt_s", required=True, nonnegative=True),
                   monostatic=r.read("monostatic", bool, False))
     block = r.read("motion", dict, required=True,
                    expect="an object with speed_mps and direction angles")
@@ -332,6 +308,14 @@ def _parse_acf_curve(r):
                 fields["motion"] = MotionState(speed, math.radians(phi_v), math.radians(psi_v))
             except ValueError as exc:
                 block.fail(None, str(exc))
+        # the largest lag displacement in wavelengths, in Python floats: an
+        # overflow is an inf (a nan at lag 0), no warning
+        lam, lags = fields["wavelength"], fields["lags"]
+        if speed is not None and lam and lags is not None:
+            reach = (2.0 if fields["monostatic"] else 1.0) * speed * lags[-1].item() / lam
+            if not reach <= _MAX_WAVELENGTHS:
+                r.fail("dt_s", "the lag displacement speed_mps * dt, doubled when monostatic, "
+                               f"must stay within {_MAX_WAVELENGTHS:g} wavelengths")
     return fields
 
 
@@ -362,6 +346,12 @@ def _parse_array(r, kinds=("linear", "circular", "planar")):
     if elements * elements > _MAX_GRID_COUNT:
         return block.fail("nx * ny" if kind == "planar" else "n",
                           f"must be <= {math.isqrt(_MAX_GRID_COUNT)}", fields)
+    # the largest separation of two elements in wavelengths, in Python floats
+    extent = (math.hypot(args[2] * (args[0] - 1), args[3] * (args[1] - 1)) if kind == "planar"
+              else args[1] * (args[0] - 1 if kind == "linear" else 2))
+    if extent > _MAX_WAVELENGTHS:
+        return block.fail(None, "the largest separation of two elements must be <= "
+                                f"{_MAX_WAVELENGTHS:g} wavelengths", fields)
     if wavelength is None:
         return fields
     try:
@@ -400,6 +390,17 @@ def _parse_radar_table(r):
             r.fail(f"widths_deg[{i}]", f"gives a kappa above {_MAX_KAPPA:g}")
     if abs(fields["elevation_deg"]) > 90.0:
         r.fail("elevation_deg", "must lie in [-90, 90]")
+    if not r.errors:
+        # the narrowest width and the slowest speed search longest: their travel in
+        # wavelengths and horizon in seconds as the search forms them, in Python floats
+        kappa = kappa_from_angular_width(math.radians(min(fields["widths_deg"])))
+        travel = 10.0 + kappa / min(fields["threshold"], 0.5)
+        f_m = ((2.0 if fields["monostatic"] else 1.0) * (min(fields["speeds_kmh"]) / 3.6)
+               / (SPEED_OF_LIGHT / fields["carrier_frequency"]))
+        if travel > _MAX_SEARCH_TRAVEL:
+            r.fail("threshold", f"takes the search past {_MAX_SEARCH_TRAVEL:g} wavelengths")
+        elif not (f_m > 0.0 and math.isfinite(travel / f_m)):  # f_m underflows to 0
+            r.fail("speeds_kmh", "the slowest gives a search horizon that is not a finite double")
     return fields
 
 
@@ -413,7 +414,8 @@ def _parse_validate(r):
         # the quadrature oracle resolves concentrations up to its cap only
         kappas=_read_kappas(r, (0.0, 1.0, 10.0, 100.0), limit=_MAX_QUADRATURE_KAPPA),
         betas_deg=r.read("betas_deg", list) or (0.0, 30.0, 60.0, 90.0),
-        d_grid=_read_grid(r, "d_over_lambda", nonnegative=True, default=GridSpec(0.0, 3.0, 13)),
+        fractions=_read_grid(r, "d_over_lambda", nonnegative=True,
+                             default=np.linspace(0.0, 3.0, 13)),
         tolerance=r.read("tolerance", float, 1e-8, positive=True),
         quad_abs_tol=r.read("quad_abs_tol", float, 1e-10, positive=True),
         quad_rel_tol=r.read("quad_rel_tol", float, 1e-10, positive=True),
@@ -451,12 +453,12 @@ def parse_config(text: str, mode: str | None = None) -> SweepConfig:
     out = r.get("out")
     if out is not None and not isinstance(out, str):
         r.fail("out", "must be a string path")
-    fields = _MODES[mode][0](r)
+    args = _MODES[mode][0](r)
     for reader in r.opened:
         reader.close()
     if r.errors:
         raise ConfigError(r.errors)
-    return SweepConfig(mode=mode, out=out, format=fmt, **fields)
+    return SweepConfig(mode=mode, out=out, format=fmt, args=args)
 
 
 def _complex_columns(values):
@@ -467,89 +469,84 @@ def _complex_columns(values):
     return [values.real, values.imag, np.hypot(values.real, values.imag)]
 
 
-def _kappa_beta_sweep(config: SweepConfig, kappas, betas_deg):
+def _kappa_beta_sweep(wavelength, clusters, kappas, betas_deg, fractions):
     """Key columns [kappa, beta_deg, d_over_lambda], the cluster of each kappa,
     the displacements d swept at each kappa and the closed form at each point,
     with d at angle beta from the first cluster's mean direction, turned
     towards its first tangent."""
-    base = config.clusters[0]
+    base = clusters[0]
     mean = base.mean_direction
     tangent, _ = _tangent_basis(mean)
     units = np.array([math.cos(b) * mean + math.sin(b) * tangent
                       for b in map(math.radians, betas_deg)])
-    fractions = config.d_grid.points()
-    ds = ((fractions * config.wavelength)[:, None] * units[:, None, :]).reshape(-1, 3)
-    clusters = [VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power) for kappa in kappas]
+    ds = ((fractions * wavelength)[:, None] * units[:, None, :]).reshape(-1, 3)
+    swept = [VmfCluster(base.mu_phi, base.mu_psi, kappa, base.power) for kappa in kappas]
     keys = [grid.ravel() for grid in np.meshgrid(kappas, betas_deg, fractions, indexing="ij")]
-    values = np.concatenate([scf(cluster, ds, config.wavelength) for cluster in clusters])
-    return keys, clusters, ds, values
+    values = np.concatenate([scf(cluster, ds, wavelength) for cluster in swept])
+    return keys, swept, ds, values
 
 
-def _rows_scf_curve(config: SweepConfig):
-    if config.direction is not None:
-        fractions = config.d_grid.points()
-        lengths = (fractions * config.wavelength)[:, None]
-        values = scf_multicluster(config.clusters, lengths * np.asarray(config.direction),
-                                  config.wavelength)
+def _rows_scf_curve(wavelength, clusters, kappas, fractions, direction, betas_deg):
+    if direction is not None:
+        lengths = (fractions * wavelength)[:, None]
+        values = scf_multicluster(clusters, lengths * np.asarray(direction), wavelength)
         return ["d_over_lambda", "re", "im", "abs"], [fractions, *_complex_columns(values)]
-    kappas = config.kappas if config.kappas is not None else (config.clusters[0].kappa,)
-    betas = config.betas_deg if config.betas_deg is not None else (0.0,)
-    keys, _, _, values = _kappa_beta_sweep(config, kappas, betas)
+    keys, _, _, values = _kappa_beta_sweep(wavelength, clusters, kappas, betas_deg, fractions)
     header = ["kappa", "beta_deg", "d_over_lambda", "re", "im", "abs"]
     return header, [*keys, *_complex_columns(values)]
 
 
-def _rows_scf_field(config: SweepConfig):
-    lam = config.wavelength
-    gx, gy = np.meshgrid(config.x_grid.points(), config.y_grid.points())
-    d = np.stack([gx * lam, gy * lam, np.zeros_like(gx)], axis=-1)
-    values = scf_multicluster(config.clusters, d, lam)
+def _rows_scf_field(wavelength, clusters, x, y):
+    gx, gy = np.meshgrid(x, y)
+    d = np.stack([gx * wavelength, gy * wavelength, np.zeros_like(gx)], axis=-1)
+    values = scf_multicluster(clusters, d, wavelength)
     header = ["x_over_lambda", "y_over_lambda", "re", "im", "abs"]
     return header, [gx.ravel(), gy.ravel(), *_complex_columns(values)]
 
 
-def _rows_acf_curve(config: SweepConfig):
-    lags = config.dt_grid.points()
-    d = _lag_displacement(lags, config.motion.velocity, config.monostatic)
-    values = scf_multicluster(config.clusters, d, config.wavelength)
+def _rows_acf_curve(wavelength, clusters, lags, monostatic, motion):
+    d = _lag_displacement(lags, motion.velocity, monostatic)
+    values = scf_multicluster(clusters, d, wavelength)
     return ["dt_s", "re", "im", "abs"], [lags, *_complex_columns(values)]
 
 
-def _rows_array_matrix(config: SweepConfig):
-    matrix = correlation_matrix(config.geometry, config.clusters, config.wavelength)
+def _rows_array_matrix(wavelength, clusters, geometry):
+    matrix = correlation_matrix(geometry, clusters, wavelength)
     rows, cols = np.indices(matrix.shape).reshape(2, -1)
     values = matrix.ravel()
     return ["row", "col", "re", "im"], [rows, cols, values.real, values.imag]
 
 
-def _rows_array_path(config: SweepConfig):
-    coords, values = zip(*scf_along_path(config.geometry, config.clusters, config.wavelength))
+def _rows_array_path(wavelength, clusters, geometry):
+    coords, values = zip(*scf_along_path(geometry, clusters, wavelength))
     header = ["s_over_lambda", "re", "im", "abs"]
-    return header, [np.array(coords) / config.wavelength, *_complex_columns(values)]
+    return header, [np.array(coords) / wavelength, *_complex_columns(values)]
 
 
-def _rows_radar_table(config: SweepConfig):
+def _rows_radar_table(carrier_frequency, elevation_deg, widths_deg, speeds_kmh,
+                      motion_azimuth_deg, monostatic, threshold):
     base = RadarScenario(
-        carrier_frequency=config.carrier_frequency,
-        target_elevation=math.radians(config.elevation_deg),
-        target_angular_width=math.radians(config.widths_deg[0]),
-        target_speed=config.speeds_kmh[0] / 3.6,
-        motion_azimuth=math.radians(config.motion_azimuth_deg),
-        monostatic=config.monostatic,
+        carrier_frequency=carrier_frequency,
+        target_elevation=math.radians(elevation_deg),
+        target_angular_width=math.radians(widths_deg[0]),
+        target_speed=speeds_kmh[0] / 3.6,
+        motion_azimuth=math.radians(motion_azimuth_deg),
+        monostatic=monostatic,
     )
-    widths = [math.radians(w) for w in config.widths_deg]
-    speeds = [v / 3.6 for v in config.speeds_kmh]
-    table = decorrelation_table(widths, speeds, base, threshold=config.threshold)
-    widths_deg, speeds_kmh = np.meshgrid(config.widths_deg, config.speeds_kmh, indexing="ij")
+    widths = [math.radians(w) for w in widths_deg]
+    speeds = [v / 3.6 for v in speeds_kmh]
+    table = decorrelation_table(widths, speeds, base, threshold=threshold)
+    widths_grid, speeds_grid = np.meshgrid(widths_deg, speeds_kmh, indexing="ij")
     header = ["width_deg", "speed_kmh", "decorrelation_time_s"]
-    return header, [widths_deg.ravel(), speeds_kmh.ravel(), table.ravel()]
+    return header, [widths_grid.ravel(), speeds_grid.ravel(), table.ravel()]
 
 
-def _rows_validate(config: SweepConfig):
-    lam = config.wavelength
-    spec = QuadratureSpec(abs_tol=config.quad_abs_tol, rel_tol=config.quad_rel_tol)
-    keys, clusters, ds, closed = _kappa_beta_sweep(config, config.kappas, config.betas_deg)
-    quad = np.concatenate([scf_quadrature(cluster, ds, lam, spec) for cluster in clusters])
+def _rows_validate(wavelength, clusters, kappas, betas_deg, fractions, tolerance,
+                   quad_abs_tol, quad_rel_tol):
+    # tolerance bounds the errors written, which run checks
+    spec = QuadratureSpec(abs_tol=quad_abs_tol, rel_tol=quad_rel_tol)
+    keys, swept, ds, closed = _kappa_beta_sweep(wavelength, clusters, kappas, betas_deg, fractions)
+    quad = np.concatenate([scf_quadrature(cluster, ds, wavelength, spec) for cluster in swept])
     *_, error = _complex_columns(closed - quad)
     header = ["kappa", "beta_deg", "d_over_lambda", "closed_re", "closed_im",
               "quad_re", "quad_im", "abs_error"]
@@ -635,7 +632,7 @@ def _write_output(config: SweepConfig, header, columns):
 
 def run(config: SweepConfig) -> int:
     """Evaluate the sweep and write the data file; returns the exit status."""
-    header, columns = _MODES[config.mode][1](config)
+    header, columns = _MODES[config.mode][1](**config.args)
     _write_output(config, header, columns)
     if config.mode == "validate":
         kappas, betas_deg, fractions, *_, errors = columns
@@ -643,14 +640,14 @@ def run(config: SweepConfig) -> int:
         max_error = errors[worst]
         print(
             f"validate: max |closed - quadrature| = {max_error:.3e} "
-            f"over {len(errors)} points (tolerance {config.tolerance:g}) "
+            f"over {len(errors)} points (tolerance {config.args['tolerance']:g}) "
             f"at kappa={kappas[worst]:g} beta_deg={betas_deg[worst]:g} "
             f"d_over_lambda={fractions[worst]:g}"
         )
         per_kappa = {k: errors[kappas == k].max() for k in dict.fromkeys(kappas.tolist())}
         print("validate: max error per kappa: "
               + ", ".join(f"{k:g}: {e:.3e}" for k, e in per_kappa.items()))
-        if max_error > config.tolerance:
+        if max_error > config.args["tolerance"]:
             return EXIT_VALIDATION
     return EXIT_OK
 

@@ -173,7 +173,10 @@ def kappa_from_angular_width(delta_theta: float) -> float:
     the latter free of cancellation for narrow widths."""
     if not 0.0 < delta_theta < TWO_PI:
         raise ValueError(f"angular width must lie in (0, 2 pi), got {delta_theta}")
-    return 1.0 / math.sin(0.25 * delta_theta) ** 2
+    square = math.sin(0.25 * delta_theta) ** 2
+    if not square or math.isinf(1.0 / square):
+        raise ValueError(f"angular width {delta_theta} is too narrow for a finite kappa")
+    return 1.0 / square
 
 
 def csinc_sqrt(w):

@@ -51,8 +51,7 @@ class TestParseConfig:
         config = parse_config(json.dumps(curve_config()))
         assert config.format == "csv"
         assert config.out is None
-        assert config.threshold == 0.5
-        assert config.clusters[0].power == 1.0
+        assert config.args["clusters"][0].power == 1.0
 
     def test_negative_kappa_names_field(self):
         with pytest.raises(ConfigError) as info:
@@ -97,7 +96,7 @@ class TestParseConfig:
         assert any("direction" in message for message in info.value.errors)
         doc["direction"] = {"phi_deg": 30.0, "psi_deg": 0.0}
         config = parse_config(json.dumps(doc))
-        assert len(config.clusters) == 2
+        assert len(config.args["clusters"]) == 2
 
     def test_cluster_powers_must_sum_to_one(self):
         doc = curve_config()
@@ -381,7 +380,7 @@ class TestDeterminismAndRoundTrip:
         payload = json.loads(out.read_text())
         assert payload["columns"] == ["kappa", "beta_deg", "d_over_lambda", "re", "im", "abs"]
         lam = 1.0
-        cluster = config.clusters[0]
+        cluster = config.args["clusters"][0]
         for row in payload["rows"]:
             _, _, frac, re, im, _ = row
             expected = scf_multicluster([cluster], (frac * lam, 0.0, 0.0), lam)
@@ -848,6 +847,98 @@ class TestMainExitCodes:
         assert main([doc["mode"], "--config", path]) == EXIT_OK
         assert out.exists()
 
+    @pytest.mark.parametrize("name", ["acf-curve/carrier", "acf-curve/wavelength"])
+    def test_acf_lag_displacement_past_1e14_wavelengths_is_a_config_error(self, tmp_path,
+                                                                          capsys, name):
+        # speed_mps or dt_s.stop of 1e300 overflowed the lag displacement; past
+        # 1e14 wavelengths its phase keeps no correct digit. The carrier config
+        # is monostatic, where the displacement is twice speed_mps * dt.
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv"}
+        lam = parse_config(json.dumps(doc)).args["wavelength"]
+        factor = 2.0 if doc.get("monostatic") else 1.0
+        refused = [(1e300, 0.01), (20.0, 1e300), (1e20, 0.05),
+                   (20.0, 1.001e14 * lam / (factor * 20.0))]
+        for speed, stop in refused:
+            doc["motion"] = {**doc["motion"], "speed_mps": speed}
+            doc["dt_s"] = _grid(0.0, stop)
+            path = write_config(tmp_path / "c.json", doc)
+            assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: dt_s: the lag displacement speed_mps * dt, doubled when "
+                "monostatic, must stay within 1e+14 wavelengths\n")
+            assert not out.exists()
+        doc["dt_s"] = _grid(0.0, 0.999e14 * lam / (factor * 20.0))
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_OK
+        cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+    @pytest.mark.parametrize("name, refused, accepted", [
+        ("array-matrix/linear", [{"spacing_over_lambda": 1e300},
+                                 {"spacing_over_lambda": float(np.nextafter(5e13, math.inf))}],
+         {"spacing_over_lambda": 5e13}),
+        ("array-path/linear", [{"n": 1000, "spacing_over_lambda": 1.002e11}],
+         {"n": 1000, "spacing_over_lambda": 1e11}),
+        ("array-matrix/circular", [{"radius_over_lambda": 1e300},
+                                   {"radius_over_lambda": float(np.nextafter(5e13, math.inf))}],
+         {"radius_over_lambda": 5e13}),
+        ("array-matrix/planar", [{"dx_over_lambda": 1e300}, {"dy_over_lambda": 1e300},
+                                 {"dx_over_lambda": 6.000001e13, "dy_over_lambda": 4e13}],
+         {"dx_over_lambda": 6e13, "dy_over_lambda": 4e13}),
+    ])
+    def test_array_wider_than_1e14_wavelengths_is_a_config_error(self, tmp_path, capsys,
+                                                                 name, refused, accepted):
+        # the largest element separation: spacing (n - 1) on a line, the
+        # diameter of a circle and hypot(dx (nx - 1), dy (ny - 1)) on a grid
+        # (2 x 3 here); 1e300 overflowed the element pair displacements
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv"}
+        geometry = doc["geometry"]
+        for overrides in refused:
+            doc["geometry"] = {**geometry, **overrides}
+            path = write_config(tmp_path / "c.json", doc)
+            assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                "config error: geometry: the largest separation of two elements must be "
+                "<= 1e+14 wavelengths\n")
+            assert not out.exists()
+        doc["geometry"] = {**geometry, **accepted}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_OK
+        cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+    def test_radar_search_past_its_bounds_is_a_config_error(self, tmp_path, capsys):
+        # The search runs 10 + kappa / min(threshold, 0.5) wavelengths of travel
+        # at the narrowest width; past 2e153 the radicand's squared phase
+        # overflows. Its horizon, that travel over f_m at the slowest speed,
+        # must be a finite double.
+        out = tmp_path / "out.csv"
+        base = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
+                "elevation_deg": 20.0, "widths_deg": [4.0, 0.25, 170.0], "speeds_kmh": [40.0]}
+        kappa = 1.0 / math.sin(math.radians(0.25) / 4.0) ** 2
+        travel = "config error: threshold: takes the search past 2e+153 wavelengths\n"
+        horizon = ("config error: speeds_kmh: the slowest gives a search horizon that is "
+                   "not a finite double\n")
+        refused = [({"threshold": 1e-300}, travel), ({"threshold": kappa / 2.01e153}, travel),
+                   ({"widths_deg": [0.25], "speeds_kmh": [1e-305]}, horizon),
+                   ({"speeds_kmh": [40.0, 1e-304], "monostatic": False}, horizon)]
+        for overrides, message in refused:
+            path = write_config(tmp_path / "c.json", {**base, **overrides})
+            assert main(["radar-table", "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr().err == message
+            assert not out.exists()
+        accepted = [{"threshold": kappa / 1.99e153}, {"threshold": 1e-147},
+                    {"widths_deg": [1e-70]},
+                    {"widths_deg": [4.0, 1.0, 0.25], "speeds_kmh": [1e-300, 5.6e-304, 40.0]}]
+        for overrides in accepted:
+            path = write_config(tmp_path / "c.json", {**base, **overrides})
+            assert main(["radar-table", "--config", path]) == EXIT_OK
+            cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+            out.unlink()
+
     def test_field_point_count_too_large_is_a_config_error(self, tmp_path, capsys):
         # each count is allowed, but np.meshgrid would need 7.3 TiB for the field
         out = tmp_path / "out.csv"
@@ -901,7 +992,7 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"config error: {key}: powers must sum to 1, got 0.5\n"
         assert not out.exists()
         block["power"] = 1.0 - 1e-12
-        assert parse_config(json.dumps(doc)).clusters[0].power == 1.0 - 1e-12
+        assert parse_config(json.dumps(doc)).args["clusters"][0].power == 1.0 - 1e-12
 
     @pytest.mark.parametrize("key, value", [("kappa", 3.0), ("power", 0.5)])
     def test_validate_cluster_names_the_mean_direction_only(self, tmp_path, capsys, key, value):
@@ -934,7 +1025,7 @@ class TestMainExitCodes:
     def test_element_count_at_the_limit_is_accepted(self):
         doc = dict(FULL_CONFIGS["array-matrix/linear"])
         doc["geometry"] = {**doc["geometry"], "n": 1000}
-        assert parse_config(json.dumps(doc)).geometry.positions.shape == (1000, 3)
+        assert parse_config(json.dumps(doc)).args["geometry"].positions.shape == (1000, 3)
 
     @pytest.mark.parametrize("overrides, message", [
         ({"tolerance": 10**400}, "tolerance: must be finite"),

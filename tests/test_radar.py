@@ -60,6 +60,16 @@ class TestScenarioConversion:
         with pytest.raises(ValueError):
             replace(BASE, target_speed=-1.0)
 
+    def test_width_too_narrow_for_a_finite_kappa(self):
+        # the scenario accepts any width in (0, pi); its conversion names the
+        # width whose concentration is not a finite double
+        for width_deg in (1e-152, 1e-160):
+            scenario = replace(BASE, target_angular_width=math.radians(width_deg))
+            with pytest.raises(ValueError, match="too narrow for a finite kappa"):
+                scenario_to_cluster_and_motion(scenario)
+        scenario = replace(BASE, target_angular_width=math.radians(1e-150))
+        assert math.isfinite(scenario_to_cluster_and_motion(scenario)[0].kappa)
+
 
 class TestAcfCurve:
     def test_unit_at_zero_lag(self):

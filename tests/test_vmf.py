@@ -216,6 +216,16 @@ class TestKappaFromWidth:
             with pytest.raises(ValueError):
                 kappa_from_angular_width(bad)
 
+    def test_too_narrow_for_a_finite_kappa(self):
+        # sin^2(width / 4) is subnormal near 1e-152 deg, where its reciprocal
+        # overflows, and underflows to 0 below about 1e-160 deg
+        for width_deg in (1e-152, 1e-155, 1e-160, 1e-170):
+            width = math.radians(width_deg)
+            with pytest.raises(ValueError, match=f"angular width {width} is too narrow"):
+                kappa_from_angular_width(width)
+        assert kappa_from_angular_width(math.radians(1e-150)) == pytest.approx(5.25249016e304)
+        assert kappa_from_angular_width(math.radians(1e-70)) == pytest.approx(5.25249016e144)
+
 
 class TestCsincSqrt:
     def test_at_zero(self):
