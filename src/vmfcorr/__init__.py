@@ -44,6 +44,7 @@ from .radar import (
     scenario_to_cluster_and_motion,
 )
 from .vmf import (
+    DomainError,
     VmfCluster,
     angles_from_direction,
     csinc_sqrt,
@@ -59,6 +60,7 @@ __version__ = "0.4.0"
 __all__ = [
     "ArrayGeometry",
     "DecorrelationNotFound",
+    "DomainError",
     "DopplerParams",
     "LARGE_KAPPA_THRESHOLD",
     "MotionState",

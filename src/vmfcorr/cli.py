@@ -18,7 +18,7 @@ from .correlation import MotionState, _lag_displacement, scf, scf_multicluster
 from .oracles import (_MAX_QUADRATURE_KAPPA, QuadratureSpec, QuadratureToleranceError,
                       scf_quadrature)
 from .radar import SPEED_OF_LIGHT, RadarScenario, decorrelation_table
-from .vmf import VmfCluster, _tangent_basis, direction_from_angles, kappa_from_angular_width
+from .vmf import DomainError, VmfCluster, _tangent_basis, direction_from_angles
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,7 +156,7 @@ def _read_cluster(block, kappa_swept=False, direction_only=False):
     if kappa_swept and block.has("kappa"):
         block.fail("kappa", "cannot be combined with 'kappas', which sets each curve's kappa")
     kappa = 0.0 if direction_only or kappa_swept else block.read(
-        "kappa", float, required=True, nonnegative=True, maximum=_MAX_KAPPA)
+        "kappa", float, required=True, nonnegative=True)
     mu_phi = block.read("mu_phi_deg", float, 0.0)
     mu_psi = block.read("mu_psi_deg", float, 0.0)
     power = 1.0 if direction_only else block.read("power", float, 1.0, positive=True)
@@ -189,18 +189,12 @@ def _read_clusters(r, kappa_swept=False):
     return tuple(c for c in clusters if c is not None)
 
 
-# Largest concentration of a cluster or a radar target: the radicand forms
-# kappa^2, which overflows a double past 1.34e154.
-_MAX_KAPPA = 1e150
 # Points per grid, and per scf-field (x times y): a million doubles is 8 MB
 # per column.
 _MAX_GRID_COUNT = 10**6
 # Largest displacement in wavelengths, of a grid endpoint in wavelength units, an acf-curve
 # lag or two array elements: the phase k0 |d| stays below 1e15, past which no digit is correct.
 _MAX_WAVELENGTHS = 1e14
-# Largest travel of a radar-table search in wavelengths, 10 + kappa / min(threshold, 0.5):
-# the radicand squares the phase, 2 pi times the travel, which overflows past 1.34e154.
-_MAX_SEARCH_TRAVEL = 2e153
 
 
 def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
@@ -242,7 +236,7 @@ def _read_carrier(r):
     return freq
 
 
-def _read_kappas(r, default=None, limit=_MAX_KAPPA):
+def _read_kappas(r, default=None, limit=math.inf):
     kappas = r.read("kappas", list) or default
     if kappas and any(k < 0.0 for k in kappas):
         r.fail("kappas", "entries must be >= 0")
@@ -354,17 +348,18 @@ def _parse_array(r, kinds=("linear", "circular", "planar")):
                                 f"{_MAX_WAVELENGTHS:g} wavelengths", fields)
     if wavelength is None:
         return fields
-    try:
-        if kind == "linear":
-            n, spacing, phi, psi = args
-            axis = direction_from_angles(math.radians(phi), math.radians(psi))
-            fields["geometry"] = linear_array(n, spacing * wavelength, axis)
-        elif kind == "circular":
-            fields["geometry"] = circular_array(args[0], args[1] * wavelength)
-        else:
-            nx, ny, dx, dy = args
-            fields["geometry"] = planar_grid(nx, ny, dx * wavelength, dy * wavelength)
-    except ValueError as exc:
+    try:  # positions in meters whose squared separations overflow are refused
+        with np.errstate(over="raise", invalid="raise"):
+            if kind == "linear":
+                n, spacing, phi, psi = args
+                axis = direction_from_angles(math.radians(phi), math.radians(psi))
+                fields["geometry"] = linear_array(n, spacing * wavelength, axis)
+            elif kind == "circular":
+                fields["geometry"] = circular_array(args[0], args[1] * wavelength)
+            else:
+                nx, ny, dx, dy = args
+                fields["geometry"] = planar_grid(nx, ny, dx * wavelength, dy * wavelength)
+    except (ValueError, FloatingPointError) as exc:
         block.fail(None, str(exc))
     return fields
 
@@ -382,25 +377,10 @@ def _parse_radar_table(r):
     if not 0.0 < fields["threshold"] < 1.0:
         r.fail("threshold", "must lie in (0, 1)")
     for i, width in enumerate(fields["widths_deg"] or ()):
-        # kappa grows as the width falls; below 1e-100 deg, where it is past the
-        # bound, sin^2(width / 4) can underflow to 0
-        if width >= 180.0:
-            r.fail(f"widths_deg[{i}]", "must be below 180")
-        elif kappa_from_angular_width(math.radians(max(width, 1e-100))) > _MAX_KAPPA:
-            r.fail(f"widths_deg[{i}]", f"gives a kappa above {_MAX_KAPPA:g}")
+        if not 0.0 < math.radians(width) < math.pi:  # 0 rad below about 1.4e-322 deg
+            r.fail(f"widths_deg[{i}]", "must lie in (0, 180), and above 0 in radians")
     if abs(fields["elevation_deg"]) > 90.0:
         r.fail("elevation_deg", "must lie in [-90, 90]")
-    if not r.errors:
-        # the narrowest width and the slowest speed search longest: their travel in
-        # wavelengths and horizon in seconds as the search forms them, in Python floats
-        kappa = kappa_from_angular_width(math.radians(min(fields["widths_deg"])))
-        travel = 10.0 + kappa / min(fields["threshold"], 0.5)
-        f_m = ((2.0 if fields["monostatic"] else 1.0) * (min(fields["speeds_kmh"]) / 3.6)
-               / (SPEED_OF_LIGHT / fields["carrier_frequency"]))
-        if travel > _MAX_SEARCH_TRAVEL:
-            r.fail("threshold", f"takes the search past {_MAX_SEARCH_TRAVEL:g} wavelengths")
-        elif not (f_m > 0.0 and math.isfinite(travel / f_m)):  # f_m underflows to 0
-            r.fail("speeds_kmh", "the slowest gives a search horizon that is not a finite double")
     return fields
 
 
@@ -677,13 +657,11 @@ def main(argv=None) -> int:
         config = parse_config(text, mode=args.mode)
         overrides = {"out": args.out, "format": args.format}
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    except ConfigError as exc:
-        for message in exc.errors:
+        return run(config)
+    except (ConfigError, DomainError) as exc:  # run raises DomainError before opening the file
+        for message in exc.errors if isinstance(exc, ConfigError) else [str(exc)]:
             print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        return run(config)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -9,6 +9,7 @@ from .vmf import (
     _HALF_PI,
     _SERIES_RADIUS,
     TWO_PI,
+    DomainError,
     VmfCluster,
     _log_kappa_over_sinh,
     csinc_sqrt,
@@ -102,11 +103,20 @@ def _split_k0(d: np.ndarray, wavelength: float):
 def _radicand(kappa, mean, d: np.ndarray, wavelength: float):
     """(w, a, b): the sinc radicand w = a - kappa^2 - 2j b and its exact parts
     a = (2 pi / lam)^2 |d|^2 and b = kappa (2 pi / lam) (mean . d), over d of
-    shape (..., 3), with kappa (...) and mean (..., 3) broadcast against it."""
-    m, _, scaled = _split_k0(d, wavelength)
-    a = (m * m) * _dot(scaled, scaled)
-    b = kappa * m * _dot(scaled, np.asarray(mean, dtype=float))
-    return np.asarray(a - _per_kappa(lambda k: k**2, kappa) - 2.0j * b), a, b
+    shape (..., 3), with kappa (...) and mean (..., 3) broadcast against it.
+    DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, _, scaled = _split_k0(d, wavelength)
+        a = (m * m) * _dot(scaled, scaled)
+        b = kappa * m * _dot(scaled, np.asarray(mean, dtype=float))
+        square = _per_kappa(lambda k: k**2 if k < 2.0**512 else math.inf, kappa)  # k**2 raises
+        size = a + square + 2.0 * np.abs(b)  # bounds every later step of the closed form
+        if not np.isfinite(size).all():
+            point = np.unravel_index(np.argmax(size), size.shape)  # a nan counts as largest
+            k, x = (np.broadcast_to(v, size.shape)[point] for v in (kappa, np.hypot.reduce(d, -1)))
+            raise DomainError(f"the radicand is not a finite double at kappa = {k:.6g}, "
+                              f"|d| = {x / wavelength:.6g} wavelengths")
+    return np.asarray(a - square - 2.0j * b), a, b
 
 
 def _branch_sqrt(w):
@@ -145,10 +155,10 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     kappa of shape (...) and mean directions of shape (..., 3) broadcast
     against them, so that one call can span clusters, concentrations or cells.
 
-    Each regime is one mask, taken per element: d = 0 gives exactly one,
-    kappa = 0 the isotropic sinc, kappa above the sinh overflow threshold the
-    log-domain large-kappa form, and otherwise kappa / sinh(kappa) times
-    csinc_sqrt's sin(z)/z.
+    _radicand first refuses the call with DomainError unless every point is in
+    domain. Each regime is then one mask, taken per element: d = 0 gives exactly
+    one, kappa = 0 the isotropic sinc, kappa above 700 the log-domain large-kappa
+    form, and otherwise kappa / sinh(kappa) times csinc_sqrt's sin(z)/z.
     """
     d = _as_displacement(d, batch=True)
     kappa = np.asarray(kappa, dtype=float)
@@ -181,19 +191,18 @@ def scf_isotropic(distance, wavelength: float):
     r = np.asarray(distance, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0.0)):
         raise ValueError(f"distance must be finite and >= 0, got {distance}")
-    value = np.sinc(2.0 * r / wavelength)
+    value = np.sinc(2.0 * (r / wavelength))  # 2 r overflows past 9e307 m, r / lam does not
     return float(value) if value.ndim == 0 else value
 
 
 def scf(cluster: VmfCluster, d, wavelength: float):
     """Spatial correlation between two positions separated by displacement d.
 
-    Equal to (kappa / sinh kappa) * sinc(sqrt(w)) with the radicand
-    w = (2 pi / lam)^2 |d|^2 - kappa^2 - 2j kappa (2 pi / lam) (mean . d).
-    kappa = 0 reduces to the real isotropic result, and concentrations beyond
-    the sinh overflow threshold are routed to the log-domain large-kappa form.
-    The value at d = 0 is exactly one. A 3-vector d gives a complex; an array
-    of shape (..., 3) gives a complex array of shape (...).
+    Equal to (kappa / sinh kappa) * sinc(sqrt(w)) with the radicand w = a - kappa^2 - 2j b,
+    a = (2 pi / lam)^2 |d|^2 and b = kappa (2 pi / lam) (mean . d); kappa = 0 is the real
+    isotropic result, kappa > 700 takes the log-domain large-kappa form, d = 0 gives
+    exactly one. DomainError where a + kappa^2 + 2 |b| is not a finite double. A 3-vector
+    d gives a complex; an array of shape (..., 3) gives a complex array of shape (...).
     """
     value = _closed_form(cluster.kappa, cluster.mean_direction, d, wavelength)
     return value.item() if value.ndim == 0 else value
@@ -204,8 +213,8 @@ def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
 
     z is the square root of the sinc radicand taken with nonpositive imaginary
     part, which keeps the dominant exponentials of sinh and sin paired; the
-    whole expression is assembled in the exponent, so nothing overflows for
-    kappa up to ~1e6. The e^(-2jz) term keeps sin z whole where z is near
+    whole expression is assembled in the exponent, so nothing overflows short
+    of _radicand's DomainError. The e^(-2jz) term keeps sin z whole where z is near
     real (transverse displacements with k0 |d| >= kappa); the one factor
     dropped is 1 - e^(-2 kappa), a relative error below 1e-600 above
     kappa = 700. Takes d of shape (3,) or (..., 3), like scf.
@@ -316,8 +325,9 @@ def decorrelation_time(
     points per decade starting at 1 us), scanned two decades per kernel call,
     and refined to 1e-6 relative, one sixteenth of the bracket per kernel call.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
-    default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in
-    decorrelation_table: 10 / f_m at kappa = 0, past any radial crossing.
+    default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in decorrelation_table,
+    10 / f_m at kappa = 0, past any radial crossing; DomainError where that default
+    is not a positive finite double or a lag searched is out of the kernel's domain.
     """
     times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold, horizon)
     return float(times[0])
@@ -339,18 +349,20 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    if any(motion.speed <= 0.0 for motion in motions):
-        raise ValueError("decorrelation time requires speed > 0")
-    if horizon is None:
+    default = horizon is None
+    if default:
         # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) / f_m (transverse) up
         # to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past the 10 / f_m of
-        # broad scattering; cover both, in Python floats: an overflow is an inf, no warning.
-        horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(
-            c, m, wavelength, monostatic).f_m for c, m in zip(clusters, motions)]
+        # broad scattering; cover both. An overflow, or f_m of 0 or inf, is out of domain.
+        f_m = [doppler_params(c, m, wavelength, monostatic).f_m for c, m in zip(clusters, motions)]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            horizon = np.divide([10.0 + c.kappa / min(threshold, 0.5) for c in clusters], f_m)
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
     valid = np.isfinite(horizon) & (horizon > 0.0)
     if not valid.all():
-        raise ValueError(f"horizon must be positive, got {horizon[~valid][0]}")
+        cell, error = np.argmin(valid), DomainError if default else ValueError
+        raise error(f"horizon must be positive and finite, got {horizon[cell]:g} s at kappa = "
+                    f"{clusters[cell].kappa:.6g}, speed = {motions[cell].speed:.6g} m/s")
     kappa = np.array([c.kappa for c in clusters])
     mean = np.array([c.mean_direction for c in clusters])
     velocity = np.array([m.velocity for m in motions])

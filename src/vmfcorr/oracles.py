@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import _as_displacement, _check_wavelength, _dot
+from .correlation import DomainError, _as_displacement, _check_wavelength, _dot
 from .vmf import _HALF_PI, TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
@@ -358,7 +358,7 @@ def scf_montecarlo(
     any CPU count. An exception raised in any block stops the hand-out of
     blocks and is raised by this call once every helper has finished.
 
-    Raises ValueError, before any draw, if the phase k0 d overflows.
+    Raises DomainError, before any draw, if the phase k0 d overflows.
     """
     if n_realizations < 100:
         raise ValueError(f"at least 100 realizations are required, got {n_realizations}")
@@ -373,7 +373,7 @@ def scf_montecarlo(
         along = k0 * projection
         across = k0 * math.hypot(*(d - projection * mean))
     if not (math.isfinite(along) and math.isfinite(across)):
-        raise ValueError("the phase k0 d overflows")
+        raise DomainError("the phase k0 d overflows")
     block = max(1, _BLOCK_PATH_SAMPLES // n_paths)
     blocks = range(0, n_realizations, block)
     starts = iter(blocks)

@@ -15,6 +15,10 @@ _TINY = sys.float_info.min  # smallest normal double
 _SERIES_RADIUS = 0.25
 
 
+class DomainError(ValueError):
+    """A valid input whose radicand, concentration, phase or horizon is not a finite double."""
+
+
 def direction_from_angles(phi: float, psi: float) -> np.ndarray:
     """Unit vector (cos phi cos psi, sin phi cos psi, sin psi) for azimuth phi
     and elevation psi, both in radians."""
@@ -170,12 +174,12 @@ def mean_resultant_length(kappa: float) -> float:
 def kappa_from_angular_width(delta_theta: float) -> float:
     """Concentration whose density falls to exp(-2) of its peak at an angular offset
     of half the given width: 2 / (1 - cos(delta_theta / 2)) = 1 / sin^2(delta_theta / 4),
-    the latter free of cancellation for narrow widths."""
+    free of cancellation; DomainError below 1.71e-152 deg, where it is not a finite double."""
     if not 0.0 < delta_theta < TWO_PI:
         raise ValueError(f"angular width must lie in (0, 2 pi), got {delta_theta}")
     square = math.sin(0.25 * delta_theta) ** 2
     if not square or math.isinf(1.0 / square):
-        raise ValueError(f"angular width {delta_theta} is too narrow for a finite kappa")
+        raise DomainError(f"angular width {delta_theta} is too narrow for a finite kappa")
     return 1.0 / square
 
 

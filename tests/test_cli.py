@@ -1,13 +1,17 @@
+import copy
+import functools
 import hashlib
 import json
 import math
+import operator
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vmfcorr import scf, scf_multicluster, VmfCluster
@@ -16,11 +20,13 @@ from vmfcorr.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    MODES,
     ConfigError,
     SweepConfig,
     _ROWS_PER_WRITE,
     _complex_columns,
     _distinct,
+    _is_number,
     _write_output,
     main,
     output_path,
@@ -789,11 +795,10 @@ class TestMainExitCodes:
         ("acf-curve/carrier", "cluster"), ("array-matrix/linear", "cluster"),
     ])
     def test_kappa_past_1e150_is_a_config_error(self, tmp_path, capsys, name, key):
-        # the radicand forms kappa^2, which overflows a double past 1.34e154
+        # kappa past 1e150 is evaluated while the kernel's radicand is a finite
+        # double: Python's kappa**2 overflows from 2^512 = 1.34e154 on
         out = tmp_path / "out.csv"
         doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv"}
-        error = {"cluster": "cluster.kappa: must be", "clusters": "clusters[0].kappa: must be",
-                 "kappas": "kappas: entries must be"}[key] + " <= 1e+150"
 
         def with_kappa(kappa):
             if key == "kappas":
@@ -802,33 +807,44 @@ class TestMainExitCodes:
                 return [_cluster_block(kappa=kappa, power=0.25), *doc["clusters"][1:]]
             return _cluster_block(kappa=kappa)
 
-        for kappa in (float(np.nextafter(1e150, math.inf)), 1e160, 1e300):
+        for kappa in (2.0**512, 1e160, 1e300):
             doc[key] = with_kappa(kappa)
             path = write_config(tmp_path / "c.json", doc)
             assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"config error: {error}\n"
+            err = capsys.readouterr().err
+            assert err.startswith("config error: the radicand is not a finite double at "
+                                  f"kappa = {kappa:.6g}, |d| = ") and err.endswith(" wavelengths\n")
             assert not out.exists()
-        doc[key] = with_kappa(1e150)
-        path = write_config(tmp_path / "c.json", doc)
-        assert main([doc["mode"], "--config", path]) == EXIT_OK
-        assert out.exists()
+        for kappa in (1e150, float(np.nextafter(1e150, math.inf)), 1e152,
+                      float(np.nextafter(2.0**512, 0.0))):
+            doc[key] = with_kappa(kappa)
+            path = write_config(tmp_path / "c.json", doc)
+            assert main([doc["mode"], "--config", path]) == EXIT_OK
+            cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+            assert all(math.isfinite(float(cell)) for row in cells for cell in row)
 
     def test_radar_width_past_the_kappa_bound_is_a_config_error(self, tmp_path, capsys):
-        # 1e-150 deg gives kappa 5.3e304, and below about 1e-160 deg the
-        # concentration's sin^2(width / 4) underflows to 0; 1e-70 deg gives 5.3e144
+        # 1e-150 deg gives kappa 5.3e304, whose square overflows in the kernel's
+        # radicand, and below about 1e-160 deg the concentration's
+        # sin^2(width / 4) underflows to 0; 1e-70 deg gives 5.3e144
         out = tmp_path / "out.csv"
-        doc = {**FULL_CONFIGS["radar-table"], "out": str(out), "format": "csv",
-               "widths_deg": [2.0, 1e-150, 1e-70, 1e-200]}
-        path = write_config(tmp_path / "c.json", doc)
-        assert main(["radar-table", "--config", path]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "config error: widths_deg[1]: gives a kappa above 1e+150\n"
-            "config error: widths_deg[3]: gives a kappa above 1e+150\n")
-        assert not out.exists()
+        doc = {**FULL_CONFIGS["radar-table"], "out": str(out), "format": "csv"}
+        refused = {
+            1e-150: "the radicand is not a finite double at kappa = 5.25249e+304, "
+                    "|d| = 0.00138985 wavelengths",
+            1e-200: f"angular width {math.radians(1e-200)} is too narrow for a finite kappa",
+        }
+        for width, message in refused.items():
+            doc["widths_deg"] = [2.0, width, 1e-70]
+            path = write_config(tmp_path / "c.json", doc)
+            assert main(["radar-table", "--config", path]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {message}\n"
+            assert not out.exists()
         doc["widths_deg"] = [2.0, 1e-70]
         path = write_config(tmp_path / "c.json", doc)
         assert main(["radar-table", "--config", path]) == EXIT_OK
-        assert out.exists()
+        cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for row in cells for cell in row)
 
     @pytest.mark.parametrize("name", ["acf-curve/carrier", "radar-table"])
     def test_carrier_without_a_finite_wavelength_is_a_config_error(self, tmp_path, capsys,
@@ -910,26 +926,34 @@ class TestMainExitCodes:
         assert all(math.isfinite(float(cell)) for row in cells for cell in row)
 
     def test_radar_search_past_its_bounds_is_a_config_error(self, tmp_path, capsys):
-        # The search runs 10 + kappa / min(threshold, 0.5) wavelengths of travel
-        # at the narrowest width; past 2e153 the radicand's squared phase
-        # overflows. Its horizon, that travel over f_m at the slowest speed,
-        # must be a finite double.
+        # The search ends at each cell's horizon (10 + kappa / min(threshold, 0.5))
+        # / f_m, which must be a finite double, and its lags must keep the kernel's
+        # radicand finite. At these widths a threshold of 4.39498702174469e-154
+        # takes the 170 deg cell's scan to the last lags whose radicand is finite,
+        # and the next double below it one window further.
         out = tmp_path / "out.csv"
         base = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
                 "elevation_deg": 20.0, "widths_deg": [4.0, 0.25, 170.0], "speeds_kmh": [40.0]}
         kappa = 1.0 / math.sin(math.radians(0.25) / 4.0) ** 2
-        travel = "config error: threshold: takes the search past 2e+153 wavelengths\n"
-        horizon = ("config error: speeds_kmh: the slowest gives a search horizon that is "
-                   "not a finite double\n")
-        refused = [({"threshold": 1e-300}, travel), ({"threshold": kappa / 2.01e153}, travel),
-                   ({"widths_deg": [0.25], "speeds_kmh": [1e-305]}, horizon),
-                   ({"speeds_kmh": [40.0, 1e-304], "monostatic": False}, horizon)]
+        radicand = "config error: the radicand is not a finite double at kappa = {}, |d| = {}\n"
+        horizon = ("config error: horizon must be positive and finite, got inf s at "
+                   "kappa = {}, speed = {} m/s\n")
+        refused = [
+            ({"threshold": 1e-300}, radicand.format(3283.14, "1.75779e+153 wavelengths")),
+            ({"threshold": 4.3949870217446895e-154},
+             radicand.format(2.19095, "1.75779e+153 wavelengths")),
+            ({"widths_deg": [0.25], "speeds_kmh": [1e-305]},
+             horizon.format(840399, "2.77778e-306")),
+            ({"speeds_kmh": [40.0, 1e-304], "monostatic": False},
+             horizon.format(840399, "2.77778e-305")),
+        ]
         for overrides, message in refused:
             path = write_config(tmp_path / "c.json", {**base, **overrides})
             assert main(["radar-table", "--config", path]) == EXIT_CONFIG
             assert capsys.readouterr().err == message
             assert not out.exists()
-        accepted = [{"threshold": kappa / 1.99e153}, {"threshold": 1e-147},
+        accepted = [{"threshold": 4.39498702174469e-154}, {"threshold": kappa / 2.01e153},
+                    {"threshold": kappa / 1.99e153}, {"threshold": 1e-147},
                     {"widths_deg": [1e-70]},
                     {"widths_deg": [4.0, 1.0, 0.25], "speeds_kmh": [1e-300, 5.6e-304, 40.0]}]
         for overrides in accepted:
@@ -938,6 +962,21 @@ class TestMainExitCodes:
             cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
             assert all(math.isfinite(float(cell)) for row in cells for cell in row)
             out.unlink()
+
+    @pytest.mark.xfail(strict=True, raises=(RuntimeWarning, ValueError), reason=(
+        "the row builders form lengths in meters as wavelength units times the wavelength, "
+        "and that product overflows unchecked"))
+    def test_grid_past_the_double_range_in_meters_is_a_config_error(self, tmp_path):
+        # x_over_lambda -2 at a wavelength of 1.39e308 m is -2.8e308 m: numpy warns
+        # of the overflow, and the kernel refuses the infinite displacement with a
+        # plain ValueError, exit 1
+        out = tmp_path / "out.csv"
+        doc = {"mode": "scf-field", "wavelength": 1.3872254818396764e308, "out": str(out),
+               "cluster": {"kappa": 1.0}, "x_over_lambda": _grid(-2.0, 1.0),
+               "y_over_lambda": _grid(0.0, 0.0, 1)}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main(["scf-field", "--config", path]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_field_point_count_too_large_is_a_config_error(self, tmp_path, capsys):
         # each count is allowed, but np.meshgrid would need 7.3 TiB for the field
@@ -1051,3 +1090,64 @@ class TestMainExitCodes:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert set(payload) == {"mode", "columns", "rows"}
+
+
+
+def _leaves(doc, path=()):
+    """The path of every number in a config, through nested objects and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
+        elif _is_number(value):
+            yield (*path, key)
+
+
+# Doubles from the whole range, nan and the infinities among them (json.dumps
+# spells them NaN and Infinity, which json.loads reads back), positive finite
+# ones drawn apart so that more configs get past the readers, and integers,
+# also past the double range
+_DOUBLES = st.one_of(st.floats(), st.floats(0.0, sys.float_info.max),
+                     st.integers(-(10**400), 10**400))
+# Counts: small, or just past a limit, or past int64, which keeps each run short
+_COUNTS = st.one_of(st.integers(-1, 5), st.sampled_from([1001, 10**6 + 1, 2**64]))
+
+
+@st.composite
+def _fuzzed_configs(draw, mode):
+    """A full config of the mode with one to three of its numbers redrawn."""
+    names = [name for name in FULL_CONFIGS if name.split("/")[0] == mode]
+    doc = copy.deepcopy(FULL_CONFIGS[draw(st.sampled_from(names))])
+    paths = draw(st.lists(st.sampled_from(list(_leaves(doc))), min_size=1, max_size=3,
+                          unique=True))
+    for path in paths:
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        number = _COUNTS if isinstance(parent[path[-1]], int) else _DOUBLES
+        parent[path[-1]] = draw(number)
+    return doc
+
+
+def _written_cells(path, fmt):
+    if fmt == "json":
+        return [cell for row in json.loads(path.read_text())["rows"] for cell in row]
+    return [float(cell) for line in path.read_text().splitlines()[1:] for cell in line.split(",")]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_every_config_exits_cleanly(tmp_path_factory, capsys, mode, data):
+    # any config a mode's schema can spell exits 0, 2 or 3, never with a
+    # traceback or an escaped warning (pytest turns RuntimeWarning into an
+    # error), and any file it writes holds finite cells only
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
+    folder = tmp_path_factory.mktemp("fuzz")
+    out = folder / f"out.{fmt}"
+    doc = {**data.draw(_fuzzed_configs(mode)), "out": str(out), "format": fmt}
+    status = main([mode, "--config", write_config(folder / "c.json", doc)])
+    assert status in (EXIT_OK, EXIT_CONFIG, EXIT_VALIDATION)
+    assert "Traceback" not in capsys.readouterr().err
+    assert status != EXIT_CONFIG or not out.exists()
+    if out.exists():
+        assert all(math.isfinite(cell) for cell in _written_cells(out, fmt))

@@ -1,7 +1,9 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -11,10 +13,13 @@ import pytest
 from vmfcorr import (
     SPEED_OF_LIGHT,
     DecorrelationNotFound,
+    DomainError,
     MotionState,
+    RadarScenario,
     VmfCluster,
     acf,
     angles_from_direction,
+    decorrelation_table,
     decorrelation_time,
     doppler_params,
     scf,
@@ -376,6 +381,50 @@ def test_mixed_batch_matches_scalar_calls():
     values = _closed_form(np.reshape(kappas, (-1, 1)), mean, d, lam)
     for row, kappa in zip(values, kappas):
         assert np.array_equal(row, scf(VmfCluster(1.0, -0.4, kappa), d, lam))
+
+
+def _probe(fn, kappa, x):
+    """fn at kappa, mean along x, and d = x wavelengths along x, at wavelength 1."""
+    cluster, d = VmfCluster(0.0, 0.0, kappa), np.array([x, 0.0, 0.0])
+    if fn is scf_multicluster:
+        return fn([cluster], d, 1.0)
+    if fn is acf:
+        return fn(cluster, MotionState(1.0), x, 1.0)
+    return fn(cluster, d, 1.0)
+
+
+def _radar_probe(width_deg, speed_kmh):
+    base = RadarScenario(1e10, math.radians(20.0), math.radians(width_deg), speed_kmh / 3.6)
+    return decorrelation_table([base.target_angular_width], [base.target_speed], base)
+
+
+# Radicands past the double range in each regime (isotropic, sinh, large
+# kappa, and a kappa whose square overflows), and radar tables whose
+# concentration, radicand or default search horizon is not a finite double:
+# each raises one DomainError that names the point, with no warning first.
+_OUT_OF_DOMAIN = [
+    pytest.param(partial(_probe, fn, kappa, x), f"kappa = {kappa:g}, |d| = {x:g} wavelengths",
+                 id=f"{fn.__name__}-kappa={kappa:g}-x={x:g}")
+    for fn in (scf, scf_multicluster, acf, scf_large_kappa, scf_exact_log)
+    for kappa, x in ((0.0, 1e200), (10.0, 1e200), (1000.0, 1e200), (1e155, 1e-3))
+    if kappa > 0.0 or fn not in (scf_large_kappa, scf_exact_log)
+] + [
+    pytest.param(partial(_radar_probe, 1e-150, 40.0), "at kappa = 5.25249e+304, |d| = ",
+                 id="radar-width=1e-150deg"),
+    pytest.param(partial(_radar_probe, 1e-200, 40.0),
+                 f"angular width {math.radians(1e-200)} is too narrow", id="radar-width=1e-200deg"),
+    pytest.param(partial(_radar_probe, 0.25, 1e-305), "got inf s at kappa = 840399, speed = ",
+                 id="radar-speed=1e-305kmh"),
+]
+
+
+@pytest.mark.parametrize("call, point", _OUT_OF_DOMAIN)
+def test_out_of_domain_is_one_answer(call, point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as info:
+            call()
+    assert point in str(info.value)
 
 
 class TestDoppler:

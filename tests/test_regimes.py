@@ -60,9 +60,12 @@ def _case(kappa, beta_deg, x, label="", marks=()):
                         id=f"kappa={kappa:g}-beta={beta_deg:g}-x={x:.6g}{label}")
 
 
+# The largest kappa whose kappa**2 is a finite double: the kernel evaluates up to it.
+MAX_KAPPA = math.nextafter(2.0**512, 0.0)
+
 CASES = [
     _case(kappa, beta, x)
-    for kappa in (0.0, 1e-8, 1.0, 699.999, 700.0, 700.001, 1e4, 2e5, 1e6)
+    for kappa in (0.0, 1e-8, 1.0, 699.999, 700.0, 700.001, 1e4, 2e5, 1e6, 1e152, MAX_KAPPA)
     for beta in (0.0, 45.0, 90.0)
     for x in (0.9, 20.0)
 ] + [
