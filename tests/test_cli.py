@@ -833,6 +833,7 @@ class TestMainExitCodes:
             1e-150: "the radicand is not a finite double at kappa = 5.25249e+304, "
                     "|d| = 0.00138985 wavelengths",
             1e-200: f"angular width {math.radians(1e-200)} is too narrow for a finite kappa",
+            5e-324: "widths_deg[1]: must lie in (0, 180), and above 0 in radians",
         }
         for width, message in refused.items():
             doc["widths_deg"] = [2.0, width, 1e-70]
@@ -924,6 +925,21 @@ class TestMainExitCodes:
         assert main([doc["mode"], "--config", path]) == EXIT_OK
         cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
         assert all(math.isfinite(float(cell)) for row in cells for cell in row)
+
+    @pytest.mark.parametrize("name, wavelength", [
+        ("array-path/linear", 2.6815615859885194e154),
+        ("array-matrix/circular", 1.375366155685454e308),
+    ])
+    def test_array_overflowing_in_meters_is_a_config_error(self, tmp_path, capsys, name,
+                                                           wavelength):
+        # elements 2.7e154 m apart square past the double range in the separation
+        # check, and a radius of 1.5 wavelengths at 1.4e308 m is inf
+        out = tmp_path / "out.csv"
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv", "wavelength": wavelength}
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: geometry: ")
+        assert not out.exists()
 
     def test_radar_search_past_its_bounds_is_a_config_error(self, tmp_path, capsys):
         # The search ends at each cell's horizon (10 + kappa / min(threshold, 0.5))
