@@ -197,7 +197,7 @@ _MAX_GRID_COUNT = 10**6
 _MAX_WAVELENGTHS = 1e14
 
 
-def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
+def _read_grid(r, key, *, required=False, default=None, nonnegative=False, lam=1.0):
     """The np.linspace points of the grid at key, or default after recording why."""
     grid = r.read(key, dict, required=required, expect="an object with start/stop/count")
     if grid is None:
@@ -214,6 +214,8 @@ def _read_grid(r, key, *, required=False, default=None, nonnegative=False):
     if key.endswith("_over_lambda") and max(abs(start), abs(stop)) > _MAX_WAVELENGTHS:
         end = "start" if abs(start) > _MAX_WAVELENGTHS else "stop"
         return grid.fail(end, f"must lie in [-{_MAX_WAVELENGTHS:g}, {_MAX_WAVELENGTHS:g}]", default)
+    if not math.isfinite(max(abs(start), abs(stop)) * (lam or 1.0)):  # the ends in meters
+        return r.fail(key, "start and stop times the wavelength must be finite in meters", default)
     return np.linspace(start, stop, count)
 
 
@@ -249,7 +251,8 @@ def _parse_scf_curve(r):
     wavelength = _read_wavelength(r)
     clusters = _read_clusters(r, kappa_swept=r.has("kappas"))
     fields = dict(wavelength=wavelength, clusters=clusters, kappas=_read_kappas(r), direction=None,
-                  fractions=_read_grid(r, "d_over_lambda", required=True, nonnegative=True))
+                  fractions=_read_grid(r, "d_over_lambda", required=True, nonnegative=True,
+                                       lam=wavelength))
     one, many = r.has("beta_deg"), r.has("betas_deg")
     if one and many:
         betas = r.fail("beta_deg", "give either 'beta_deg' or 'betas_deg', not both")
@@ -278,9 +281,10 @@ def _parse_scf_curve(r):
 
 
 def _parse_scf_field(r):
-    fields = dict(wavelength=_read_wavelength(r), clusters=_read_clusters(r),
-                  x=_read_grid(r, "x_over_lambda", required=True),
-                  y=_read_grid(r, "y_over_lambda", required=True))
+    lam = _read_wavelength(r)
+    fields = dict(wavelength=lam, clusters=_read_clusters(r),
+                  x=_read_grid(r, "x_over_lambda", required=True, lam=lam),
+                  y=_read_grid(r, "y_over_lambda", required=True, lam=lam))
     x, y = fields["x"], fields["y"]
     if x is not None and y is not None and x.size * y.size > _MAX_GRID_COUNT:
         r.fail("x_over_lambda.count * y_over_lambda.count", f"must be <= {_MAX_GRID_COUNT}")
@@ -395,7 +399,7 @@ def _parse_validate(r):
         kappas=_read_kappas(r, (0.0, 1.0, 10.0, 100.0), limit=_MAX_QUADRATURE_KAPPA),
         betas_deg=r.read("betas_deg", list) or (0.0, 30.0, 60.0, 90.0),
         fractions=_read_grid(r, "d_over_lambda", nonnegative=True,
-                             default=np.linspace(0.0, 3.0, 13)),
+                             default=np.linspace(0.0, 3.0, 13), lam=wavelength),
         tolerance=r.read("tolerance", float, 1e-8, positive=True),
         quad_abs_tol=r.read("quad_abs_tol", float, 1e-10, positive=True),
         quad_rel_tol=r.read("quad_rel_tol", float, 1e-10, positive=True),

@@ -101,10 +101,9 @@ def _split_k0(d: np.ndarray, wavelength: float):
 
 
 def _radicand(kappa, mean, d: np.ndarray, wavelength: float):
-    """(w, a, b): the sinc radicand w = a - kappa^2 - 2j b and its exact parts
-    a = (2 pi / lam)^2 |d|^2 and b = kappa (2 pi / lam) (mean . d), over d of
-    shape (..., 3), with kappa (...) and mean (..., 3) broadcast against it.
-    DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
+    """(w, a, b): the sinc radicand w = a - kappa^2 - 2j b and its parts a = (2 pi / lam)^2 |d|^2
+    and b = kappa (2 pi / lam) (mean . d), with kappa (...) and mean (..., 3) broadcast against d
+    (..., 3). DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         m, _, scaled = _split_k0(d, wavelength)
         a = (m * m) * _dot(scaled, scaled)
@@ -173,9 +172,9 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     large = live & (kappa > LARGE_KAPPA_THRESHOLD)
     moderate = live & ~isotropic & ~large
     if isotropic.any():
-        _, e, scaled = _split_k0(d, wavelength)
-        distance = np.ldexp(np.sqrt(_dot(scaled, scaled)), -e)
-        value[isotropic] = scf_isotropic(spread(distance)[isotropic], wavelength)
+        (_, e, scaled), (m, e_lam) = _split_k0(d, wavelength), math.frexp(wavelength)
+        x = np.ldexp(np.sqrt(_dot(scaled, scaled)) / m, -e - e_lam)  # |d| / lam, even past 1e308 m
+        value[isotropic] = scf_isotropic(spread(x)[isotropic], 1.0)
     if large.any():
         value[large] = np.exp(_log_large_kappa(kappa, w, a, b, large))
     if moderate.any():

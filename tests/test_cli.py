@@ -979,20 +979,28 @@ class TestMainExitCodes:
             assert all(math.isfinite(float(cell)) for row in cells for cell in row)
             out.unlink()
 
-    @pytest.mark.xfail(strict=True, raises=(RuntimeWarning, ValueError), reason=(
-        "the row builders form lengths in meters as wavelength units times the wavelength, "
-        "and that product overflows unchecked"))
-    def test_grid_past_the_double_range_in_meters_is_a_config_error(self, tmp_path):
-        # x_over_lambda -2 at a wavelength of 1.39e308 m is -2.8e308 m: numpy warns
-        # of the overflow, and the kernel refuses the infinite displacement with a
-        # plain ValueError, exit 1
+    @pytest.mark.parametrize("name, key, grid", [
+        ("scf-field", "y_over_lambda", _grid(-2.0, 1.0)),
+        ("scf-curve/beta", "d_over_lambda", _grid(0.0, 1000.0)),
+        ("validate", "d_over_lambda", _grid(0.0, 1000.0)),
+    ])
+    def test_grid_past_the_double_range_in_meters_is_a_config_error(self, tmp_path, capsys,
+                                                                    name, key, grid):
+        # the rows take lengths in meters, wavelength units times the wavelength:
+        # -2 at 1.39e308 m and 1000 at 1e306 m overflow, 1 and 100 do not
         out = tmp_path / "out.csv"
-        doc = {"mode": "scf-field", "wavelength": 1.3872254818396764e308, "out": str(out),
-               "cluster": {"kappa": 1.0}, "x_over_lambda": _grid(-2.0, 1.0),
-               "y_over_lambda": _grid(0.0, 0.0, 1)}
+        doc = {**FULL_CONFIGS[name], "out": str(out), "format": "csv", key: grid,
+               "wavelength": 1.3872254818396764e308 if name == "scf-field" else 1e306}
         path = write_config(tmp_path / "c.json", doc)
-        assert main(["scf-field", "--config", path]) == EXIT_CONFIG
+        assert main([doc["mode"], "--config", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {key}: start and stop times the wavelength must be finite in meters\n")
         assert not out.exists()
+        doc[key] = _grid(0.0, 1.0 if name == "scf-field" else 100.0)
+        path = write_config(tmp_path / "c.json", doc)
+        assert main([doc["mode"], "--config", path]) in (EXIT_OK, EXIT_VALIDATION)
+        cells = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        assert all(math.isfinite(float(cell)) for row in cells for cell in row)
 
     def test_field_point_count_too_large_is_a_config_error(self, tmp_path, capsys):
         # each count is allowed, but np.meshgrid would need 7.3 TiB for the field

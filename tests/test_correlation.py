@@ -102,8 +102,10 @@ class TestScf:
         assert scf_isotropic(0.0, LAM) == 1.0
         assert abs(scf_isotropic(LAM / 2, LAM)) < 1e-15
         assert abs(scf_isotropic(LAM, LAM)) < 1e-15
-        # 2 r overflows past 9e307 m, where r / lambda does not
+        # 2 r overflows past 9e307 m, and |d| past 1.8e308 m, where r / lambda does not
         assert scf_isotropic(1.5e308, 1e300) == np.sinc(3e8)
+        assert scf(VmfCluster(0.0, 0.0, 0.0), (1.5e308, 1.5e308, 0.0), 1e308) == pytest.approx(
+            np.sinc(2.0 * math.hypot(1.5, 1.5)), abs=1e-15)
         cluster = VmfCluster(1.2, -0.7, 0.0)
         rng = np.random.default_rng(32)
         for _ in range(50):
