@@ -352,7 +352,7 @@ def _parse_array(r, kinds=("linear", "circular", "planar")):
                                 f"{_MAX_WAVELENGTHS:g} wavelengths", fields)
     if wavelength is None:
         return fields
-    try:  # positions in meters whose squared separations overflow are refused
+    try:  # positions in meters whose arithmetic overflows are refused
         with np.errstate(over="raise", invalid="raise"):
             if kind == "linear":
                 n, spacing, phi, psi = args
