@@ -26,6 +26,7 @@ from vmfcorr import (
     scf_exact_log,
     scf_isotropic,
     scf_large_kappa,
+    scf_montecarlo,
     scf_multicluster,
 )
 from vmfcorr import correlation
@@ -403,9 +404,10 @@ def _radar_probe(width_deg, speed_kmh):
 
 
 # Radicands past the double range in each regime (isotropic, sinh, large
-# kappa, and a kappa whose square overflows), and radar tables whose
-# concentration, radicand or default search horizon is not a finite double:
-# each raises one DomainError that names the point, with no warning first.
+# kappa, and a kappa whose square overflows), radar tables whose
+# concentration, radicand or default search horizon is not a finite double,
+# and a Monte-Carlo phase that overflows: each raises one DomainError that
+# names the point, with no warning first.
 _OUT_OF_DOMAIN = [
     pytest.param(partial(_probe, fn, kappa, x), f"kappa = {kappa:g}, |d| = {x:g} wavelengths",
                  id=f"{fn.__name__}-kappa={kappa:g}-x={x:g}")
@@ -419,6 +421,8 @@ _OUT_OF_DOMAIN = [
                  f"angular width {math.radians(1e-200)} is too narrow", id="radar-width=1e-200deg"),
     pytest.param(partial(_radar_probe, 0.25, 1e-305), "got inf s at kappa = 840399, speed = ",
                  id="radar-speed=1e-305kmh"),
+    pytest.param(partial(scf_montecarlo, VmfCluster(0.0, 0.0, 10.0), (1e300, 0.0, 0.0), 1e-10,
+                         16, 100, 1), "the phase k0 d overflows", id="montecarlo-phase"),
 ]
 
 
