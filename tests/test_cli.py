@@ -944,9 +944,9 @@ class TestMainExitCodes:
     def test_radar_search_past_its_bounds_is_a_config_error(self, tmp_path, capsys):
         # The search ends at each cell's horizon (10 + kappa / min(threshold, 0.5))
         # / f_m, which must be a finite double, and its lags must keep the kernel's
-        # radicand finite. At these widths a threshold of 4.39498702174469e-154
-        # takes the 170 deg cell's scan to the last lags whose radicand is finite,
-        # and the next double below it one window further.
+        # radicand finite. At these widths a threshold of 4.39498702174469e-154 is
+        # evaluated, and the next double below it takes the 170 deg cell's search
+        # to a lag whose radicand is not finite.
         out = tmp_path / "out.csv"
         base = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
                 "elevation_deg": 20.0, "widths_deg": [4.0, 0.25, 170.0], "speeds_kmh": [40.0]}
