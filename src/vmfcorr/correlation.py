@@ -11,6 +11,7 @@ from .vmf import (
     TWO_PI,
     DomainError,
     VmfCluster,
+    _direction_variances,
     _log_kappa_over_sinh,
     csinc_sqrt,
     direction_from_angles,
@@ -310,6 +311,19 @@ _SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
 _SECTIONS = np.arange(1, 16) / 16
 
 
+def _crossing_floor(kappa, mean, heading, f_m, threshold: float) -> np.ndarray:
+    """Per cell, t0 = sqrt(2 (1 - threshold) / V) / (2 pi f_m): |ACF| > threshold on
+    (0, t0). R is the characteristic function of k0 u.d over arrival directions
+    u, so |ACF(t)| >= E cos(2 pi f_m t (u.h - E u.h)) >= 1 - (2 pi f_m t)^2 V / 2,
+    with V = (mean.h)^2 Var(w) + |mean x h|^2 A / kappa the variance of u.h for
+    the unit heading h; the cross product holds the transverse weight free of
+    the cancellation in 1 - (mean.h)^2."""
+    along, across = np.array([_direction_variances(k) for k in kappa.tolist()]).T
+    transverse = np.cross(mean, heading)
+    variance = _dot(mean, heading) ** 2 * along + _dot(transverse, transverse) * across
+    return np.sqrt(2.0 * (1.0 - threshold) / variance) / (TWO_PI * f_m)
+
+
 def decorrelation_time(
     cluster: VmfCluster,
     motion: MotionState,
@@ -321,8 +335,10 @@ def decorrelation_time(
     """Smallest positive lag at which |ACF| first falls to the threshold.
 
     The first downward crossing is bracketed on a geometric lag grid (64
-    points per decade starting at 1 us), scanned two decades per kernel call,
-    and refined to 1e-6 relative, one sixteenth of the bracket per kernel call.
+    points per decade starting at 1 us), scanned two decades per kernel call
+    from the window that holds the first lag past half of _crossing_floor's
+    certified floor on the crossing, and refined to 1e-6 relative, one
+    sixteenth of the bracket per kernel call.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
     default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in decorrelation_table,
     10 / f_m at kappa = 0, past any radial crossing; DomainError where that default
@@ -338,8 +354,10 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     horizon seconds, or up to each cell's default horizon when it is None.
 
     The lag grids of all cells, padded to one length, are scanned one window
-    of columns per kernel call over the cells that have not crossed yet; a
-    cell leaves the scan at its first crossing. The cells are then refined
+    of columns per kernel call over the cells that have not crossed yet. A
+    cell joins the scan at the window that holds its first lag past half of
+    _crossing_floor, before which its |ACF| is certified above the threshold,
+    and leaves it at its first crossing. The cells are then refined
     together: one kernel call evaluates 15 evenly spaced lags inside the
     bracket of every live cell, which keeps the sixteenth that holds its
     first lag below the threshold (the last one where none is), and a cell
@@ -348,23 +366,27 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    _check_wavelength(wavelength)
+    kappa = np.array([c.kappa for c in clusters])
+    mean = np.array([c.mean_direction for c in clusters])
+    speed = np.array([m.speed for m in motions])
+    heading = np.array([direction_from_angles(m.phi_v, m.psi_v) for m in motions])
+    velocity = speed[:, None] * heading
     default = horizon is None
-    if default:
-        # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) / f_m (transverse) up
-        # to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past the 10 / f_m of
-        # broad scattering; cover both. An overflow, or f_m of 0 or inf, is out of domain.
-        f_m = [doppler_params(c, m, wavelength, monostatic).f_m for c, m in zip(clusters, motions)]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        f_m = (2.0 if monostatic else 1.0) * speed / wavelength  # as doppler_params forms it
+        if default:
+            # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) / f_m (transverse) up
+            # to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past the 10 / f_m of
+            # broad scattering; cover both. An overflow, or f_m of 0 or inf, is out of domain.
             horizon = np.divide([10.0 + c.kappa / min(threshold, 0.5) for c in clusters], f_m)
+        floor = _crossing_floor(kappa, mean, heading, f_m, threshold)
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
     valid = np.isfinite(horizon) & (horizon > 0.0)
     if not valid.all():
         cell, error = np.argmin(valid), DomainError if default else ValueError
         raise error(f"horizon must be positive and finite, got {horizon[cell]:g} s at kappa = "
                     f"{clusters[cell].kappa:.6g}, speed = {motions[cell].speed:.6g} m/s")
-    kappa = np.array([c.kappa for c in clusters])
-    mean = np.array([c.mean_direction for c in clusters])
-    velocity = np.array([m.velocity for m in motions])
 
     def excess(t, cells):
         d = _lag_displacement(t, velocity[cells], monostatic)
@@ -381,20 +403,26 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     steps[:, 0] = start
     with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
         grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+    # each cell joins at the window of its first lag past half its floor, or
+    # else of its horizon, the first column the clamp reaches
+    past = (grid > 0.5 * floor[:, None]) | (grid == horizon[:, None])
+    joins = np.argmax(past, axis=1) // _SCAN_WINDOW * _SCAN_WINDOW
     cells = np.arange(len(kappa))
     first = np.zeros(len(kappa), dtype=int)
-    searching = cells
-    for offset in range(0, count, _SCAN_WINDOW):
-        if not searching.size:
-            break
-        below = excess(grid[searching, offset:offset + _SCAN_WINDOW], searching[:, None]) < 0.0
+    searching = np.ones(len(kappa), dtype=bool)
+    offset = 0
+    while searching.any() and offset < count:
+        offset = max(offset, joins[searching].min())  # no window before it has a cell to scan
+        scan = cells[searching & (joins <= offset)]
+        below = excess(grid[scan, offset:offset + _SCAN_WINDOW], scan[:, None]) < 0.0
         crossed = below.any(axis=1)
-        first[searching[crossed]] = offset + np.argmax(below[crossed], axis=1)
-        searching = searching[~crossed]
-    if searching.size:
+        first[scan[crossed]] = offset + np.argmax(below[crossed], axis=1)
+        searching[scan[crossed]] = False
+        offset += _SCAN_WINDOW
+    if searching.any():
         raise DecorrelationNotFound(
             f"|ACF| never fell below {threshold} within horizon "
-            f"{float(horizon[searching[0]])} s"
+            f"{float(horizon[np.argmax(searching)])} s"
         )
     hi = grid[cells, first]
     lo = np.where(first > 0, grid[cells, first - 1], 0.0)

@@ -171,6 +171,23 @@ def mean_resultant_length(kappa: float) -> float:
     return 1.0 / math.tanh(kappa) - 1.0 / kappa
 
 
+def _direction_variances(kappa: float) -> tuple[float, float]:
+    """(Var(w), A / kappa): the variances of a direction drawn from the cluster along
+    its mean, w = mean . u, and along any one unit vector across it, where
+    Var(w) = 1/kappa^2 - csch^2 kappa and A = mean_resultant_length(kappa); both
+    are 1/3 at kappa = 0. Below kappa = 0.01 both differences cancel and their
+    series are taken instead, truncated before a negative term so they
+    overestimate; from 20 on Var(w) drops csch^2 kappa, under 7e-15 of it."""
+    if kappa < 0.01:
+        square = kappa * kappa
+        return (1.0 / 3.0 - square / 15.0 + 2.0 * square * square / 189.0,
+                1.0 / 3.0 - square / 45.0 + 2.0 * square * square / 945.0)
+    along = (1.0 / kappa) ** 2  # underflows, not overflows, past kappa = 2^512
+    if kappa < 20.0:
+        along -= 1.0 / math.sinh(kappa) ** 2
+    return along, mean_resultant_length(kappa) / kappa
+
+
 def kappa_from_angular_width(delta_theta: float) -> float:
     """Concentration whose density falls to exp(-2) of its peak at an angular offset
     of half the given width: 2 / (1 - cos(delta_theta / 2)) = 1 / sin^2(delta_theta / 4),

@@ -825,13 +825,14 @@ class TestMainExitCodes:
 
     def test_radar_width_past_the_kappa_bound_is_a_config_error(self, tmp_path, capsys):
         # 1e-150 deg gives kappa 5.3e304, whose square overflows in the kernel's
-        # radicand, and below about 1e-160 deg the concentration's
-        # sin^2(width / 4) underflows to 0; 1e-70 deg gives 5.3e144
+        # radicand at every lag, so the refusal names the cell's first scanned
+        # lag, past half its crossing floor; below about 1e-160 deg the
+        # concentration's sin^2(width / 4) underflows to 0; 1e-70 deg gives 5.3e144
         out = tmp_path / "out.csv"
         doc = {**FULL_CONFIGS["radar-table"], "out": str(out), "format": "csv"}
         refused = {
             1e-150: "the radicand is not a finite double at kappa = 5.25249e+304, "
-                    "|d| = 0.00138985 wavelengths",
+                    "|d| = 1.38985e+151 wavelengths",
             1e-200: f"angular width {math.radians(1e-200)} is too narrow for a finite kappa",
             5e-324: "widths_deg[1]: must lie in (0, 180), and above 0 in radians",
         }

@@ -31,8 +31,9 @@ from vmfcorr import (
 )
 from vmfcorr import correlation
 from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _branch_sqrt,
-                                  _closed_form, _decorrelation_times, _radicand)
-from vmfcorr.vmf import TWO_PI, _log_kappa_over_sinh, csinc_sqrt
+                                  _closed_form, _crossing_floor, _decorrelation_times, _radicand)
+from vmfcorr.vmf import (TWO_PI, _direction_variances, _log_kappa_over_sinh, csinc_sqrt,
+                         direction_from_angles)
 
 from mp_reference import reference_log, relative_error
 
@@ -701,3 +702,91 @@ class TestDecorrelationSearch:
             _lockstep_reference([cluster] * 3, motions, LAM, False, 0.5, horizon)
         with pytest.raises(DecorrelationNotFound, match=message):
             _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5, horizon)
+
+
+_FLOOR_THRESHOLDS = (1e-4, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.999999)
+
+
+def _floor_tables(seed, count):
+    """Seeded tables of 1-5 cells for the crossing floor: kappa 0 for every
+    tenth cell, log-uniform over 1e-14-1e-3 for the next, else over 1e-3-1e6;
+    an exactly radial, anti-radial or random heading; 0.1-100 m/s. Yields
+    (clusters, motions, wavelength, monostatic, threshold)."""
+    rng = np.random.default_rng(seed)
+    cell = 0
+    for _ in range(count):
+        clusters, motions = [], []
+        for _ in range(int(rng.integers(1, 6))):
+            kappa = (0.0 if cell % 10 == 0 else 10 ** rng.uniform(-14, -3) if cell % 10 == 1
+                     else 10 ** rng.uniform(-3, 6))
+            cell += 1
+            mu_phi, mu_psi = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2)
+            heading = [(mu_phi, mu_psi), (mu_phi + math.pi, -mu_psi),
+                       (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2))]
+            clusters.append(VmfCluster(mu_phi, mu_psi, kappa))
+            motions.append(MotionState(10 ** rng.uniform(-1, 2), *heading[rng.integers(3)]))
+        yield (clusters, motions, 10 ** rng.uniform(-2, 0), bool(rng.integers(2)),
+               _FLOOR_THRESHOLDS[rng.integers(len(_FLOOR_THRESHOLDS))])
+
+
+def _searched_points(search, from_first_column=False):
+    """search()'s times as float.hex, or the error it raises as text, and the
+    set of (kappa, mean, d) points its kernel calls evaluated; with
+    from_first_column the floor is 0, so every cell joins the first window."""
+    points, closed_form = set(), correlation._closed_form
+
+    def recorded(kappa, mean, d, wavelength):
+        points.update(zip(np.broadcast_to(kappa, d.shape[:-1]).ravel().tolist(),
+                          map(bytes, np.broadcast_to(mean, d.shape).reshape(-1, 3)),
+                          map(bytes, d.reshape(-1, 3))))
+        return closed_form(kappa, mean, d, wavelength)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_closed_form", recorded)
+        if from_first_column:
+            patch.setattr(correlation, "_crossing_floor", lambda kappa, *_: np.zeros(len(kappa)))
+        try:
+            return [t.hex() for t in search().tolist()], points
+        except (DecorrelationNotFound, DomainError) as error:
+            return f"{type(error).__name__}: {error}", points
+
+
+class TestCrossingFloor:
+    """The search starts each cell at half its certified floor t0, below its first
+    crossing, and so evaluates a subset of the lags of a scan from the first
+    column, and returns the same bits."""
+
+    @pytest.mark.parametrize("kappa", [1e-14, 1e-8, 1e-3, 0.0099, 0.01, 1.0, 19.99, 20.0,
+                                       700.0, 1e5])
+    def test_direction_variances(self, kappa):
+        # 1e-9 relative: the floor halves t0, so an error that small cannot move a lag past it
+        with mp.workdps(40 + 2 * max(0, round(-math.log10(kappa)))):  # the differences cancel
+            k = mp.mpf(kappa)
+            reference = (1 / k**2 - 1 / mp.sinh(k) ** 2, (mp.coth(k) - 1 / k) / k)
+            for value, exact in zip(_direction_variances(kappa), reference):
+                assert abs(value - exact) <= 1e-9 * exact
+
+    def test_direction_variances_at_zero(self):
+        assert _direction_variances(0.0) == (1.0 / 3.0, 1.0 / 3.0)
+
+    def test_search_equals_the_scan_from_the_first_column(self):
+        for clusters, motions, lam, monostatic, threshold in _floor_tables(41, 300):
+            search = partial(_decorrelation_times, clusters, motions, lam, monostatic, threshold)
+            floored, points = _searched_points(search)
+            full, all_points = _searched_points(search, from_first_column=True)
+            assert floored == full
+            assert points <= all_points
+
+    def test_acf_stays_above_the_threshold_before_the_floor(self):
+        cells = [(c, m, lam, monostatic, threshold)
+                 for clusters, motions, lam, monostatic, threshold in _floor_tables(43, 12)
+                 for c, m in zip(clusters, motions)][:30]
+        assert len(cells) == 30
+        for cluster, motion, lam, monostatic, threshold in cells:
+            factor = 2.0 if monostatic else 1.0
+            heading = direction_from_angles(motion.phi_v, motion.psi_v)
+            t0 = _crossing_floor(np.array([cluster.kappa]), cluster.mean_direction[None],
+                                 heading[None], factor * motion.speed / lam, threshold)[0]
+            for lag in (0.25 * t0, 0.5 * t0, t0):
+                log_r = reference_log(cluster, lag * (factor * motion.velocity), lam)
+                assert mp.exp(log_r.real) > threshold

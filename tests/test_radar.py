@@ -300,25 +300,36 @@ def test_radar_table_at_a_1e300_hz_carrier(tmp_path):
 
 
 def test_radar_table_kernel_call_budget(monkeypatch):
-    # the pinned table: its windowed scan and sixteen-section search take 8
-    # kernel calls over 11,228 points, where a whole-grid call and then one
-    # bisection level per call took 17 over 16,400
-    calls, points = 0, 0
+    # the pinned table: its windowed scan, each cell joining at the window of
+    # its first lag past half its crossing floor, and its sixteen-section
+    # search take 7 kernel calls over 5,468 points; a scan from every cell's
+    # first lag took 8 over 11,228, and a whole-grid call and then one
+    # bisection level per call 17 over 16,400. Every (cell, lag) evaluated is
+    # one that scan evaluates.
     closed_form = correlation._closed_form
-
-    def counted(*args):
-        nonlocal calls, points
-        value = closed_form(*args)
-        calls, points = calls + 1, points + value.size
-        return value
-
-    monkeypatch.setattr(correlation, "_closed_form", counted)
     widths = [math.radians(w) for w in (4.0, 2.0, 1.0, 0.5, 0.25)]
     speeds = [v / 3.6 for v in (300.0, 150.0, 80.0, 40.0, 10.0)]
-    table = decorrelation_table(widths, speeds, BASE)
-    assert [float(t).hex() for t in table.ravel()] == _PINNED_TABLE
-    assert calls <= 8
-    assert points < 16_400
+
+    def searched():
+        sizes, points = [], set()
+
+        def counted(kappa, mean, d, wavelength):
+            value = closed_form(kappa, mean, d, wavelength)
+            sizes.append(value.size)
+            kappas = np.broadcast_to(kappa, value.shape).ravel()
+            points.update(zip(kappas.tolist(), map(bytes, d.reshape(-1, 3))))
+            return value
+
+        monkeypatch.setattr(correlation, "_closed_form", counted)
+        table = decorrelation_table(widths, speeds, BASE)
+        assert [float(t).hex() for t in table.ravel()] == _PINNED_TABLE
+        return sizes, points
+
+    sizes, points = searched()
+    assert len(sizes) <= 7
+    assert sum(sizes) < 6_000
+    monkeypatch.setattr(correlation, "_crossing_floor", lambda kappa, *_: np.zeros(len(kappa)))
+    assert points <= searched()[1]
 
 
 class TestMonostaticConsistency:
