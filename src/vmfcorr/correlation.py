@@ -7,7 +7,6 @@ import numpy as np
 
 from .vmf import (
     _HALF_PI,
-    _SERIES_RADIUS,
     TWO_PI,
     DomainError,
     VmfCluster,
@@ -209,38 +208,22 @@ def scf(cluster: VmfCluster, d, wavelength: float):
 
 
 def scf_large_kappa(cluster: VmfCluster, d, wavelength: float):
-    """Tight large-concentration form kappa e^(-kappa) e^(jz) (1 - e^(-2jz)) / (jz).
-
-    z is the square root of the sinc radicand taken with nonpositive imaginary
-    part, which keeps the dominant exponentials of sinh and sin paired; the
-    whole expression is assembled in the exponent, so nothing overflows short
-    of _radicand's DomainError. The e^(-2jz) term keeps sin z whole where z is near
-    real (transverse displacements with k0 |d| >= kappa); the one factor
-    dropped is 1 - e^(-2 kappa), a relative error below 1e-600 above
-    kappa = 700. Takes d of shape (3,) or (..., 3), like scf.
+    """scf times 1 - e^(-2 kappa), the one factor that the tight large-concentration
+    form kappa e^(-kappa) e^(jz) (1 - e^(-2jz)) / (jz) drops from the closed form. The
+    factor rounds to 1.0 from kappa ~ 18.7 on, where this is scf bit for bit.
+    Requires kappa > 0; takes d of shape (3,) or (..., 3), like scf.
     """
     if cluster.kappa <= 0.0:
         raise ValueError("large-kappa evaluation requires kappa > 0")
-    d = _as_displacement(d, batch=True)
-    w, a, b = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
-    value = np.exp(_log_large_kappa(cluster.kappa, w, a, b))
-    return value.item() if value.ndim == 0 else value
+    return scf(cluster, d, wavelength) * -math.expm1(-2.0 * cluster.kappa)
 
 
 def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
-    """Overflow-safe exact evaluation, equal to scf for any kappa > 0.
-
-    The large-kappa form plus the 1 - e^(-2 kappa) factor it drops, or scf's
-    sin(z)/z inside |w| <= 0.25, where log1p(-e^(-2jz)) would cancel; outside
-    it a cross-check of scf's sinh path, with which it shares no code.
-    """
-    kappa = cluster.kappa
-    w, a, b = _radicand(kappa, cluster.mean_direction, _as_displacement(d), wavelength)
-    if kappa <= 0.0:
+    """scf at one displacement d of shape (3,), for kappa > 0 only."""
+    value = scf(cluster, _as_displacement(d), wavelength)
+    if cluster.kappa <= 0.0:
         raise ValueError("log-domain evaluation requires kappa > 0")
-    if abs(w) <= _SERIES_RADIUS:
-        return math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(complex(w))
-    return complex(np.exp(_log_large_kappa(kappa, w, a, b) - math.log1p(-math.exp(-2.0 * kappa))))
+    return value
 
 
 def scf_multicluster(clusters, d, wavelength: float):

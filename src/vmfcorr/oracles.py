@@ -355,7 +355,9 @@ def scf_montecarlo(
     calling thread and up to one helper thread per further CPU, never more
     threads than blocks. Blocks are drawn from the streams in block order
     and each writes only its own rows, so the result is bit-identical for
-    any CPU count. An exception raised in any block stops the hand-out of
+    any CPU count. Both identities hold on one machine and numpy build: numpy
+    dispatches log1p by CPU feature, and with AVX-512 off a seeded value can
+    move by an ulp. An exception raised in any block stops the hand-out of
     blocks and is raised by this call once every helper has finished.
 
     Raises DomainError, before any draw, if the phase k0 d overflows.

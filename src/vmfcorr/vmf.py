@@ -10,10 +10,6 @@ TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 _TINY = sys.float_info.min  # smallest normal double
 
-# Inside |w| <= _SERIES_RADIUS the log form of scf_exact_log cancels, and the
-# closed form is taken through csinc_sqrt instead.
-_SERIES_RADIUS = 0.25
-
 
 class DomainError(ValueError):
     """A valid input whose radicand, concentration, phase or horizon is not a finite double."""
@@ -165,9 +161,11 @@ def mean_resultant_length(kappa: float) -> float:
     """coth(kappa) - 1/kappa, the expected norm of the average sample direction."""
     if not (math.isfinite(kappa) and kappa >= 0.0):
         raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
-    if kappa < 1e-4:
-        # series around zero avoids the coth/1-over-kappa cancellation
-        return kappa / 3.0 - kappa**3 / 45.0
+    if kappa < 0.2:
+        # coth kappa - 1/kappa cancels; its series to kappa^11 holds 3e-15 below 0.2
+        s = kappa * kappa
+        return kappa * (1 / 3 + s * (-1 / 45 + s * (2 / 945 + s * (-1 / 4725 + s * (
+            2 / 93555 - s * 1382 / 638512875)))))
     return 1.0 / math.tanh(kappa) - 1.0 / kappa
 
 

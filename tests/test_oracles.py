@@ -524,8 +524,14 @@ class TestMonteCarloBitIdentity:
         ],
     )
     def test_pinned_values(self, cluster, d, n_paths, n_realizations, seed, expected):
-        # values of the shifted half-turn contract introduced in 0.4.0
-        assert scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed) == expected
+        # values of the shifted half-turn contract introduced in 0.4.0, to 8 eps: numpy
+        # dispatches log1p by CPU feature, and with AVX-512 off the first case's real
+        # part is one ulp away; a change of contract moves the values by about 1e-2
+        estimate, error = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed)
+        pinned, pinned_error = expected
+        for got, want in ((estimate.real, pinned.real), (estimate.imag, pinned.imag),
+                          (error, pinned_error)):
+            assert abs(got - want) <= 8.0 * np.finfo(float).eps * abs(want)
 
     @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
     @pytest.mark.parametrize("mu_psi", [-0.4, 1.3])

@@ -188,6 +188,15 @@ def test_tangent_basis_is_a_right_handed_frame():
         assert np.max(np.abs(np.cross(e1, e2) - unit)) <= ulps
 
 
+def test_mean_resultant_length_against_mpmath():
+    # coth kappa - 1/kappa at 40 digits, on a log grid across the series cutoff
+    with mp.workdps(40):
+        for kappa in np.logspace(-8.0, 3.0, 2001).tolist():
+            k = mp.mpf(kappa)
+            reference = mp.coth(k) - 1 / k
+            assert abs(mean_resultant_length(kappa) - reference) <= 1e-13 * reference, kappa
+
+
 class TestKappaFromWidth:
     def test_hemisphere(self):
         assert kappa_from_angular_width(math.pi) == pytest.approx(2.0, rel=1e-14)
