@@ -17,7 +17,7 @@ from .vmf import (
 )
 
 # Above this concentration sinh(kappa) no longer fits in a double, so the
-# spatial correlation switches to the log-domain large-kappa form.
+# spatial correlation switches to the exponential form of _large_kappa_terms.
 LARGE_KAPPA_THRESHOLD = 700.0
 
 
@@ -100,10 +100,10 @@ def _split_k0(d: np.ndarray, wavelength: float):
     return m, e, np.ldexp(d, e)
 
 
-def _radicand(kappa, mean, d: np.ndarray, wavelength: float):
-    """(w, a, b): the sinc radicand w = a - kappa^2 - 2j b and its parts a = (2 pi / lam)^2 |d|^2
-    and b = kappa (2 pi / lam) (mean . d), with kappa (...) and mean (..., 3) broadcast against d
-    (..., 3). DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
+def _radicand(kappa, mean, d: np.ndarray, wavelength: float) -> np.ndarray:
+    """The sinc radicand w = a - kappa^2 - 2j b with a = (2 pi / lam)^2 |d|^2 and
+    b = kappa (2 pi / lam) (mean . d), kappa (...) and mean (..., 3) broadcast against
+    d (..., 3). DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         m, _, scaled = _split_k0(d, wavelength)
         a = (m * m) * _dot(scaled, scaled)
@@ -115,38 +115,33 @@ def _radicand(kappa, mean, d: np.ndarray, wavelength: float):
             k, x = (np.broadcast_to(v, size.shape)[point] for v in (kappa, np.hypot.reduce(d, -1)))
             raise DomainError(f"the radicand is not a finite double at kappa = {k:.6g}, "
                               f"|d| = {x / wavelength:.6g} wavelengths")
-    return np.asarray(a - square - 2.0j * b), a, b
+    return np.asarray(a - square - 2.0j * b)
 
 
-def _branch_sqrt(w):
-    """Square root with nonpositive imaginary part."""
-    z = np.sqrt(w)
-    return np.where(z.imag > 0.0, -z, z)
+def _large_kappa_terms(kappa, mean, d, w, wavelength: float, where=...):
+    """(exponent, factor), R = exp(exponent) * factor, at the entries of w selected by
+    where (all by default), with kappa, mean and d broadcast against w as in _radicand.
 
-
-def _log_large_kappa(kappa, w, a, b, where=...) -> np.ndarray:
-    # log of kappa e^(jz - kappa) (1 - e^(-2jz)) / (jz), exponentiated only at
-    # the end so the value underflows to zero rather than overflow; where w = 0
-    # it is kappa / sinh(kappa) itself. jz - kappa, two terms of size kappa, is
-    # formed as (2j b - a) / (jz + kappa): exact, as (jz)^2 - kappa^2 = 2j b - a,
-    # and free of cancellation, as Re(jz) >= 0. kappa, a and b broadcast against
-    # w, and the entries of w selected by where (all by default) are evaluated.
+    With jz = sqrt(-w), Re jz >= 0, R = kappa e^(jz - kappa) (1 - e^(-2jz)) / jz, less
+    sinh's 1 - e^(-2 kappa): the factor is at most 2 (2 at w = 0), so R underflows
+    rather than overflow. As (jz)^2 = (kappa + j x_par)^2 - x_perp^2 for k0 d split
+    along and across the mean, jz - kappa = j (x_par + x_perp^2 / (x_par - j (kappa + jz))),
+    whose denominator adds terms of one sign in each part, so nothing cancels."""
     def pick(x):
         return np.broadcast_to(x, np.shape(w))[where]
 
-    jz = 1j * _branch_sqrt(pick(w))
-    zero = jz == 0.0
-    jz = np.where(zero, 1.0, jz)  # a finite stand-in where w = 0, replaced below
-    log_value = np.asarray(pick(_per_kappa(math.log, kappa))
-                           + pick(2.0j * b - a) / (jz + pick(kappa)) - np.log(jz))
-    # e^(-2jz) is O(1) where z is near real and underflows to exactly 0 once
-    # Re(jz) = -Im z exceeds 373, so only the points below that need the term
-    near = jz.real < 373.0
-    if near.any():
-        log_value[near] += np.log1p(-np.exp(-2.0 * jz[near]))
-    if zero.any():
-        log_value[zero] = pick(_per_kappa(_log_kappa_over_sinh, kappa))[zero]
-    return log_value
+    # split at every point, then picked: masking 3-vectors costs more than the rejection
+    m, _, s = _split_k0(d, wavelength)
+    mean = np.asarray(mean, dtype=float)
+    along = _dot(s, mean)
+    across = s - along[..., None] * mean  # the rejection of s from the mean
+    x_par, x_perp2 = pick(m * along), pick((m * m) * _dot(across, across))
+    jz = np.sqrt(-pick(w))
+    exponent = (1j * (x_par + x_perp2 / (x_par - 1j * (pick(kappa) + jz)))
+                + pick(_per_kappa(math.log, kappa)))
+    factor = np.divide(1.0 - np.exp(-2.0 * jz), jz, out=np.full(jz.shape, 2.0 + 0j),
+                       where=jz != 0.0)
+    return exponent, factor
 
 
 def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
@@ -156,12 +151,12 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
 
     _radicand first refuses the call with DomainError unless every point is in
     domain. Each regime is then one mask, taken per element: d = 0 gives exactly
-    one, kappa = 0 the isotropic sinc, kappa above 700 the log-domain large-kappa
-    form, and otherwise kappa / sinh(kappa) times csinc_sqrt's sin(z)/z.
+    one, kappa = 0 the isotropic sinc, kappa above 700 the exponential form of
+    _large_kappa_terms, and otherwise kappa / sinh(kappa) times csinc_sqrt's sin(z)/z.
     """
     d = _as_displacement(d, batch=True)
     kappa = np.asarray(kappa, dtype=float)
-    w, a, b = _radicand(kappa, mean, d, wavelength)
+    w = _radicand(kappa, mean, d, wavelength)
 
     def spread(a):
         return np.broadcast_to(a, w.shape)
@@ -176,7 +171,8 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
         x = np.ldexp(np.sqrt(_dot(scaled, scaled)) / m, -e - e_lam)  # |d| / lam, even past 1e308 m
         value[isotropic] = scf_isotropic(spread(x)[isotropic], 1.0)
     if large.any():
-        value[large] = np.exp(_log_large_kappa(kappa, w, a, b, large))
+        exponent, factor = _large_kappa_terms(kappa, mean, d, w, wavelength, large)
+        value[large] = np.exp(exponent) * factor
     if moderate.any():
         scale = spread(_per_kappa(lambda k: math.exp(_log_kappa_over_sinh(k)), kappa))
         value[moderate] = scale[moderate] * csinc_sqrt(w[moderate])
@@ -199,9 +195,10 @@ def scf(cluster: VmfCluster, d, wavelength: float):
 
     Equal to (kappa / sinh kappa) * sinc(sqrt(w)) with the radicand w = a - kappa^2 - 2j b,
     a = (2 pi / lam)^2 |d|^2 and b = kappa (2 pi / lam) (mean . d); kappa = 0 is the real
-    isotropic result, kappa > 700 takes the log-domain large-kappa form, d = 0 gives
-    exactly one. DomainError where a + kappa^2 + 2 |b| is not a finite double. A 3-vector
-    d gives a complex; an array of shape (..., 3) gives a complex array of shape (...).
+    isotropic result, kappa > 700 the exponential form of _large_kappa_terms, in which
+    nothing cancels, d = 0 gives exactly one. DomainError where a + kappa^2 + 2 |b| is
+    not a finite double. A 3-vector d gives a complex; an array of shape (..., 3) gives a
+    complex array of shape (...).
     """
     value = _closed_form(cluster.kappa, cluster.mean_direction, d, wavelength)
     return value.item() if value.ndim == 0 else value

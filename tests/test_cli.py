@@ -628,10 +628,11 @@ class TestWriterBytes:
             {"mode": "validate"},
             {"csv": "8bc6d4bb608be572e1a016adb7740ba0a9181d4fb054cb67240841a00adc2384",
              "json": "e6aa287b6588a085e38e4ea03bf74f641d5a8dde43d77127fc2e7569332e8096"}),
+        # with the large-kappa form's jz - kappa formed from d along and across the mean
         "validate/radar-kappas": (
             {"mode": "validate", "kappas": [2e4, 2e5, 1e6], "tolerance": 1e-12},
-            {"csv": "2a447053ce8ca8f3320915b789e9d834f8fa3d0feb8087959d8c51b95a662070",
-             "json": "29c56ea1b53b6b3a53051e7e933edc2132f9eb13272a6fa4352f48425a0c04a1"}),
+            {"csv": "9f926dd814142e726656b64b02ad68927400271f56e5b327a386ac6925d3adce",
+             "json": "3b56210dfcd3f32da745cf711ad4c71edb2bd5a64637ed71f74469f67786180b"}),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

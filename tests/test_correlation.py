@@ -30,8 +30,8 @@ from vmfcorr import (
     scf_multicluster,
 )
 from vmfcorr import correlation
-from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _branch_sqrt,
-                                  _closed_form, _crossing_floor, _decorrelation_times, _radicand)
+from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _closed_form,
+                                  _crossing_floor, _decorrelation_times, _radicand)
 from vmfcorr.vmf import (TWO_PI, _direction_variances, _log_kappa_over_sinh, csinc_sqrt,
                          direction_from_angles)
 
@@ -63,15 +63,15 @@ class TestScfArgument:
 
     def test_zero_displacement(self):
         cluster = VmfCluster(0.4, -0.3, 5.0)
-        w, _, _ = _radicand(cluster.kappa, cluster.mean_direction, np.zeros(3), LAM)
+        w = _radicand(cluster.kappa, cluster.mean_direction, np.zeros(3), LAM)
         assert w == pytest.approx(-25.0)
 
     def test_isotropic_coefficients(self):
-        w, _, _ = _radicand(0.0, (1.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
+        w = _radicand(0.0, (1.0, 0.0, 0.0), np.array([LAM / 2, 0.0, 0.0]), LAM)
         assert w == pytest.approx(math.pi**2)
 
     def test_along_mean_example(self):
-        w, _, _ = _radicand(10.0, (1.0, 0.0, 0.0), np.array([LAM, 0.0, 0.0]), LAM)
+        w = _radicand(10.0, (1.0, 0.0, 0.0), np.array([LAM, 0.0, 0.0]), LAM)
         expected = complex(4 * math.pi**2 - 100.0, -40.0 * math.pi)
         assert complex(w) == pytest.approx(expected, rel=1e-13)
 
@@ -81,8 +81,9 @@ class TestScfArgument:
             cluster = random_cluster(rng, max_kappa=1e5)
             cluster = replace(cluster, kappa=700.0 + cluster.kappa)
             d = rng.normal(size=(20, 3)) * LAM
-            z = _branch_sqrt(_radicand(cluster.kappa, cluster.mean_direction, d, LAM)[0])
-            assert np.all(z.imag <= 0.0)
+            # the large-kappa form takes jz = sqrt(-w), so z = -j sqrt(-w)
+            jz = np.sqrt(-_radicand(cluster.kappa, cluster.mean_direction, d, LAM))
+            assert np.all(jz.real >= 0.0)
 
     def test_bad_wavelength(self):
         with pytest.raises(ValueError):
@@ -219,9 +220,25 @@ class TestLargeKappa:
         # where the closed form is kappa / sinh(kappa), which underflows
         cluster = VmfCluster(0.0, 0.0, 1000.0)
         d = (0.0, 1000.0 * lam / (2 * math.pi), 0.0)
-        assert _radicand(cluster.kappa, cluster.mean_direction, np.array(d), lam)[0] == 0.0
+        assert _radicand(cluster.kappa, cluster.mean_direction, np.array(d), lam) == 0.0
         assert scf(cluster, d, lam) == 0.0
         assert scf_large_kappa(cluster, d, lam) == 0.0
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e6, 1e12, 1e16, 1e20, 1e100, 1e150])
+    @pytest.mark.parametrize("x_per_kappa", [0.01, 1.0, math.sqrt(3.0), 100.0])
+    def test_exact_axis(self, kappa, x_per_kappa):
+        # the mean is exactly (1, 0, 0) and k0 = 2 pi / TWO_PI exactly 1, so k0 d = x lies
+        # exactly along the mean: w = -(kappa + jx)^2 and R = e^(jx) kappa / (kappa + jx),
+        # less a term of e^(-2 kappa). Along the mean a = x^2 and b = kappa x cancel in
+        # Re(jz - kappa), which the kernel must therefore never form from them.
+        cluster = VmfCluster(0.0, 0.0, kappa)
+        for x in (x_per_kappa * kappa, -x_per_kappa * kappa):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = scf(cluster, (x, 0.0, 0.0), TWO_PI)
+            with mp.workdps(40):
+                exact = mp.exp(1j * mp.mpf(x)) * kappa / (kappa + 1j * mp.mpf(x))
+                assert abs(mp.mpc(value) - exact) <= 1e-13 * abs(exact)
 
 
 class TestMulticluster:
@@ -334,14 +351,15 @@ def _one_cluster_reference(cluster, d, lam):
         value = np.sinc(2.0 * np.sqrt(dd) / lam)
     elif kappa <= LARGE_KAPPA_THRESHOLD:
         value = math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(w)
-    elif w[0] == 0.0:
-        value = np.exp(np.full(1, _log_kappa_over_sinh(kappa), dtype=complex))
     else:
-        jz = 1j * _branch_sqrt(w)
-        log_value = math.log(kappa) + (2.0j * b - a) / (jz + kappa) - np.log(jz)
-        if jz[0].real < 373.0:
-            log_value += np.log1p(-np.exp(-2.0 * jz))
-        value = np.exp(log_value)
+        x_par = k0 * dm
+        across = d - dm[:, None] * mean
+        x_perp2 = (k0 * k0) * (across[:, 0] * across[:, 0] + across[:, 1] * across[:, 1]
+                               + across[:, 2] * across[:, 2])
+        jz = np.sqrt(-w)
+        exponent = 1j * (x_par + x_perp2 / (x_par - 1j * (kappa + jz))) + math.log(kappa)
+        factor = (1.0 - np.exp(-2.0 * jz)) / jz if w[0] != 0.0 else 2.0
+        value = np.exp(exponent) * factor
     return complex(value[0])
 
 

@@ -126,14 +126,9 @@ class TestDecorrelationTable:
         )
         assert table[0, 1] == pytest.approx(table[0, 0] / 2.0, rel=1e-4)
 
-    @pytest.mark.parametrize("width_deg", [2.0, 1.0, 0.5, 0.01] + [
-        # 1e-3 deg sits at the bound (1.25e-5 off at threshold 0.05) and is left out
-        pytest.param(width_deg, marks=pytest.mark.xfail(strict=True, reason=(
-            "the large-kappa form loses about eps kappa of log |R| along the mean: a radial "
-            "decorrelation_time is off the radial law by -2.1e-4 at kappa 1e12, -2.1e-3 at "
-            "1e14 and -52% at 1e16")))
-        for width_deg in (1e-4, 1e-6)
-    ])
+    # down to 1e-8 deg, kappa 5.25e20: the crossing lies at k0 |d| ~ 100 kappa along
+    # the mean, where a = (k0 |d|)^2 and b = kappa k0 |d| would cancel
+    @pytest.mark.parametrize("width_deg", [2.0, 1.0, 0.5, 0.01, 1e-3, 1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("threshold", [0.05, 0.01])
     def test_low_threshold_follows_radial_law(self, threshold, width_deg):
         # at zero elevation a receding target moves along the mean direction,

@@ -6,8 +6,10 @@ the library sees, so the comparison measures the library's arithmetic and
 dispatch, not input rounding. R itself must agree within the benchmark's 1e-9
 absolute bound. That bound says nothing where R is tiny or underflows, so
 log R must agree within 1e-9 too, in its real part and its phase: the closed
-form's log for kappa <= 700, and for kappa > 700 the exponent that the
-large-kappa form exponentiates.
+form's log for kappa <= 700, and for kappa > 700 the exponent of the
+exponential form plus the log of its factor. Along the mean at kappa 1e12 and
+beyond, only the real part is held: the phase there is ill-conditioned in the
+double inputs themselves.
 """
 
 import cmath
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from vmfcorr import VmfCluster, scf, scf_quadrature
-from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _log_large_kappa, _radicand
+from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _large_kappa_terms, _radicand
 
 from mp_reference import reference_log
 
@@ -41,8 +43,10 @@ def _displacement(beta_deg, x, mu_phi=MU_PHI, mu_psi=MU_PSI):
 
 def _library_log(cluster, d, wavelength):
     if cluster.kappa > LARGE_KAPPA_THRESHOLD:
-        w, a, b = _radicand(cluster.kappa, cluster.mean_direction, d, wavelength)
-        return complex(_log_large_kappa(cluster.kappa, w, a, b))
+        kappa, mean = cluster.kappa, cluster.mean_direction
+        exponent, factor = _large_kappa_terms(kappa, mean, d, _radicand(kappa, mean, d, wavelength),
+                                              wavelength)
+        return complex(exponent) + cmath.log(complex(factor))
     return cmath.log(scf(cluster, d, wavelength))
 
 
@@ -99,15 +103,18 @@ LARGE_KAPPA_NEAR_REAL = [
 ]
 
 
-# Along and against the mean at k0 |d| = kappa sqrt(3), where |R| = 0.5: the
-# large-kappa form forms Re(jz - kappa) as (2j b - a) / (jz + kappa) from the
-# rounded a = x^2 and b = kappa x_par, which cancel.
+# Along and against the mean at k0 |d| = kappa sqrt(3), where |R| = 0.5 and
+# a = x^2 and b = kappa x_par would cancel in Re(jz - kappa). |R| holds to about
+# 1e-15; the phase, k0 mean.d ~ 1.7e12 rad at kappa 1e12, moves by up to about
+# eps k0 |mean.d| under one rounding of the mean direction or of 2 pi.
+ALONG_MEAN = [(kappa, beta, kappa * math.sqrt(3.0)) for kappa in (1e12, 1e16)
+              for beta in (0.0, 180.0)]
 LARGE_KAPPA_ALONG_MEAN = [
-    _case(kappa, beta, kappa * math.sqrt(3.0), marks=[pytest.mark.xfail(strict=True, reason=(
-        "the large-kappa form loses about eps kappa of log |R| along the mean, where "
-        "a = x^2 and b = kappa x_par cancel in 2j b - a: |R| is 0.49992 at kappa 1e12"))])
-    for kappa in (1e12, 1e16)
-    for beta in (0.0, 180.0)
+    _case(*case, marks=[pytest.mark.xfail(strict=True, reason=(
+        "input conditioning: the phase of R is off by up to eps k0 |mean.d|, 3.8e-4 rad "
+        "at kappa 1e12, because the reference takes the mean direction and 2 pi at 40 "
+        "digits where the library rounds them to doubles"))])
+    for case in ALONG_MEAN
 ]
 
 
@@ -131,12 +138,21 @@ def test_log_value(kappa, beta_deg, x):
     assert _log_gap(cluster, _displacement(beta_deg, x), LAM) <= BOUND
 
 
+@pytest.mark.parametrize("kappa, beta_deg, x", [_case(*case) for case in ALONG_MEAN])
+def test_log_magnitude_along_mean(kappa, beta_deg, x):
+    cluster = VmfCluster(MU_PHI, MU_PSI, kappa)
+    d = _displacement(beta_deg, x)
+    with mp.workdps(40):
+        gap = mp.mpc(_library_log(cluster, d, LAM)) - reference_log(cluster, d, LAM)
+        assert abs(float(gap.real)) <= 64.0 * EPS
+
+
 @pytest.mark.parametrize("wavelength", [1.0, 0.5])
 def test_zero_radicand_large_kappa(wavelength):
     # w == 0 exactly in doubles: R = kappa / sinh(kappa), which underflows
     cluster = VmfCluster(0.0, 0.0, 1000.0)
     d = np.array([0.0, cluster.kappa * wavelength / (2.0 * math.pi), 0.0])
-    assert complex(_radicand(cluster.kappa, cluster.mean_direction, d, wavelength)[0]) == 0.0
+    assert complex(_radicand(cluster.kappa, cluster.mean_direction, d, wavelength)) == 0.0
     assert scf(cluster, d, wavelength) == 0.0
     assert _log_gap(cluster, d, wavelength) <= BOUND
 
@@ -170,7 +186,7 @@ def test_quadrature_at_radar_concentrations(mean, kappa, beta_deg, x_per_kappa):
 
 
 def test_continuous_across_large_kappa_threshold():
-    # the sinh form at kappa 700 and the log-domain form one ulp above it
+    # the sinh form at kappa 700 and the exponential form one ulp above it
     below = VmfCluster(MU_PHI, MU_PSI, LARGE_KAPPA_THRESHOLD)
     above = VmfCluster(MU_PHI, MU_PSI, np.nextafter(LARGE_KAPPA_THRESHOLD, math.inf))
     for x in (0.01, 1.0, math.sqrt(LARGE_KAPPA_THRESHOLD), 100.0, 700.0, 2000.0):
