@@ -100,21 +100,31 @@ def _split_k0(d: np.ndarray, wavelength: float):
     return m, e, np.ldexp(d, e)
 
 
-def _radicand(kappa, mean, d: np.ndarray, wavelength: float) -> np.ndarray:
-    """The sinc radicand w = a - kappa^2 - 2j b with a = (2 pi / lam)^2 |d|^2 and
-    b = kappa (2 pi / lam) (mean . d), kappa (...) and mean (..., 3) broadcast against
-    d (..., 3). DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
+def _radicand_terms(kappa, mean, d: np.ndarray, wavelength: float):
+    """(a, b, kappa^2, a + kappa^2 + 2 |b|) of the sinc radicand, with overflow to inf
+    and nan left in place: a point is in the kernel's domain where the last is finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         m, _, scaled = _split_k0(d, wavelength)
         a = (m * m) * _dot(scaled, scaled)
         b = kappa * m * _dot(scaled, np.asarray(mean, dtype=float))
         square = _per_kappa(lambda k: k**2 if k < 2.0**512 else math.inf, kappa)  # k**2 raises
-        size = a + square + 2.0 * np.abs(b)  # bounds every later step of the closed form
-        if not np.isfinite(size).all():
-            point = np.unravel_index(np.argmax(size), size.shape)  # a nan counts as largest
-            k, x = (np.broadcast_to(v, size.shape)[point] for v in (kappa, np.hypot.reduce(d, -1)))
-            raise DomainError(f"the radicand is not a finite double at kappa = {k:.6g}, "
-                              f"|d| = {x / wavelength:.6g} wavelengths")
+        return a, b, square, a + square + 2.0 * np.abs(b)  # bounds every later step
+
+
+def _domain_error(kappa: float, d, wavelength: float) -> DomainError:
+    return DomainError(f"the radicand is not a finite double at kappa = {kappa:.6g}, "
+                       f"|d| = {np.hypot.reduce(d) / wavelength:.6g} wavelengths")
+
+
+def _radicand(kappa, mean, d: np.ndarray, wavelength: float) -> np.ndarray:
+    """The sinc radicand w = a - kappa^2 - 2j b with a = (2 pi / lam)^2 |d|^2 and
+    b = kappa (2 pi / lam) (mean . d), kappa (...) and mean (..., 3) broadcast against
+    d (..., 3). DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
+    a, b, square, size = _radicand_terms(kappa, mean, d, wavelength)
+    if not np.isfinite(size).all():
+        point = np.unravel_index(np.argmax(size), size.shape)  # a nan counts as largest
+        raise _domain_error(np.broadcast_to(kappa, size.shape)[point],
+                            np.broadcast_to(d, size.shape + (3,))[point], wavelength)
     return np.asarray(a - square - 2.0j * b)
 
 
@@ -285,7 +295,9 @@ class DecorrelationNotFound(RuntimeError):
 
 
 _GRID_POINTS_PER_DECADE = 64
-# Lag grid columns evaluated per kernel call while scanning for first crossings
+# Lag grid columns of each cell evaluated by the scan's first kernel call, and
+# by each later one, while scanning for first crossings
+_FIRST_WINDOW = _GRID_POINTS_PER_DECADE // 2
 _SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
 # Fractions of a bracket evaluated per kernel call while refining a crossing
 _SECTIONS = np.arange(1, 16) / 16
@@ -315,14 +327,15 @@ def decorrelation_time(
     """Smallest positive lag at which |ACF| first falls to the threshold.
 
     The first downward crossing is bracketed on a geometric lag grid (64
-    points per decade starting at 1 us), scanned two decades per kernel call
-    from the window that holds the first lag past half of _crossing_floor's
-    certified floor on the crossing, and refined to 1e-6 relative, one
-    sixteenth of the bracket per kernel call.
+    points per decade starting at 1 us), scanned from the first lag past half
+    of _crossing_floor's certified floor on the crossing, half a decade in the
+    first kernel call and two decades in each later one, and refined to 1e-6
+    relative, one sixteenth of the bracket per kernel call.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
     default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in decorrelation_table,
     10 / f_m at kappa = 0, past any radial crossing; DomainError where that default
-    is not a positive finite double or a lag searched is out of the kernel's domain.
+    is not a positive finite double or a lag before the crossing is out of the
+    kernel's domain.
     """
     times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold, horizon)
     return float(times[0])
@@ -333,11 +346,15 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     """decorrelation_time of each (cluster, motion) cell, searched up to
     horizon seconds, or up to each cell's default horizon when it is None.
 
-    The lag grids of all cells, padded to one length, are scanned one window
-    of columns per kernel call over the cells that have not crossed yet. A
-    cell joins the scan at the window that holds its first lag past half of
-    _crossing_floor, before which its |ACF| is certified above the threshold,
-    and leaves it at its first crossing. The cells are then refined
+    Each kernel call of the scan evaluates a window of grid columns for every
+    cell that has not crossed yet, each cell's window its own: the first
+    starts at the cell's first lag past half of _crossing_floor, before which
+    its |ACF| is certified above the threshold, or else at its horizon, and
+    covers half a decade (32 columns); each later one covers the next two
+    decades (128 columns). A cell leaves at its first crossing. Where a call
+    holds a lag out of the kernel's domain, only the lags in domain are
+    evaluated, and the first cell with such a lag before its first crossing
+    raises DomainError naming that lag. The cells are then refined
     together: one kernel call evaluates 15 evenly spaced lags inside the
     bracket of every live cell, which keeps the sixteenth that holds its
     first lag below the threshold (the last one where none is), and a cell
@@ -372,6 +389,20 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
         d = _lag_displacement(t, velocity[cells], monostatic)
         return np.abs(_closed_form(kappa[cells], mean[cells], d, wavelength)) - threshold
 
+    def below_in_domain(lags, scan):
+        # a scan call refused a lag: evaluate only the lags in domain, and refuse
+        # the first cell whose first lag out of domain comes before its first
+        # crossing, naming that lag
+        d = _lag_displacement(lags, velocity[scan, None], monostatic)
+        valid = np.isfinite(_radicand_terms(kappa[scan, None], mean[scan, None], d, wavelength)[3])
+        below = np.zeros(lags.shape, dtype=bool)
+        below[valid] = excess(lags[valid], np.broadcast_to(scan[:, None], lags.shape)[valid]) < 0.0
+        early = ~valid & ~np.logical_or.accumulate(below, axis=1)
+        if early.any():
+            row, col = np.argwhere(early)[0]
+            raise _domain_error(kappa[scan[row]], d[row, col], wavelength)
+        return below
+
     # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products,
     # as cumprod forms them, up to the first product at or past the horizon,
     # which is clamped to it; the clamp also pads shorter rows with copies of
@@ -383,22 +414,30 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
     steps[:, 0] = start
     with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
         grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
-    # each cell joins at the window of its first lag past half its floor, or
-    # else of its horizon, the first column the clamp reaches
+    # each cell's scan starts at its first lag past half its floor, or else at its
+    # horizon, the first column the clamp reaches
     past = (grid > 0.5 * floor[:, None]) | (grid == horizon[:, None])
-    joins = np.argmax(past, axis=1) // _SCAN_WINDOW * _SCAN_WINDOW
+    column = np.argmax(past, axis=1)  # the next column of each cell's scan
     cells = np.arange(len(kappa))
     first = np.zeros(len(kappa), dtype=int)
     searching = np.ones(len(kappa), dtype=bool)
-    offset = 0
-    while searching.any() and offset < count:
-        offset = max(offset, joins[searching].min())  # no window before it has a cell to scan
-        scan = cells[searching & (joins <= offset)]
-        below = excess(grid[scan, offset:offset + _SCAN_WINDOW], scan[:, None]) < 0.0
+    width = _FIRST_WINDOW
+    while (scanning := searching & (column < count)).any():
+        scan = cells[scanning]
+        # each cell's own next columns, cut at the last column; a cell whose
+        # window runs past it repeats it
+        size = min(width, count - column[scan].min())
+        cols = np.minimum(column[scan, None] + np.arange(size), count - 1)
+        lags = grid[scan[:, None], cols]
+        try:
+            below = excess(lags, scan[:, None]) < 0.0
+        except DomainError:
+            below = below_in_domain(lags, scan)
         crossed = below.any(axis=1)
-        first[scan[crossed]] = offset + np.argmax(below[crossed], axis=1)
+        first[scan[crossed]] = cols[crossed, np.argmax(below[crossed], axis=1)]
         searching[scan[crossed]] = False
-        offset += _SCAN_WINDOW
+        column[scan] += width
+        width = _SCAN_WINDOW
     if searching.any():
         raise DecorrelationNotFound(
             f"|ACF| never fell below {threshold} within horizon "

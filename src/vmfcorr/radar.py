@@ -88,8 +88,8 @@ def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 
 
     Each entry equals decorrelation_time for its cell at its default horizon,
     bit for bit; the cells are bracketed and refined together, one kernel
-    call per step over every live cell, and each cell joins the scan only at
-    the window of its first lag past half its certified crossing floor.
+    call per step over every live cell, and each cell's scan runs in windows
+    of its own from its first lag past half its certified crossing floor.
     """
     widths = list(widths)
     speeds = list(speeds)

@@ -827,13 +827,14 @@ class TestMainExitCodes:
     def test_radar_width_past_the_kappa_bound_is_a_config_error(self, tmp_path, capsys):
         # 1e-150 deg gives kappa 5.3e304, whose square overflows in the kernel's
         # radicand at every lag, so the refusal names the cell's first scanned
-        # lag, past half its crossing floor; below about 1e-160 deg the
-        # concentration's sin^2(width / 4) underflows to 0; 1e-70 deg gives 5.3e144
+        # lag, its own first lag past half its crossing floor; below about
+        # 1e-160 deg the concentration's sin^2(width / 4) underflows to 0;
+        # 1e-70 deg gives 5.3e144
         out = tmp_path / "out.csv"
         doc = {**FULL_CONFIGS["radar-table"], "out": str(out), "format": "csv"}
         refused = {
             1e-150: "the radicand is not a finite double at kappa = 5.25249e+304, "
-                    "|d| = 1.38985e+151 wavelengths",
+                    "|d| = 5.45404e+151 wavelengths",
             1e-200: f"angular width {math.radians(1e-200)} is too narrow for a finite kappa",
             5e-324: "widths_deg[1]: must lie in (0, 180), and above 0 in radians",
         }
@@ -945,10 +946,11 @@ class TestMainExitCodes:
 
     def test_radar_search_past_its_bounds_is_a_config_error(self, tmp_path, capsys):
         # The search ends at each cell's horizon (10 + kappa / min(threshold, 0.5))
-        # / f_m, which must be a finite double, and its lags must keep the kernel's
-        # radicand finite. At these widths a threshold of 4.39498702174469e-154 is
-        # evaluated, and the next double below it takes the 170 deg cell's search
-        # to a lag whose radicand is not finite.
+        # / f_m, which must be a finite double, and the lags before each cell's
+        # first crossing must keep the kernel's radicand finite. At these widths
+        # thresholds of 4.39498702174469e-154 and the next double below it take
+        # the 170 deg cell's scan window past its crossing to lags whose radicand
+        # is not finite; those lags are left out, so both give a table.
         out = tmp_path / "out.csv"
         base = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
                 "elevation_deg": 20.0, "widths_deg": [4.0, 0.25, 170.0], "speeds_kmh": [40.0]}
@@ -958,8 +960,6 @@ class TestMainExitCodes:
                    "kappa = {}, speed = {} m/s\n")
         refused = [
             ({"threshold": 1e-300}, radicand.format(3283.14, "1.75779e+153 wavelengths")),
-            ({"threshold": 4.3949870217446895e-154},
-             radicand.format(2.19095, "1.75779e+153 wavelengths")),
             ({"widths_deg": [0.25], "speeds_kmh": [1e-305]},
              horizon.format(840399, "2.77778e-306")),
             ({"speeds_kmh": [40.0, 1e-304], "monostatic": False},
@@ -970,7 +970,8 @@ class TestMainExitCodes:
             assert main(["radar-table", "--config", path]) == EXIT_CONFIG
             assert capsys.readouterr().err == message
             assert not out.exists()
-        accepted = [{"threshold": 4.39498702174469e-154}, {"threshold": kappa / 2.01e153},
+        accepted = [{"threshold": 4.39498702174469e-154}, {"threshold": 4.3949870217446895e-154},
+                    {"threshold": kappa / 2.01e153},
                     {"threshold": kappa / 1.99e153}, {"threshold": 1e-147},
                     {"widths_deg": [1e-70]},
                     {"widths_deg": [4.0, 1.0, 0.25], "speeds_kmh": [1e-300, 5.6e-304, 40.0]}]

@@ -30,8 +30,9 @@ from vmfcorr import (
     scf_multicluster,
 )
 from vmfcorr import correlation
-from vmfcorr.correlation import (_SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _closed_form,
-                                  _crossing_floor, _decorrelation_times, _radicand)
+from vmfcorr.correlation import (_FIRST_WINDOW, _SCAN_WINDOW, LARGE_KAPPA_THRESHOLD,
+                                  _closed_form, _crossing_floor, _decorrelation_times,
+                                  _radicand)
 from vmfcorr.vmf import (TWO_PI, _direction_variances, _log_kappa_over_sinh, csinc_sqrt,
                          direction_from_angles)
 
@@ -591,6 +592,22 @@ class TestDecorrelationTime:
             decorrelation_time(cluster, MotionState(1.0, 0, 0), LAM, threshold=1.5)
 
 
+def _lag_grid(clusters, motions, lam, monostatic, threshold, horizon=None):
+    """Every cell's geometric lag grid, 64 points per decade from min(1e-6, horizon / 64)
+    and clamped to its horizon, by default (10 + kappa / min(threshold, 0.5)) / f_m,
+    padded with copies of it to one length."""
+    if horizon is None:
+        horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(c, m, lam, monostatic).f_m
+                   for c, m in zip(clusters, motions)]
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
+    ratio = 10.0 ** (1.0 / 64)
+    start = np.minimum(1e-6, horizon / 64)
+    count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
+    steps = np.full((len(clusters), count), ratio)
+    steps[:, 0] = start
+    return np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+
+
 def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=None):
     """The decorrelation search as one kernel call over every cell's whole lag
     grid, then one bisection level per kernel call over the live cells: an
@@ -598,10 +615,6 @@ def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=N
     Gives the times, the lag grid, each cell's first crossing column and the
     grid length."""
     factor = 2.0 if monostatic else 1.0
-    if horizon is None:
-        horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(c, m, lam, monostatic).f_m
-                   for c, m in zip(clusters, motions)]
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
     kappa = np.array([c.kappa for c in clusters])
     mean = np.array([c.mean_direction for c in clusters])
     velocity = np.array([m.velocity for m in motions])
@@ -610,12 +623,8 @@ def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=N
         d = t[..., None] * (factor * velocity[cells])
         return np.abs(_closed_form(kappa[cells], mean[cells], d, lam)) - threshold
 
-    ratio = 10.0 ** (1.0 / 64)
-    start = np.minimum(1e-6, horizon / 64)
-    count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
-    steps = np.full((len(kappa), count), ratio)
-    steps[:, 0] = start
-    grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+    grid = _lag_grid(clusters, motions, lam, monostatic, threshold, horizon)
+    count = grid.shape[1]
     cells = np.arange(len(kappa))
     below = excess(grid, cells[:, None]) < 0.0
     found = below.any(axis=1)
@@ -672,13 +681,25 @@ class TestDecorrelationSearch:
         assert reference.first[0] == 0
         _assert_agrees([decorrelation_time(cluster, motion, 1.0, horizon=1.0)], reference)
 
-    def test_crossing_in_the_last_partial_window(self):
-        # 1 m/s at 1 m crosses at 0.3017 s, in the last columns of a grid to 0.31 s
+    def test_crossing_in_the_last_partial_window(self, monkeypatch):
+        # 1 m/s at 1 m crosses at 0.3017 s, in the first window of a grid to 0.31 s;
+        # the window starts past half the floor 0.2757 s and is cut at the last column
         cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1.0, 0.0, 0.0)
         reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 0.31)
-        assert reference.count % _SCAN_WINDOW != 0
-        assert reference.first[0] >= (reference.count - 1) // _SCAN_WINDOW * _SCAN_WINDOW
+        t0 = _crossing_floor(np.zeros(1), cluster.mean_direction[None],
+                             direction_from_angles(0.0, 0.0)[None], 1.0, 0.5)[0]
+        start = np.argmax(reference.grid[0] > 0.5 * t0)
+        assert start <= reference.first[0] and reference.count - start < _FIRST_WINDOW
+        sizes, closed_form = [], correlation._closed_form
+
+        def counted(*args):
+            value = closed_form(*args)
+            sizes.append(value.size)
+            return value
+
+        monkeypatch.setattr(correlation, "_closed_form", counted)
         _assert_agrees([decorrelation_time(cluster, motion, 1.0, horizon=0.31)], reference)
+        assert sizes[0] == reference.count - start
 
     def test_table_equals_each_cell_searched_alone(self, monkeypatch):
         # crossings before the first column need more rounds the deeper below it
@@ -763,10 +784,34 @@ def _searched_points(search, from_first_column=False):
             return f"{type(error).__name__}: {error}", points
 
 
+def _assert_scans_own_windows(clusters, motions, lam, monostatic, threshold, times, points):
+    """Each cell's scanned lags among points (as _searched_points records them) are
+    a contiguous run of its own grid columns, from its first column past half its
+    crossing floor t0 to at most 31 columns (the first window) or 127 (a later
+    window) past its crossing column, the one that times[cell] lies below."""
+    factor = 2.0 if monostatic else 1.0
+    for cluster, motion, row, t in zip(clusters, motions,
+                                       _lag_grid(clusters, motions, lam, monostatic, threshold),
+                                       times):
+        heading = direction_from_angles(motion.phi_v, motion.psi_v)
+        t0 = _crossing_floor(np.array([cluster.kappa]), cluster.mean_direction[None],
+                             heading[None], factor * motion.speed / lam, threshold)[0]
+        row = row[:np.argmax(row == row[-1]) + 1]  # up to its horizon, without the padding
+        start = np.argmax((row > 0.5 * t0) | (row == row[-1]))
+        first = np.searchsorted(row, t)
+        key = (cluster.kappa, bytes(cluster.mean_direction))
+        scanned = [j for j, d in enumerate(correlation._lag_displacement(row, motion.velocity,
+                                                                          monostatic))
+                   if key + (bytes(d),) in points]
+        assert scanned == list(range(start, scanned[-1] + 1))
+        window = _FIRST_WINDOW if first < start + _FIRST_WINDOW else _SCAN_WINDOW
+        assert first <= scanned[-1] < first + window
+
+
 class TestCrossingFloor:
     """The search starts each cell at half its certified floor t0, below its first
-    crossing, and so evaluates a subset of the lags of a scan from the first
-    column, and returns the same bits."""
+    crossing, scans its own windows of grid columns from there, and returns the
+    same bits as a scan from the first column."""
 
     @pytest.mark.parametrize("kappa", [1e-14, 1e-8, 1e-3, 0.0099, 0.01, 1.0, 19.99, 20.0,
                                        700.0, 1e5])
@@ -785,9 +830,10 @@ class TestCrossingFloor:
         for clusters, motions, lam, monostatic, threshold in _floor_tables(41, 300):
             search = partial(_decorrelation_times, clusters, motions, lam, monostatic, threshold)
             floored, points = _searched_points(search)
-            full, all_points = _searched_points(search, from_first_column=True)
-            assert floored == full
-            assert points <= all_points
+            assert floored == _searched_points(search, from_first_column=True)[0]
+            if isinstance(floored, list):
+                _assert_scans_own_windows(clusters, motions, lam, monostatic, threshold,
+                                          list(map(float.fromhex, floored)), points)
 
     def test_acf_stays_above_the_threshold_before_the_floor(self):
         cells = [(c, m, lam, monostatic, threshold)

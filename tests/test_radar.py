@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from vmfcorr import (
+    DomainError,
     RadarScenario,
     SPEED_OF_LIGHT,
     acf,
@@ -21,6 +23,7 @@ from vmfcorr import correlation
 from vmfcorr.cli import EXIT_OK, parse_config, run
 
 from mp_reference import reference_log
+from test_correlation import _assert_scans_own_windows, _searched_points
 
 BASE = RadarScenario(
     carrier_frequency=10e9,
@@ -302,36 +305,49 @@ def test_radar_table_at_a_1e300_hz_carrier(tmp_path):
 
 
 def test_radar_table_kernel_call_budget(monkeypatch):
-    # the pinned table: its windowed scan, each cell joining at the window of
-    # its first lag past half its crossing floor, and its sixteen-section
-    # search take 7 kernel calls over 5,468 points; a scan from every cell's
-    # first lag took 8 over 11,228, and a whole-grid call and then one
-    # bisection level per call 17 over 16,400. Every (cell, lag) evaluated is
-    # one that scan evaluates.
-    closed_form = correlation._closed_form
+    # the pinned table: its scan, each cell in its own windows from its first
+    # lag past half its crossing floor, and its sixteen-section search take 5
+    # kernel calls over 2,300 points; shared 128-column windows aligned to
+    # multiples of 128 took 7 over 5,468, a scan from every cell's first lag 8
+    # over 11,228, and a whole-grid call and then one bisection level per call
+    # 17 over 16,400. A scan from the first column gives the same bits.
     widths = [math.radians(w) for w in (4.0, 2.0, 1.0, 0.5, 0.25)]
     speeds = [v / 3.6 for v in (300.0, 150.0, 80.0, 40.0, 10.0)]
+    sizes, closed_form = [], correlation._closed_form
 
-    def searched():
-        sizes, points = [], set()
+    def counted(*args):
+        value = closed_form(*args)
+        sizes.append(value.size)
+        return value
 
-        def counted(kappa, mean, d, wavelength):
-            value = closed_form(kappa, mean, d, wavelength)
-            sizes.append(value.size)
-            kappas = np.broadcast_to(kappa, value.shape).ravel()
-            points.update(zip(kappas.tolist(), map(bytes, d.reshape(-1, 3))))
-            return value
+    monkeypatch.setattr(correlation, "_closed_form", counted)
+    search = partial(decorrelation_table, widths, speeds, BASE)
+    times, points = _searched_points(lambda: search().ravel())
+    assert times == _PINNED_TABLE
+    assert len(sizes) <= 5
+    assert sum(sizes) < 2_400
+    assert _searched_points(lambda: search().ravel(), from_first_column=True)[0] == times
+    clusters, motions, _ = zip(*(scenario_to_cluster_and_motion(
+        replace(BASE, target_angular_width=width, target_speed=speed))
+        for width in widths for speed in speeds))
+    _assert_scans_own_windows(clusters, motions, BASE.wavelength, BASE.monostatic, 0.5,
+                              list(map(float.fromhex, times)), points)
 
-        monkeypatch.setattr(correlation, "_closed_form", counted)
-        table = decorrelation_table(widths, speeds, BASE)
-        assert [float(t).hex() for t in table.ravel()] == _PINNED_TABLE
-        return sizes, points
 
-    sizes, points = searched()
-    assert len(sizes) <= 7
-    assert sum(sizes) < 6_000
-    monkeypatch.setattr(correlation, "_crossing_floor", lambda kappa, *_: np.zeros(len(kappa)))
-    assert points <= searched()[1]
+def test_horizon_out_of_domain_past_the_crossing():
+    # the 170 deg cell at 40 km/h and this threshold: its default horizon lies at
+    # 5.0e153 wavelengths, where the kernel's radicand is not a finite double, and
+    # its crossing at 7.2e152; the scan leaves out the lags out of domain, so the
+    # time equals that of a search to an in-domain horizon past the crossing
+    scenario = replace(BASE, target_angular_width=math.radians(170.0), target_speed=40.0 / 3.6)
+    cluster, motion, lam = scenario_to_cluster_and_motion(scenario)
+    threshold = 4.3949870217446895e-154
+    horizon = (10.0 + cluster.kappa / threshold) / doppler_params(cluster, motion, lam, True).f_m
+    with pytest.raises(DomainError):
+        acf(cluster, motion, horizon, lam, monostatic=True)
+    t = decorrelation_time(cluster, motion, lam, True, threshold)
+    assert abs(acf(cluster, motion, 2.0 * t, lam, monostatic=True)) < threshold
+    assert decorrelation_time(cluster, motion, lam, True, threshold, horizon=2.0 * t) == t
 
 
 class TestMonostaticConsistency:
