@@ -123,14 +123,19 @@ def _polar_transform(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # normal double u expm1(-2 kappa) would underflow, and the density is
     # uniform to within rounding: such kappa takes the kappa = 0 map.
     # Elementwise, so each row of a stack maps exactly as it would alone.
+    # Two new arrays, u left as it was.
     if kappa < _TINY:
-        w = 2.0 * u - 1.0
+        w = np.multiply(u, 2.0)
+        w -= 1.0
     else:
-        w = np.log1p(u * math.expm1(-2.0 * kappa))
+        w = np.multiply(u, math.expm1(-2.0 * kappa))
+        np.log1p(w, out=w)
         w /= kappa
         w += 1.0
         np.clip(w, -1.0, 1.0, out=w)
-    return w, np.sqrt(1.0 - w * w)
+    sin_polar = np.multiply(w, w)
+    np.subtract(1.0, sin_polar, out=sin_polar)
+    return w, np.sqrt(sin_polar, out=sin_polar)
 
 
 def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:

@@ -21,7 +21,7 @@ from vmfcorr import (
     transfer_function,
 )
 from vmfcorr import oracles
-from vmfcorr.oracles import _BLOCK_PATH_SAMPLES, _bessel_j0
+from vmfcorr.oracles import _BLOCK_PATH_SAMPLES, _bessel_j0, _cos_sin
 from vmfcorr.vmf import TWO_PI, _polar_transform, _tangent_basis
 
 LAM = 0.4
@@ -448,12 +448,16 @@ class TestMonteCarlo:
                                                        (0.0, (0.0, 1e300, 0.0), 1e-10),
                                                        (0.0, (0.0, 0.0, 0.0), 5e-324),
                                                        (math.pi / 4, (1.5e308, 1.5e308, 0.0),
-                                                        1.0)])
+                                                        1.0),
+                                                       (0.0, (1e308, 0.0, 0.0), TWO_PI),
+                                                       (0.0, (1.2e308, 1.2e308, 0.0), TWO_PI)])
     def test_overflowing_phase_refused_before_any_draw(self, monkeypatch, helper_starts,
                                                        mu_phi, d, wavelength):
         # along or across past the largest double, k0 itself at a subnormal
-        # wavelength, or mu . d past it: refused before a stream is made or a
-        # helper started, without a floating-point warning
+        # wavelength, mu . d past it, or along and across finite while a
+        # path's phase along (w - 1) + across sp sin(phi) can overflow: refused
+        # before a stream is made or a helper started, without a
+        # floating-point warning
         drawn = []
         default_rng = np.random.default_rng
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: 8)
@@ -466,10 +470,44 @@ class TestMonteCarlo:
         assert drawn == [] and helper_starts == []
 
 
-def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
+def test_cos_sin_matches_libm():
+    # the half-angle cos and sin against numpy's, to 4 eps absolute: signed
+    # zeros, the smallest subnormal, the quarter and half turns, multiples of
+    # pi up to 1e300, where tan(x / 2) is largest, and log-uniform arguments
+    # over the whole double range; the results land in the arrays passed in
+    multiples = math.pi * 10.0 ** np.arange(301)
+    spread = 10.0 ** np.random.default_rng(17).uniform(-300.0, 308.0, 100_000)
+    x = np.concatenate([[0.0, -0.0, 5e-324, math.pi / 2, math.pi], multiples, spread])
+    x = np.concatenate([x, -x])
+    argument, scratch = x.copy(), np.empty_like(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cos, sin = _cos_sin(argument, scratch)
+    assert cos is scratch and sin is argument
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(cos - np.cos(x))) <= 4.0 * eps
+    assert np.max(np.abs(sin - np.sin(x))) <= 4.0 * eps
+    assert cos[:2].tolist() == [1.0, 1.0] and np.signbit(sin[:2]).tolist() == [False, True]
+
+
+def _half_angle(x):
+    # cos x and sin x from t = tan(x / 2): (1 - t^2) / (1 + t^2) and
+    # 2 t / (1 + t^2), rounded as r - 1 and t r with r = 2 / (1 + t^2)
+    t = np.tan(0.5 * x)
+    r = 2.0 / (1.0 + t * t)
+    return r - 1.0, t * r
+
+
+def _libm(x):
+    return np.cos(x), np.sin(x)
+
+
+def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed,
+                     cos_sin=_half_angle):
     # one realization at a time, each reading its row of the two spawned
     # streams and spelling the polar transform and the mean-frame phase out,
-    # shifted by along, with the tangent factor a sine over a half turn: the
+    # shifted by along, with the tangent factor a sine over a half turn and
+    # every cosine and sine taken by cos_sin: with the half-angle form, the
     # reference the blocked evaluation must reproduce bit for bit
     k0 = TWO_PI / wavelength
     kappa = cluster.kappa
@@ -488,9 +526,10 @@ def _montecarlo_rows(cluster, d, wavelength, n_paths, n_realizations, seed):
             w = 2.0 * u - 1.0
         else:
             w = np.clip(1.0 + np.log1p(u * math.expm1(-2.0 * kappa)) / kappa, -1.0, 1.0)
-        phase = along * (w - 1.0) + across * np.sqrt(1.0 - w * w) * np.sin(phi)
-        real[index] = np.mean(np.cos(phase))
-        imag[index] = np.mean(np.sin(phase))
+        phase = along * (w - 1.0) + across * np.sqrt(1.0 - w * w) * cos_sin(phi)[1]
+        cos_phase, sin_phase = cos_sin(phase)
+        real[index] = np.mean(cos_phase)
+        imag[index] = np.mean(sin_phase)
     estimate = complex(np.mean(real), np.mean(imag))
     spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     rotation = complex(math.cos(along), math.sin(along))
@@ -525,8 +564,8 @@ class TestMonteCarloBitIdentity:
     )
     def test_pinned_values(self, cluster, d, n_paths, n_realizations, seed, expected):
         # values of the shifted half-turn contract introduced in 0.4.0, to 8 eps: numpy
-        # dispatches log1p by CPU feature, and with AVX-512 off the first case's real
-        # part is one ulp away; a change of contract moves the values by about 1e-2
+        # dispatches log1p and tan by CPU feature, and with AVX-512 off the first case's
+        # real part is one ulp away; a change of contract moves the values by about 1e-2
         estimate, error = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed)
         pinned, pinned_error = expected
         for got, want in ((estimate.real, pinned.real), (estimate.imag, pinned.imag),
@@ -545,6 +584,20 @@ class TestMonteCarloBitIdentity:
         d = (0.03, -0.02, 0.01)
         blocked = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
         assert blocked == _montecarlo_rows(cluster, d, 0.1, n_paths, n_realizations, 31)
+
+    @pytest.mark.parametrize("kappa", [0.0, 10.0, 700.001, 1e5])
+    def test_half_angle_moves_values_at_rounding_level(self, kappa):
+        # the same draws and phases with numpy's cos and sin in place of the
+        # half-angle form: each cosine and sine moves by at most a few eps,
+        # and so do the averages over the paths
+        n_paths, n_realizations = 64, 1037
+        cluster = VmfCluster(0.7, -0.4, kappa)
+        d = (0.03, -0.02, 0.01)
+        estimate, error = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=31)
+        libm_estimate, libm_error = _montecarlo_rows(cluster, d, 0.1, n_paths, n_realizations,
+                                                     31, _libm)
+        assert abs(estimate - libm_estimate) <= 1e-14
+        assert abs(error - libm_error) <= 1e-14
 
     @pytest.mark.parametrize("n_paths, n_realizations", [(13, 300), (64, 1024), (10, 1700)])
     def test_block_boundaries(self, n_paths, n_realizations):
