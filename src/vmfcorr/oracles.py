@@ -16,27 +16,24 @@ import numpy as np
 from .correlation import DomainError, _as_displacement, _check_wavelength, _dot
 from .vmf import _HALF_PI, TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
 
-# 15-point Kronrod rule with the embedded 7-point Gauss rule (nodes on [-1, 1];
-# the Gauss nodes are the odd-indexed Kronrod nodes).
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_GK_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
+# 15-point Kronrod rule with the embedded 7-point Gauss rule on [-1, 1], by
+# QUADPACK qk15's constants as it gives them, to 33 digits: the Kronrod
+# nodes xgk from the outermost to the centre, their weights wgk, and the
+# weights wg of the Gauss nodes xgk[1], xgk[3], xgk[5] and xgk[7]
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# mirrored onto the full rule, so the Gauss nodes are the odd-indexed ones
+_GK_NODES = np.concatenate([np.negative(_XGK[:-1]), _XGK[::-1]])
+_GK_WEIGHTS = np.array(_WGK + _WGK[-2::-1])
+_G7_WEIGHTS = np.array(_WG + _WG[-2::-1])
 _INITIAL_PANELS = 16  # of the first adaptive pass
 
 
@@ -153,21 +150,32 @@ _J0_QQ = (1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605
           2.42005740240291393179e2)
 
 
+def _polyval(coefficients: tuple, x: np.ndarray) -> np.ndarray:
+    # Horner's rule in place, from the highest power down: np.polyval's
+    # products and sums in its order, so bit for bit at every finite x,
+    # without its two new arrays per coefficient
+    y = np.full_like(x, coefficients[0])
+    for c in coefficients[1:]:
+        y *= x
+        y += c
+    return y
+
+
 def _bessel_j0(x: np.ndarray) -> np.ndarray:
     """The Bessel function J0 of each entry of x >= 0, by Cephes's rational
-    approximations (np.polyval is Cephes's polevl); J0(0) is exactly 1.
+    approximations (_polyval is Cephes's polevl); J0(0) is exactly 1.
     q = (5 / x)^2 in place of Cephes's 25 / (x x) keeps every finite x from
     overflowing."""
     value = np.empty_like(x)
     near = x <= 5.0
     z = x[near] * x[near]
-    value[near] = ((z - _J0_DR1) * (z - _J0_DR2) * np.polyval(_J0_RP, z)
-                   / np.polyval(_J0_RQ, z))
+    value[near] = ((z - _J0_DR1) * (z - _J0_DR2) * _polyval(_J0_RP, z)
+                   / _polyval(_J0_RQ, z))
     far = x[~near]
     w = 5.0 / far
     q = w * w
-    p = np.polyval(_J0_PP, q) / np.polyval(_J0_PQ, q)
-    q = np.polyval(_J0_QP, q) / np.polyval(_J0_QQ, q)
+    p = _polyval(_J0_PP, q) / _polyval(_J0_PQ, q)
+    q = _polyval(_J0_QP, q) / _polyval(_J0_QQ, q)
     phase = far - 0.25 * math.pi
     value[~near] = ((p * np.cos(phase) - w * q * np.sin(phase)) * math.sqrt(2.0 / math.pi)
                     / np.sqrt(far))
@@ -308,27 +316,35 @@ def transfer_function(ensemble: MultipathEnsemble, dr, wavelength: float) -> com
     )
 
 
-def _cos_sin(x: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos x, sin x) by the tangent half-angle: with t = tan(x / 2) and
-    r = 2 / (1 + t^2), cos x = r - 1 and sin x = t r. The cosine is written
-    into scratch and the sine into x, so no new array is made. numpy runs
-    float64 tan as SIMD code where the CPU has AVX-512, and sin and cos as
-    scalar code, so this costs a fraction of np.cos and np.sin; it differs
-    from them at rounding level. |tan| of a double stays below about 1.6e16,
-    so t^2 never overflows, and x = -0.0 keeps its sign in the sine."""
-    t = np.multiply(x, 0.5, out=x)
-    np.tan(t, out=t)
+def _sin_of_double(half: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """sin(2 half) = t r with t = tan(half) and r = 2 / (1 + t^2), written
+    into half, with r left in scratch. numpy runs float64 tan as SIMD code
+    where the CPU has AVX-512, and sin and cos as scalar code, so this costs
+    a fraction of np.sin. |tan| of a double stays below about 1.6e16, so
+    t^2 never overflows, and half = -0.0 keeps its sign."""
+    t = np.tan(half, out=half)
     r = np.multiply(t, t, out=scratch)
     r += 1.0
     np.divide(2.0, r, out=r)
     t *= r
-    r -= 1.0
-    return r, t
+    return t
 
 
-# Path samples per Monte-Carlo block: large enough to amortize the numpy
-# calls, small enough that the block arrays stay well under a megabyte.
-_BLOCK_PATH_SAMPLES = 16384
+def _cos_sin(x: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos x, sin x) by the tangent half-angle: with t = tan(x / 2) and
+    r = 2 / (1 + t^2), cos x = r - 1 and sin x = t r (_sin_of_double). The
+    cosine is written into scratch and the sine into x, so no new array is
+    made; both differ from np.cos and np.sin at rounding level."""
+    sin = _sin_of_double(np.multiply(x, 0.5, out=x), scratch)
+    scratch -= 1.0
+    return scratch, sin
+
+
+# Path samples per Monte-Carlo block, 192 kB a block array. Each numpy call
+# on a block is a point where the threads trade the interpreter lock, so the
+# larger the block the fewer trades; each thread holds three such arrays, so
+# the larger the block the more memory.
+_BLOCK_PATH_SAMPLES = 24576
 
 
 def scf_montecarlo(
@@ -359,24 +375,30 @@ def scf_montecarlo(
     has the arcsine law of the cosine of a uniform angle over a full turn,
     and the shift keeps the phase short, of order 1 for a concentrated
     cluster, where the trigonometric functions cost least. Every cosine and
-    sine, of phi and of the phase, comes from tan(x / 2) by _cos_sin, which
-    costs a fraction of np.cos and np.sin where numpy runs tan as AVX-512
-    code. A realization's term is mean(cos phase) + j mean(sin phase); the
-    estimate is the mean of the terms rotated once by exp(j along), and its
-    standard error, which the rotation leaves unchanged, is that of the
-    terms. The rows are drawn and averaged in blocks of about 16k path
-    samples; each row rounds
-    exactly as it would alone, so seeded results do not depend on the block
-    size, and two displacements with the same along and across, such as
-    rotations of each other about mu, give equal results. They differ from
-    the 0.3.x releases, which drew theta over [0, 2 pi) and formed the
+    sine, of phi and of the phase, comes from tan(x / 2) by _cos_sin, or, for
+    sin(phi) alone, from tan(phi / 2) by _sin_of_double, which cost a
+    fraction of np.cos and np.sin where numpy runs tan as AVX-512 code. The
+    half angles phi / 2 are drawn as theta_rng.random scaled to
+    [-pi / 4, pi / 4), bit for bit half of the uniform draw. A realization's
+    term is mean(cos phase) + j mean(sin phase); the estimate is the mean of
+    the terms rotated once by exp(j along), and its standard error, which
+    the rotation leaves unchanged, is that of the terms. The rows are drawn
+    and averaged in blocks of _BLOCK_PATH_SAMPLES path samples; each row
+    rounds exactly as it would alone, so seeded results do not depend on the
+    block size, and two displacements with the same along and across, such
+    as rotations of each other about mu, give equal results. They differ
+    from the 0.3.x releases, which drew theta over [0, 2 pi) and formed the
     unshifted phase along w + across sp cos(theta).
 
     The blocks are evaluated on every CPU the process may use, by the
     calling thread and up to one helper thread per further CPU, never more
-    threads than blocks. Blocks are drawn from the streams in block order
-    and each writes only its own rows, so the result is bit-identical for
-    any CPU count. Both identities hold on one machine and numpy build: numpy
+    threads than blocks. Each thread draws every block it takes into three
+    block arrays of its own, made once per call, so a call holds three per
+    thread and the row sums however many blocks it has; the blocks are large
+    because each numpy call on one is a point where the threads trade the
+    interpreter lock. Blocks are drawn from the streams in block order and
+    each writes only its own rows, so the result is bit-identical for any
+    CPU count. Both identities hold on one machine and numpy build: numpy
     dispatches log1p and tan by CPU feature, and with AVX-512 off a seeded
     value can move by an ulp. The half-angle form moved seeded values from
     the earlier np.cos and np.sin evaluation at rounding level only, with
@@ -412,37 +434,46 @@ def scf_montecarlo(
     lock = threading.Lock()
     errors = []
 
-    def draw():
-        # the next block's start and draws, or None once the blocks are done
-        # or one has failed; under the lock, so the streams are read in block
-        # order whichever thread asks
+    def draw(arrays):
+        # the next block's rows, with its uniforms drawn into the leading
+        # rows of the thread's first two arrays, or None once the blocks are
+        # done or one has failed; under the lock, so the streams are read in
+        # block order whichever thread asks
         with lock:
             start = None if errors else next(starts, None)
             if start is None:
                 return None
-            rows = min(block, n_realizations - start)
-            return (start, u_rng.random((rows, n_paths)),
-                    theta_rng.uniform(-_HALF_PI, _HALF_PI, (rows, n_paths)))
+            stop = min(start + block, n_realizations)
+            u, half, scratch = (array[:stop - start] for array in arrays)
+            u_rng.random(out=u)
+            theta_rng.random(out=half)
+        return slice(start, stop), u, half, scratch
 
-    def evaluate(start, u, phi):
-        # a function of its own, so that a thread holds none of a finished
-        # block's arrays while it draws the next
-        w, sin_polar = _polar_transform(cluster.kappa, u)
-        # phase = along (w - 1) + across sp sin(phi), in place, with the
-        # spent uniforms u as scratch
+    def evaluate(rows, u, half, scratch):
+        # the half angles phi / 2 = (pi / 2) v - pi / 4 of the uniforms v in
+        # half: bit for bit half of theta_rng.uniform(-pi / 2, pi / 2)'s
+        # -pi / 2 + pi v, as halving commutes with rounding
+        half *= _HALF_PI
+        half -= 0.5 * _HALF_PI
+        sin_phi = _sin_of_double(half, scratch)
+        w, sin_polar = _polar_transform(cluster.kappa, u, scratch)
+        # phase = along (w - 1) + across sp sin(phi), in place in w
         w -= 1.0
         phase = np.multiply(w, along, out=w)
         sin_polar *= across
-        sin_polar *= _cos_sin(phi, u)[1]
+        sin_polar *= sin_phi
         phase += sin_polar
-        cos_phase, sin_phase = _cos_sin(phase, u)
-        stop = start + u.shape[0]
-        real[start:stop] = np.mean(cos_phase, axis=-1)
-        imag[start:stop] = np.mean(sin_phase, axis=-1)
+        cos_phase, sin_phase = _cos_sin(phase, half)
+        # each row's sums; divided by n_paths once all rows are in, they are
+        # np.mean's row means bit for bit
+        np.add.reduce(cos_phase, axis=-1, out=real[rows])
+        np.add.reduce(sin_phase, axis=-1, out=imag[rows])
 
     def work():
         try:
-            while (item := draw()) is not None:
+            # the thread's three block arrays, reused for every block it takes
+            arrays = [np.empty((min(block, n_realizations), n_paths)) for _ in range(3)]
+            while (item := draw(arrays)) is not None:
                 evaluate(*item)
         except BaseException as exc:  # raised again by the calling thread
             with lock:
@@ -460,6 +491,8 @@ def scf_montecarlo(
             helper.join()
     if errors:
         raise errors[0]
+    real /= n_paths
+    imag /= n_paths
     estimate = complex(np.mean(real), np.mean(imag))
     spread = float(np.sum((real - estimate.real) ** 2) + np.sum((imag - estimate.imag) ** 2))
     std_error = math.sqrt(spread / (n_realizations * (n_realizations - 1)))

@@ -116,24 +116,27 @@ def _tangent_basis(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(unit, e1)
 
 
-def _polar_transform(kappa: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polar_transform(kappa: float, u: np.ndarray,
+                     sin_polar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Uniforms u in [0, 1) to the cosine w of the angle from the mean
     # direction and its sine, by the inversion sample_vmf states. The log1p
-    # argument lies in (-1, 0] for every u and kappa. Below the smallest
-    # normal double u expm1(-2 kappa) would underflow, and the density is
-    # uniform to within rounding: such kappa takes the kappa = 0 map.
-    # Elementwise, so each row of a stack maps exactly as it would alone.
-    # Two new arrays, u left as it was.
+    # argument lies in (-1, 0] for every u and kappa, so w <= 1 and only the
+    # lower end needs a clamp. Below the smallest normal double
+    # u expm1(-2 kappa) would underflow, and the density is uniform to within
+    # rounding: such kappa takes the kappa = 0 map. Elementwise, so each row
+    # of a stack maps exactly as it would alone. No new array: w is written
+    # into u and the sine into sin_polar, an array of u's shape.
+    w = u
     if kappa < _TINY:
-        w = np.multiply(u, 2.0)
+        w *= 2.0
         w -= 1.0
     else:
-        w = np.multiply(u, math.expm1(-2.0 * kappa))
+        w *= math.expm1(-2.0 * kappa)
         np.log1p(w, out=w)
         w /= kappa
         w += 1.0
-        np.clip(w, -1.0, 1.0, out=w)
-    sin_polar = np.multiply(w, w)
+        np.maximum(w, -1.0, out=w)
+    np.multiply(w, w, out=sin_polar)
     np.subtract(1.0, sin_polar, out=sin_polar)
     return w, np.sqrt(sin_polar, out=sin_polar)
 
@@ -154,7 +157,7 @@ def sample_vmf(cluster: VmfCluster, n: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = rng.random(n)
     theta = rng.uniform(0.0, TWO_PI, n)
-    w, sin_polar = _polar_transform(cluster.kappa, u)
+    w, sin_polar = _polar_transform(cluster.kappa, u, np.empty_like(u))
     mean = cluster.mean_direction
     e1, e2 = _tangent_basis(mean)
     along_e1 = sin_polar * np.cos(theta)

@@ -623,16 +623,16 @@ class TestWriterBytes:
              "x_over_lambda": _grid(-1.0, 1.0, 5), "y_over_lambda": _grid(-1.0, 1.0, 5)},
             {"csv": "933f55d344d189ddf2f57bc66667a4fbb6bf1ac96f1b3b6e57a50c7f6e996664",
              "json": "eb91d138c5870a253b507bb38f0c2c7a741063d3d1a14716162c4bafa19dd75d"}),
-        # with the quadrature oracle's azimuth average taken as J0
+        # with the quadrature oracle's Gauss-Kronrod constants at full double
+        # precision
         "validate": (
             {"mode": "validate"},
-            {"csv": "8bc6d4bb608be572e1a016adb7740ba0a9181d4fb054cb67240841a00adc2384",
-             "json": "e6aa287b6588a085e38e4ea03bf74f641d5a8dde43d77127fc2e7569332e8096"}),
-        # with the large-kappa form's jz - kappa formed from d along and across the mean
+            {"csv": "0c4e828789179ee6a6e12b314aeb65bb0e1c32f4c40195ae1fe4b162ec4feba3",
+             "json": "630200f7ace019d2244bdb155bfc604de6864845e5de0683493f4b2341db8bde"}),
         "validate/radar-kappas": (
             {"mode": "validate", "kappas": [2e4, 2e5, 1e6], "tolerance": 1e-12},
-            {"csv": "9f926dd814142e726656b64b02ad68927400271f56e5b327a386ac6925d3adce",
-             "json": "3b56210dfcd3f32da745cf711ad4c71edb2bd5a64637ed71f74469f67786180b"}),
+            {"csv": "b67db2ee088b13f6ffe147ec7e41f8c17d57fbb57916fcb60ecad35ec2f4411c",
+             "json": "6420b49e657e07888a974da82095b401f63806cdde70bad23653d6702e62b301"}),
     }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -21,7 +22,7 @@ from vmfcorr import (
     transfer_function,
 )
 from vmfcorr import oracles
-from vmfcorr.oracles import _BLOCK_PATH_SAMPLES, _bessel_j0, _cos_sin
+from vmfcorr.oracles import _BLOCK_PATH_SAMPLES, _bessel_j0, _cos_sin, _polyval
 from vmfcorr.vmf import TWO_PI, _polar_transform, _tangent_basis
 
 LAM = 0.4
@@ -33,6 +34,27 @@ class TestQuadrature:
             cluster = VmfCluster(0.6, -0.2, kappa)
             value = scf_quadrature(cluster, (0.0, 0.0, 0.0), LAM)
             assert abs(value - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 10.0, 100.0, 1e4, 1e6])
+    def test_one_at_zero_displacement_to_rounding(self, kappa):
+        # d = 0 integrates the density alone, to 1 within a few roundings
+        # when the Kronrod weights are at full double precision (weights to
+        # 15 digits sum to 2 - 6e-15, 13.5 eps off)
+        value = scf_quadrature(VmfCluster(0.6, -0.2, kappa), (0.0, 0.0, 0.0), LAM)
+        assert abs(value - 1.0) <= 4.0 * np.finfo(float).eps
+
+    def test_rules_exact_on_polynomials(self):
+        # the 15-point Kronrod rule integrates x^k over [-1, 1] exactly up to
+        # degree 22 and the 7-point Gauss rule up to degree 13, here to within
+        # the rounding of the double nodes and weights
+        for weights, nodes, degree in ((oracles._GK_WEIGHTS, oracles._GK_NODES, 22),
+                                       (oracles._G7_WEIGHTS, oracles._GK_NODES[1::2], 13)):
+            for k in range(degree + 1):
+                with mp.workdps(40):
+                    rule = mp.fsum(mp.mpf(float(w)) * mp.mpf(float(x)) ** k
+                                   for w, x in zip(weights, nodes))
+                    exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else 0
+                    assert abs(rule - exact) <= 2.0 * np.finfo(float).eps, (degree, k)
 
     def test_isotropic_zero(self):
         value = scf_quadrature(VmfCluster(0, 0, 0.0), (LAM / 2, 0.0, 0.0), LAM)
@@ -117,11 +139,12 @@ class TestQuadratureBatch:
         [0.7490346908673594, 0.23170358210041245, 0.158935464636049],
         [4.919270032410834, 1.5217085426429773, 10.83905832900036],
     ])
-    # float.hex of rows 1, 4 and 6 with the azimuth average taken as J0
+    # float.hex of rows 1, 4 and 6 with the azimuth average taken as J0 and
+    # the Gauss-Kronrod constants at full double precision
     PINNED = {
-        1: ("0x1.fffffffffffe5p-1", "0x0.0p+0"),
-        4: ("-0x1.42ba7c0b7ceefp-11", "0x0.0p+0"),
-        6: ("-0x1.19871e1a9407cp-13", "-0x1.fb8a38b128fcap-11"),
+        1: ("0x1.0000000000000p+0", "0x0.0p+0"),
+        4: ("-0x1.42ba7c0b7de10p-11", "0x0.0p+0"),
+        6: ("-0x1.19871e1a9421ap-13", "-0x1.fb8a38b128f2bp-11"),
     }
 
     def test_rows_equal_one_row_calls(self):
@@ -207,22 +230,22 @@ class TestQuadratureBatch:
         assert scf_quadrature(self.CLUSTER, np.zeros((0, 3)), LAM).shape == (0,)
 
     # float.hex of rows whose projections off the mean are all zero (d = 0
-    # and d along the mean (1, 0, 0)) or below the smallest subnormal, as the
-    # oracle gave them while it still summed the cosines of 0 in a trapezoid
-    # rule: J0(0) is exactly 1, and J0 of a subnormal rounds to 1
+    # and d along the mean (1, 0, 0)) or below the smallest subnormal, with
+    # the Gauss-Kronrod constants at full double precision: J0(0) is exactly
+    # 1, and J0 of a subnormal rounds to 1
     ZERO_ROWS = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [-3.1, 0.0, 0.0],
                           [0.3, 5e-324, 0.0], [0.3, 0.0, -5e-324]])
     ZERO_PINNED = {
-        10.0: [("0x1.fffffffffffe5p-1", "0x0.0p+0"),
-               ("-0x1.fdb3e4c002e20p-2", "-0x1.cf8d777265f3fp-2"),
-               ("-0x1.938f71e278b00p-3", "0x1.4b80a7f8ffea2p-5"),
-               ("-0x1.8adceac0f4091p-2", "-0x1.a2f66d975fcc5p-1"),
-               ("-0x1.8adceac0f4091p-2", "-0x1.a2f66d975fcc5p-1")],
-        1e6: [("0x1.fffffffffffe1p-1", "0x0.0p+0"),
-              ("-0x1.70f343909452ep-17", "-0x1.fffffffef6200p-1"),
-              ("-0x1.987b0abe664d7p-15", "0x1.ffffffeba1ba9p-1"),
-              ("-0x1.3c3e39e9fb1b7p-18", "-0x1.ffffffffcf290p-1"),
-              ("-0x1.3c3e39e9fb1b7p-18", "-0x1.ffffffffcf290p-1")],
+        10.0: [("0x1.0000000000000p+0", "0x0.0p+0"),
+               ("-0x1.fdb3e4c002e3bp-2", "-0x1.cf8d777265f5bp-2"),
+               ("-0x1.938f71e278b1ep-3", "0x1.4b80a7f8ffeafp-5"),
+               ("-0x1.8adceac0f40a5p-2", "-0x1.a2f66d975fcdcp-1"),
+               ("-0x1.8adceac0f40a5p-2", "-0x1.a2f66d975fcdcp-1")],
+        1e6: [("0x1.ffffffffffffdp-1", "0x0.0p+0"),
+              ("-0x1.70f3439094545p-17", "-0x1.fffffffef6219p-1"),
+              ("-0x1.987b0abe664eep-15", "0x1.ffffffeba1bc6p-1"),
+              ("-0x1.3c3e39e9fb1cap-18", "-0x1.ffffffffcf2adp-1"),
+              ("-0x1.3c3e39e9fb1cap-18", "-0x1.ffffffffcf2adp-1")],
     }
 
     @pytest.mark.parametrize("kappa", sorted(ZERO_PINNED))
@@ -303,6 +326,21 @@ class TestBesselJ0:
         x = np.concatenate([np.geomspace(40.0, 1e5, 401),
                             np.random.default_rng(75).uniform(40.0, 1e5, 200)])
         assert (self._errors(x) / x).max() <= 1e-17
+
+    def test_polyval_matches_numpy(self):
+        # the in-place Horner rule gives np.polyval's values bit for bit, at
+        # the arguments each branch hands it: z = x^2 for x in [0, 5], 5
+        # itself included, and q = (5 / x)^2 for x in (5, 1e6]
+        near = np.concatenate([np.linspace(0.0, 5.0, 501),
+                               np.random.default_rng(76).uniform(0.0, 5.0, 500)])
+        far = np.concatenate([np.geomspace(np.nextafter(5.0, 6.0), 1e6, 501),
+                              np.random.default_rng(77).uniform(5.0, 1e6, 500)])
+        for arguments, polynomials in ((near * near, (oracles._J0_RP, oracles._J0_RQ)),
+                                       ((5.0 / far) ** 2, (oracles._J0_PP, oracles._J0_PQ,
+                                                           oracles._J0_QP, oracles._J0_QQ))):
+            for coefficients in polynomials:
+                assert (_polyval(coefficients, arguments).tobytes()
+                        == np.polyval(coefficients, arguments).tobytes())
 
 
 class TestEnsemble:
@@ -469,6 +507,26 @@ class TestMonteCarlo:
                 scf_montecarlo(VmfCluster(mu_phi, 0, 10), d, wavelength, 16, 100_000, 1)
         assert drawn == [] and helper_starts == []
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_memory_bound(self, monkeypatch, cpus):
+        # each thread draws every block into three block arrays of its own,
+        # reused from block to block, so the traced peak is those, the row
+        # sums and a little more, however many blocks there are (here more
+        # than four)
+        n_paths, n_realizations = 64, 10_000
+        monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+        args = (VmfCluster(0.7, -0.4, 10.0), (0.03, -0.02, 0.01), LAM, n_paths, n_realizations)
+        scf_montecarlo(*args)  # leaves what a first call sets up out of the count
+        tracemalloc.start()
+        try:
+            scf_montecarlo(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = _BLOCK_PATH_SAMPLES * 8
+        assert n_realizations > 4 * _BLOCK_PATH_SAMPLES // n_paths
+        assert peak <= 3 * cpus * block_bytes + 2 * n_realizations * 8 + 32 * 1024
+
 
 def test_cos_sin_matches_libm():
     # the half-angle cos and sin against numpy's, to 4 eps absolute: signed
@@ -599,9 +657,16 @@ class TestMonteCarloBitIdentity:
         assert abs(estimate - libm_estimate) <= 1e-14
         assert abs(error - libm_error) <= 1e-14
 
-    @pytest.mark.parametrize("n_paths, n_realizations", [(13, 300), (64, 1024), (10, 1700)])
+    # one partial block, whole blocks only, one full block plus a remainder:
+    # (n_paths, n_realizations) to the whole blocks and the rows left over
+    BOUNDARIES = {(13, 300): (0, 300),
+                  (64, 2 * (_BLOCK_PATH_SAMPLES // 64)): (2, 0),
+                  (10, _BLOCK_PATH_SAMPLES // 10 + 37): (1, 37)}
+
+    @pytest.mark.parametrize("n_paths, n_realizations", BOUNDARIES)
     def test_block_boundaries(self, n_paths, n_realizations):
-        # one partial block, whole blocks only, one full block plus a remainder
+        block = _BLOCK_PATH_SAMPLES // n_paths
+        assert divmod(n_realizations, block) == self.BOUNDARIES[n_paths, n_realizations]
         cluster = VmfCluster(-2.2, 0.1, 3.0)
         d = (0.05, 0.0, -0.02)
         blocked = scf_montecarlo(cluster, d, 0.1, n_paths, n_realizations, seed=8)
@@ -670,12 +735,12 @@ class TestMonteCarloBitIdentity:
         calls = []
         lock = threading.Lock()
 
-        def failing(kappa, u):
+        def failing(kappa, u, sin_polar):
             with lock:
                 calls.append(None)
                 if len(calls) == 3:
                     raise FloatingPointError("third block")
-            return _polar_transform(kappa, u)
+            return _polar_transform(kappa, u, sin_polar)
 
         monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(oracles, "_BLOCK_PATH_SAMPLES", 64)
