@@ -62,7 +62,7 @@ def _as_displacement(d, batch: bool = False) -> np.ndarray:
         raise ValueError("displacements must be an array of shape (..., 3) in meters")
     if not batch and v.shape != (3,):
         raise ValueError("displacement must be a 3-vector in meters")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("displacement components must be finite")
     return v
 
@@ -78,37 +78,35 @@ def _dot(a, b):
 
 
 def _per_kappa(fn, kappa) -> np.ndarray:
-    """fn of every entry of kappa, evaluated once per distinct concentration
-    with Python's scalar math. numpy's exp, log and power round some
-    arguments differently from math's, so this keeps every output
-    equal, bit for bit, to the closed form with each cluster's constants
-    taken as Python floats. Callers pass kappa before it is broadcast over
-    displacements, so the Python work is per cluster or cell, not per point.
-    fn sees only kappa > 0; kappa = 0, where no regime needs these constants,
-    maps to 0."""
-    distinct = sorted(set(np.ravel(kappa).tolist()))
-    table = np.array([fn(k) if k > 0.0 else 0.0 for k in distinct], dtype=float)
-    return table[np.searchsorted(distinct, kappa)]
+    """The tuple fn(k) at every entry k of kappa, shape (len(fn(k)),) + kappa.shape, once
+    per distinct concentration in Python's scalar math, whose exp, log and power round
+    some arguments unlike numpy's: outputs are the closed form with Python-float constants."""
+    distinct = sorted(set(np.ravel(kappa).tolist())) or [0.0]  # columns even when empty
+    return np.array([fn(k) for k in distinct], dtype=float).T[:, np.searchsorted(distinct, kappa)]
 
 
-def _split_k0(d: np.ndarray, wavelength: float):
-    """(m, e, d 2^e) with 2 pi / lam = m 2^e by frexp. k0 d = m (d 2^e) exactly,
-    so the kernel sees d / lam only: squares of d 2^e stay ordinary where k0 |d|
-    is, and where k0^2 and |d|^2 are too, each product rounds as unscaled."""
-    _check_wavelength(wavelength)
-    m, e = math.frexp(TWO_PI / wavelength)
-    return m, e, np.ldexp(d, e)
+def _kappa_constants(k: float) -> tuple[float, float, float]:
+    # kappa^2 (k**2 raises past 2^512), log kappa and kappa / sinh kappa; 0 at kappa = 0
+    return ((k**2 if k < 2.0**512 else math.inf, math.log(k),
+             math.exp(_log_kappa_over_sinh(k))) if k else (0.0, 0.0, 0.0))
 
 
-def _radicand_terms(kappa, mean, d: np.ndarray, wavelength: float):
-    """(a, b, kappa^2, a + kappa^2 + 2 |b|) of the sinc radicand, with overflow to inf
-    and nan left in place: a point is in the kernel's domain where the last is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, _, scaled = _split_k0(d, wavelength)
-        a = (m * m) * _dot(scaled, scaled)
-        b = kappa * m * _dot(scaled, np.asarray(mean, dtype=float))
-        square = _per_kappa(lambda k: k**2 if k < 2.0**512 else math.inf, kappa)  # k**2 raises
-        return a, b, square, a + square + 2.0 * np.abs(b)  # bounds every later step
+class _Terms:
+    """The terms the kernel's regimes share, formed once per call from kappa (...),
+    means (..., 3) and d (..., 3): scaled = d 2^e for 2 pi / lam = m 2^e, so k0 d =
+    m scaled exactly, its squares ordinary where k0 |d| is; along = scaled . mean;
+    kappa's constants; the radicand's a, b and size = a + kappa^2 + 2 |b|, or inf."""
+
+    def __init__(self, kappa, mean, d, wavelength: float):
+        _check_wavelength(wavelength)
+        self.kappa, self.mean, self.d, self.wavelength = kappa, mean, d, wavelength
+        self.m, self.e = math.frexp(TWO_PI / wavelength)
+        self.square, self.log_kappa, self.scale = _per_kappa(_kappa_constants, kappa)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scaled = np.ldexp(d, self.e)
+            self.along, self.norm = _dot(self.scaled, mean), _dot(self.scaled, self.scaled)
+            self.a, self.b = (self.m * self.m) * self.norm, kappa * self.m * self.along
+            self.size = self.a + self.square + 2.0 * np.abs(self.b)  # bounds every later step
 
 
 def _domain_error(kappa: float, d, wavelength: float) -> DomainError:
@@ -116,21 +114,20 @@ def _domain_error(kappa: float, d, wavelength: float) -> DomainError:
                        f"|d| = {np.hypot.reduce(d) / wavelength:.6g} wavelengths")
 
 
-def _radicand(kappa, mean, d: np.ndarray, wavelength: float) -> np.ndarray:
+def _radicand(t: _Terms) -> np.ndarray:
     """The sinc radicand w = a - kappa^2 - 2j b with a = (2 pi / lam)^2 |d|^2 and
-    b = kappa (2 pi / lam) (mean . d), kappa (...) and mean (..., 3) broadcast against
-    d (..., 3). DomainError, at the largest point, unless every a + kappa^2 + 2 |b| is finite."""
-    a, b, square, size = _radicand_terms(kappa, mean, d, wavelength)
-    if not np.isfinite(size).all():
-        point = np.unravel_index(np.argmax(size), size.shape)  # a nan counts as largest
-        raise _domain_error(np.broadcast_to(kappa, size.shape)[point],
-                            np.broadcast_to(d, size.shape + (3,))[point], wavelength)
-    return np.asarray(a - square - 2.0j * b)
+    b = kappa (2 pi / lam) (mean . d). DomainError, at the largest point, unless
+    every a + kappa^2 + 2 |b| is finite."""
+    if not np.isfinite(t.size).all():
+        point = np.unravel_index(np.argmax(t.size), t.size.shape)  # a nan counts as largest
+        raise _domain_error(np.broadcast_to(t.kappa, t.size.shape)[point],
+                            np.broadcast_to(t.d, t.size.shape + (3,))[point], t.wavelength)
+    return np.asarray(t.a - t.square - 2.0j * t.b)
 
 
-def _large_kappa_terms(kappa, mean, d, w, wavelength: float, where=...):
+def _large_kappa_terms(t: _Terms, w, where=...):
     """(exponent, factor), R = exp(exponent) * factor, at the entries of w selected by
-    where (all by default), with kappa, mean and d broadcast against w as in _radicand.
+    where (all by default), with the terms t broadcast against w.
 
     With jz = sqrt(-w), Re jz >= 0, R = kappa e^(jz - kappa) (1 - e^(-2jz)) / jz, less
     sinh's 1 - e^(-2 kappa): the factor is at most 2 (2 at w = 0), so R underflows
@@ -138,17 +135,14 @@ def _large_kappa_terms(kappa, mean, d, w, wavelength: float, where=...):
     along and across the mean, jz - kappa = j (x_par + x_perp^2 / (x_par - j (kappa + jz))),
     whose denominator adds terms of one sign in each part, so nothing cancels."""
     def pick(x):
-        return np.broadcast_to(x, np.shape(w))[where]
+        return (x if np.shape(x) == np.shape(w) else np.broadcast_to(x, np.shape(w)))[where]
 
     # split at every point, then picked: masking 3-vectors costs more than the rejection
-    m, _, s = _split_k0(d, wavelength)
-    mean = np.asarray(mean, dtype=float)
-    along = _dot(s, mean)
-    across = s - along[..., None] * mean  # the rejection of s from the mean
-    x_par, x_perp2 = pick(m * along), pick((m * m) * _dot(across, across))
+    across = t.scaled - t.along[..., None] * t.mean  # the rejection of scaled from the mean
+    x_par, x_perp2 = pick(t.m * t.along), pick((t.m * t.m) * _dot(across, across))
     jz = np.sqrt(-pick(w))
-    exponent = (1j * (x_par + x_perp2 / (x_par - 1j * (pick(kappa) + jz)))
-                + pick(_per_kappa(math.log, kappa)))
+    exponent = (1j * (x_par + x_perp2 / (x_par - 1j * (pick(t.kappa) + jz)))
+                + pick(t.log_kappa))
     factor = np.divide(1.0 - np.exp(-2.0 * jz), jz, out=np.full(jz.shape, 2.0 + 0j),
                        where=jz != 0.0)
     return exponent, factor
@@ -159,33 +153,35 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     kappa of shape (...) and mean directions of shape (..., 3) broadcast
     against them, so that one call can span clusters, concentrations or cells.
 
-    _radicand first refuses the call with DomainError unless every point is in
-    domain. Each regime is then one mask, taken per element: d = 0 gives exactly
-    one, kappa = 0 the isotropic sinc, kappa above 700 the exponential form of
-    _large_kappa_terms, and otherwise kappa / sinh(kappa) times csinc_sqrt's sin(z)/z.
+    The terms the regimes share (_Terms) are formed once; _radicand refuses the
+    call with DomainError unless every point is in domain. Each regime is then one
+    mask, taken per element: d = 0 gives exactly one, kappa = 0 the isotropic sinc,
+    kappa above 700 the exponential form of _large_kappa_terms, and otherwise
+    kappa / sinh(kappa) times csinc_sqrt's sin(z)/z.
     """
     d = _as_displacement(d, batch=True)
-    kappa = np.asarray(kappa, dtype=float)
-    w = _radicand(kappa, mean, d, wavelength)
+    t = _Terms(np.asarray(kappa, dtype=float), np.asarray(mean, dtype=float), d, wavelength)
+    w = _radicand(t)
+    t.a = t.b = t.size = None  # kept to the end, they raise bulk-sweep's peak RSS 1%
 
     def spread(a):
         return np.broadcast_to(a, w.shape)
 
     value = np.ones(w.shape, dtype=complex)
-    live = spread(np.any(d != 0.0, axis=-1))
-    isotropic = live & (kappa == 0.0)
-    large = live & (kappa > LARGE_KAPPA_THRESHOLD)
+    live = spread((d != 0.0).any(axis=-1))
+    isotropic = live & (t.kappa == 0.0)
+    large = live & (t.kappa > LARGE_KAPPA_THRESHOLD)
     moderate = live & ~isotropic & ~large
     if isotropic.any():
-        (_, e, scaled), (m, e_lam) = _split_k0(d, wavelength), math.frexp(wavelength)
-        x = np.ldexp(np.sqrt(_dot(scaled, scaled)) / m, -e - e_lam)  # |d| / lam, even past 1e308 m
+        m, e = math.frexp(wavelength)
+        x = np.ldexp(np.sqrt(t.norm) / m, -t.e - e)  # |d| / lam, even past 1e308 m
         value[isotropic] = scf_isotropic(spread(x)[isotropic], 1.0)
     if large.any():
-        exponent, factor = _large_kappa_terms(kappa, mean, d, w, wavelength, large)
+        exponent, factor = _large_kappa_terms(t, w, large)
         value[large] = np.exp(exponent) * factor
+    scale, t = t.scale, None  # freed before csinc_sqrt's temporaries: 30% at 32,640 points
     if moderate.any():
-        scale = spread(_per_kappa(lambda k: math.exp(_log_kappa_over_sinh(k)), kappa))
-        value[moderate] = scale[moderate] * csinc_sqrt(w[moderate])
+        value[moderate] = spread(scale)[moderate] * csinc_sqrt(w[moderate])
     return value
 
 
@@ -299,21 +295,28 @@ _GRID_POINTS_PER_DECADE = 64
 # by each later one, while scanning for first crossings
 _FIRST_WINDOW = _GRID_POINTS_PER_DECADE // 2
 _SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
-# Fractions of a bracket evaluated per kernel call while refining a crossing
-_SECTIONS = np.arange(1, 16) / 16
+# Fractions of a bracket at its 17 edges while refining a crossing
+_SECTIONS = np.arange(17) / 16
 
 
 def _crossing_floor(kappa, mean, heading, f_m, threshold: float) -> np.ndarray:
-    """Per cell, t0 = sqrt(2 (1 - threshold) / V) / (2 pi f_m): |ACF| > threshold on
-    (0, t0). R is the characteristic function of k0 u.d over arrival directions
-    u, so |ACF(t)| >= E cos(2 pi f_m t (u.h - E u.h)) >= 1 - (2 pi f_m t)^2 V / 2,
-    with V = (mean.h)^2 Var(w) + |mean x h|^2 A / kappa the variance of u.h for
-    the unit heading h; the cross product holds the transverse weight free of
-    the cancellation in 1 - (mean.h)^2."""
-    along, across = np.array([_direction_variances(k) for k in kappa.tolist()]).T
-    transverse = np.cross(mean, heading)
-    variance = _dot(mean, heading) ** 2 * along + _dot(transverse, transverse) * across
-    return np.sqrt(2.0 * (1.0 - threshold) / variance) / (TWO_PI * f_m)
+    """Per cell, t0 = sqrt(2 (1 - threshold)) / (s 2 pi f_m): |ACF| > threshold on
+    (0, t0). R is the characteristic function of k0 u.d over arrival directions u,
+    so for d along a unit g, |ACF(t)| >= 1 - (2 pi f_m t)^2 Var(u.g) / 2. Var(u.h) =
+    V = (mean.h)^2 Var(w) + |mean x h|^2 A / kappa for the unit heading h (the cross
+    product holds the transverse weight free of cancellation), and g lies within
+    delta of h, so sd(u.g) <= s = sqrt V + delta sqrt(max(Var w, A / kappa)), the max
+    being u's largest variance along a unit vector. The kernel's d = t (f v) rounds
+    h twice (v = speed h, then t (f v)), within eps; its rejection s - (s.mean) mean
+    reads a |mean| within 2.5 eps of 1 (direction_from_angles) as up to 5 eps |s|
+    across and rounds within 2.5 eps |s|; delta = 16 eps leaves a margin over 9 eps.
+    mean and heading are of shape (3,) or (cells, 3)."""
+    along, across = _per_kappa(_direction_variances, kappa)
+    roll, back = [1, 2, 0], [2, 0, 1]  # mean x heading, as np.cross forms it
+    transverse = mean[..., roll] * heading[..., back] - mean[..., back] * heading[..., roll]
+    s = (np.sqrt(_dot(mean, heading) ** 2 * along + _dot(transverse, transverse) * across)
+         + 2.0**-48 * np.sqrt(np.maximum(along, across)))
+    return np.sqrt(2.0 * (1.0 - threshold)) / s / (TWO_PI * f_m)
 
 
 def decorrelation_time(
@@ -324,50 +327,43 @@ def decorrelation_time(
     threshold: float = 0.5,
     horizon: float | None = None,
 ) -> float:
-    """Smallest positive lag at which |ACF| first falls to the threshold.
-
-    The first downward crossing is bracketed on a geometric lag grid (64
-    points per decade starting at 1 us), scanned from the first lag past half
-    of _crossing_floor's certified floor on the crossing, half a decade in the
-    first kernel call and two decades in each later one, and refined to 1e-6
-    relative, one sixteenth of the bracket per kernel call.
+    """Smallest positive lag at which |ACF| first falls to the threshold, searched
+    as _decorrelation_times states with one cell: bracketed on a geometric lag
+    grid (64 points per decade from 1 us) and refined to 1e-6 relative.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
     default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in decorrelation_table,
     10 / f_m at kappa = 0, past any radial crossing; DomainError where that default
     is not a positive finite double or a lag before the crossing is out of the
     kernel's domain.
     """
-    times = _decorrelation_times([cluster], [motion], wavelength, monostatic, threshold, horizon)
-    return float(times[0])
+    heading = direction_from_angles(motion.phi_v, motion.psi_v)
+    return float(_decorrelation_times(np.array([cluster.kappa]), np.array([motion.speed]),
+                                      cluster.mean_direction, heading, wavelength,
+                                      monostatic, threshold, horizon)[0])
 
 
-def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
+def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monostatic: bool,
                          threshold: float, horizon: float | None = None) -> np.ndarray:
-    """decorrelation_time of each (cluster, motion) cell, searched up to
-    horizon seconds, or up to each cell's default horizon when it is None.
+    """decorrelation_time of each cell i, at concentration kappa[i] and speed[i],
+    with one mean direction and heading for all cells (3,) or one per cell
+    (cells, 3), up to horizon seconds, or each cell's default horizon if None.
 
     Each kernel call of the scan evaluates a window of grid columns for every
-    cell that has not crossed yet, each cell's window its own: the first
-    starts at the cell's first lag past half of _crossing_floor, before which
-    its |ACF| is certified above the threshold, or else at its horizon, and
-    covers half a decade (32 columns); each later one covers the next two
-    decades (128 columns). A cell leaves at its first crossing. Where a call
-    holds a lag out of the kernel's domain, only the lags in domain are
-    evaluated, and the first cell with such a lag before its first crossing
-    raises DomainError naming that lag. The cells are then refined
-    together: one kernel call evaluates 15 evenly spaced lags inside the
-    bracket of every live cell, which keeps the sixteenth that holds its
-    first lag below the threshold (the last one where none is), and a cell
-    leaves at its 1e-6 relative width. Each cell's rounds use its own bracket
-    only, so a cell's time does not depend on the cells searched with it.
-    """
+    cell that has not crossed yet, each cell's window its own: the first starts
+    at the cell's first lag past half of _crossing_floor, before which its |ACF|
+    is certified above the threshold, or else at its horizon, and covers half a
+    decade (32 columns); each later one the next two decades (128 columns). A
+    cell leaves at its first crossing. Where a call holds a lag out of the
+    kernel's domain, only the lags in domain are evaluated, and the first cell
+    with such a lag before its first crossing raises DomainError naming it.
+    Then one kernel call per round evaluates 15 evenly spaced lags inside the
+    bracket of every live cell, which keeps the sixteenth that holds its first
+    lag below the threshold (else the last one), until its 1e-6 relative width.
+    A cell's rounds use its own bracket only, so its time does not depend on
+    the cells searched with it."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     _check_wavelength(wavelength)
-    kappa = np.array([c.kappa for c in clusters])
-    mean = np.array([c.mean_direction for c in clusters])
-    speed = np.array([m.speed for m in motions])
-    heading = np.array([direction_from_angles(m.phi_v, m.psi_v) for m in motions])
     velocity = speed[:, None] * heading
     default = horizon is None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -376,25 +372,25 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
             # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) / f_m (transverse) up
             # to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past the 10 / f_m of
             # broad scattering; cover both. An overflow, or f_m of 0 or inf, is out of domain.
-            horizon = np.divide([10.0 + c.kappa / min(threshold, 0.5) for c in clusters], f_m)
+            horizon = (10.0 + kappa / min(threshold, 0.5)) / f_m
         floor = _crossing_floor(kappa, mean, heading, f_m, threshold)
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
+    mean = np.broadcast_to(mean, velocity.shape)
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), kappa.shape)
     valid = np.isfinite(horizon) & (horizon > 0.0)
     if not valid.all():
         cell, error = np.argmin(valid), DomainError if default else ValueError
         raise error(f"horizon must be positive and finite, got {horizon[cell]:g} s at kappa = "
-                    f"{clusters[cell].kappa:.6g}, speed = {motions[cell].speed:.6g} m/s")
+                    f"{kappa[cell]:.6g}, speed = {speed[cell]:.6g} m/s")
 
     def excess(t, cells):
         d = _lag_displacement(t, velocity[cells], monostatic)
         return np.abs(_closed_form(kappa[cells], mean[cells], d, wavelength)) - threshold
 
     def below_in_domain(lags, scan):
-        # a scan call refused a lag: evaluate only the lags in domain, and refuse
-        # the first cell whose first lag out of domain comes before its first
-        # crossing, naming that lag
+        # a scan call refused a lag: evaluate the lags in domain only, and refuse the
+        # first cell whose first lag out of domain precedes its first crossing
         d = _lag_displacement(lags, velocity[scan, None], monostatic)
-        valid = np.isfinite(_radicand_terms(kappa[scan, None], mean[scan, None], d, wavelength)[3])
+        valid = np.isfinite(_Terms(kappa[scan, None], mean[scan, None], d, wavelength).size)
         below = np.zeros(lags.shape, dtype=bool)
         below[valid] = excess(lags[valid], np.broadcast_to(scan[:, None], lags.shape)[valid]) < 0.0
         early = ~valid & ~np.logical_or.accumulate(below, axis=1)
@@ -403,24 +399,24 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
             raise _domain_error(kappa[scan[row]], d[row, col], wavelength)
         return below
 
-    # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products,
-    # as cumprod forms them, up to the first product at or past the horizon,
-    # which is clamped to it; the clamp also pads shorter rows with copies of
-    # their horizon, which cannot come before a row's first crossing.
+    # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products, as
+    # cumprod forms them once per distinct start, up to the first product at or past
+    # the horizon, clamped to it; the clamp pads shorter rows with their horizon,
+    # which cannot precede a first crossing.
     ratio = 10.0 ** (1.0 / _GRID_POINTS_PER_DECADE)
     start = np.minimum(1e-6, horizon / _GRID_POINTS_PER_DECADE)
     count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
-    steps = np.full((len(kappa), count), ratio)
-    steps[:, 0] = start
+    starts = sorted(set(start.tolist()))
+    steps = np.full((len(starts), count), ratio)
+    steps[:, 0] = starts
     with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
-        grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
-    # each cell's scan starts at its first lag past half its floor, or else at its
-    # horizon, the first column the clamp reaches
-    past = (grid > 0.5 * floor[:, None]) | (grid == horizon[:, None])
-    column = np.argmax(past, axis=1)  # the next column of each cell's scan
+        grid = np.minimum(np.cumprod(steps, axis=1)[np.searchsorted(starts, start)],
+                          horizon[:, None])
+    # the next column of each cell's scan: first its first lag past half its floor
+    # (at or past the next double up), or else its horizon, where the clamp starts
+    column = np.argmax(grid >= np.minimum(np.nextafter(0.5 * floor, np.inf), horizon)[:, None], 1)
     cells = np.arange(len(kappa))
-    first = np.zeros(len(kappa), dtype=int)
-    searching = np.ones(len(kappa), dtype=bool)
+    first, searching = np.zeros(len(kappa), dtype=int), np.ones(len(kappa), dtype=bool)
     width = _FIRST_WINDOW
     while (scanning := searching & (column < count)).any():
         scan = cells[scanning]
@@ -439,20 +435,20 @@ def _decorrelation_times(clusters, motions, wavelength: float, monostatic: bool,
         column[scan] += width
         width = _SCAN_WINDOW
     if searching.any():
-        raise DecorrelationNotFound(
-            f"|ACF| never fell below {threshold} within horizon "
-            f"{float(horizon[np.argmax(searching)])} s"
-        )
+        raise DecorrelationNotFound(f"|ACF| never fell below {threshold} within horizon "
+                                    f"{float(horizon[np.argmax(searching)])} s")
     hi = grid[cells, first]
     lo = np.where(first > 0, grid[cells, first - 1], 0.0)
     live = cells[hi - lo > 1e-6 * hi]
     while live.size:
-        # the edges and 15 inner lags lo + (hi - lo) k / 16, finite past 9e307 s;
-        # the first lag below the threshold (else hi) and the one before it bracket next
+        # lo + (hi - lo) k / 16 for k = 0..16, finite past 9e307 s: lo = 0 or lo >= hi / 2
+        # in every bracket, so hi - lo is exact and k = 0 and 16 give lo and hi; the
+        # first inner lag below the threshold (else hi) and the one before it bracket next
         a, b = lo[live, None], hi[live, None]
-        edges = np.hstack([a, a + (b - a) * _SECTIONS, b])
+        edges = a + (b - a) * _SECTIONS
         below = excess(edges[:, 1:-1], live[:, None]) < 0.0
         k = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, 16)
-        lo[live], hi[live] = np.take_along_axis(edges, np.stack([k - 1, k], axis=1), axis=1).T
+        rows = np.arange(live.size)
+        lo[live], hi[live] = edges[rows, k - 1], edges[rows, k]
         live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
     return 0.5 * lo + 0.5 * hi

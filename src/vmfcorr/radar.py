@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlation import MotionState, _decorrelation_times, acf
-from .vmf import _HALF_PI, VmfCluster, kappa_from_angular_width
+from .vmf import _HALF_PI, VmfCluster, direction_from_angles, kappa_from_angular_width
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -87,17 +87,21 @@ def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 
     """Decorrelation time in seconds for every (angular width, speed) pair.
 
     Each entry equals decorrelation_time for its cell at its default horizon,
-    bit for bit; the cells are bracketed and refined together, one kernel
-    call per step over every live cell, and each cell's scan runs in windows
-    of its own from its first lag past half its certified crossing floor.
-    """
-    widths = list(widths)
-    speeds = list(speeds)
+    bit for bit. Each width and speed is checked once, as the cells' scenarios
+    and conversions would, so the first refused cell in row-major order names
+    the error; one search then runs over arrays of the cells' concentrations
+    and speeds, with the table's one mean direction and heading."""
+    widths, speeds = list(widths), list(speeds)
     if not widths or not speeds:
         raise ValueError("width and speed lists must not be empty")
-    cells = [scenario_to_cluster_and_motion(replace(base, target_angular_width=width,
-                                                    target_speed=speed))
-             for width in widths for speed in speeds]
-    clusters, motions, _ = zip(*cells)
-    times = _decorrelation_times(clusters, motions, base.wavelength, base.monostatic, threshold)
+    kappas = []  # each cell's scenario checks width, then speed; its conversion forms kappa
+    for row, width in enumerate(widths):
+        replace(base, target_angular_width=width, target_speed=speeds[0])
+        kappas.append(kappa_from_angular_width(width))
+        for speed in speeds[1:] if row == 0 else ():
+            replace(base, target_speed=speed)
+    mean = direction_from_angles(0.0, base.target_elevation)
+    heading = direction_from_angles(math.pi + base.motion_azimuth, 0.0)
+    times = _decorrelation_times(np.repeat(kappas, len(speeds)), np.tile(speeds, len(widths)),
+                                 mean, heading, base.wavelength, base.monostatic, threshold)
     return times.reshape(len(widths), len(speeds))

@@ -30,15 +30,37 @@ from vmfcorr import (
     scf_multicluster,
 )
 from vmfcorr import correlation
-from vmfcorr.correlation import (_FIRST_WINDOW, _SCAN_WINDOW, LARGE_KAPPA_THRESHOLD,
-                                  _closed_form, _crossing_floor, _decorrelation_times,
-                                  _radicand)
+from vmfcorr.correlation import (_FIRST_WINDOW, _SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _Terms,
+                                  _closed_form, _crossing_floor, _decorrelation_times)
 from vmfcorr.vmf import (TWO_PI, _direction_variances, _log_kappa_over_sinh, csinc_sqrt,
                          direction_from_angles)
 
 from mp_reference import reference_log, relative_error
 
 LAM = 0.3
+
+
+def _terms(kappa, mean, d, lam):
+    """The kernel's shared terms at concentrations kappa, mean directions mean and
+    displacements d, each array-like."""
+    return _Terms(np.asarray(kappa, dtype=float), np.asarray(mean, dtype=float),
+                  np.asarray(d, dtype=float), lam)
+
+
+def _radicand(kappa, mean, d, lam):
+    """The kernel's sinc radicand, refused with DomainError out of domain."""
+    return correlation._radicand(_terms(kappa, mean, d, lam))
+
+
+def _search(clusters, motions, lam, monostatic, threshold, horizon=None):
+    """_decorrelation_times of (cluster, motion) cells, each with its own mean
+    direction and heading."""
+    return _decorrelation_times(np.array([c.kappa for c in clusters]),
+                                np.array([m.speed for m in motions]),
+                                np.array([c.mean_direction for c in clusters]),
+                                np.array([direction_from_angles(m.phi_v, m.psi_v)
+                                          for m in motions]),
+                                lam, monostatic, threshold, horizon)
 
 
 def beta_displacement(cluster, beta, distance):
@@ -582,7 +604,7 @@ class TestDecorrelationTime:
         cluster = VmfCluster(0.0, 0.0, 0.0)
         motions = [MotionState(speed, 0.0, 0.0) for speed in (1.0, 2.0, 3.0)]
         with pytest.raises(DecorrelationNotFound, match="horizon 0.05 s"):
-            _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5, 0.05)
+            _search([cluster] * 3, motions, LAM, False, 0.5, 0.05)
 
     def test_preconditions(self):
         cluster = VmfCluster(0.0, 0.0, 0.0)
@@ -669,7 +691,7 @@ class TestDecorrelationSearch:
             motions = [MotionState(10 ** rng.uniform(-1, 2), rng.uniform(-math.pi, math.pi),
                                    rng.uniform(-math.pi / 2, math.pi / 2))
                        for _ in range(25)]
-            table = _decorrelation_times(clusters, motions, lam, monostatic, threshold)
+            table = _search(clusters, motions, lam, monostatic, threshold)
             _assert_agrees(table, _lockstep_reference(clusters, motions, lam, monostatic, threshold))
             for cluster, motion, t in zip(clusters, motions, table):
                 assert decorrelation_time(cluster, motion, lam, monostatic, threshold) == t
@@ -708,7 +730,7 @@ class TestDecorrelationSearch:
         cluster = VmfCluster(0.0, 0.0, 0.0)
         motions = [MotionState(speed, 0.0, 0.0)
                    for speed in (1.0, 4e5, 1e6, 3e6, 1e7, 2e7, 4e7, 1e8, 3e8, 1e9)]
-        table = _decorrelation_times([cluster] * 10, motions, 1.0, False, 0.5, 1.0)
+        table = _search([cluster] * 10, motions, 1.0, False, 0.5, 1.0)
         sizes, closed_form = [], correlation._closed_form
 
         def counted(*args):
@@ -734,30 +756,33 @@ class TestDecorrelationSearch:
         with pytest.raises(DecorrelationNotFound, match=message):
             _lockstep_reference([cluster] * 3, motions, LAM, False, 0.5, horizon)
         with pytest.raises(DecorrelationNotFound, match=message):
-            _decorrelation_times([cluster] * 3, motions, LAM, False, 0.5, horizon)
+            _search([cluster] * 3, motions, LAM, False, 0.5, horizon)
 
 
 _FLOOR_THRESHOLDS = (1e-4, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.999999)
 
 
-def _floor_tables(seed, count):
+def _floor_tables(seed, count, huge=False):
     """Seeded tables of 1-5 cells for the crossing floor: kappa 0 for every
     tenth cell, log-uniform over 1e-14-1e-3 for the next, else over 1e-3-1e6;
-    an exactly radial, anti-radial or random heading; 0.1-100 m/s. Yields
-    (clusters, motions, wavelength, monostatic, threshold)."""
+    an exactly radial, anti-radial or random heading; 0.1-100 m/s. With huge,
+    kappa is log-uniform over 2.4e32-1e150 and the heading radial or
+    anti-radial. Yields (clusters, motions, wavelength, monostatic, threshold)."""
     rng = np.random.default_rng(seed)
     cell = 0
     for _ in range(count):
         clusters, motions = [], []
         for _ in range(int(rng.integers(1, 6))):
-            kappa = (0.0 if cell % 10 == 0 else 10 ** rng.uniform(-14, -3) if cell % 10 == 1
+            kappa = (10 ** rng.uniform(math.log10(2.4e32), 150) if huge
+                     else 0.0 if cell % 10 == 0 else 10 ** rng.uniform(-14, -3) if cell % 10 == 1
                      else 10 ** rng.uniform(-3, 6))
             cell += 1
             mu_phi, mu_psi = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2)
             heading = [(mu_phi, mu_psi), (mu_phi + math.pi, -mu_psi),
                        (rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi / 2, math.pi / 2))]
             clusters.append(VmfCluster(mu_phi, mu_psi, kappa))
-            motions.append(MotionState(10 ** rng.uniform(-1, 2), *heading[rng.integers(3)]))
+            motions.append(MotionState(10 ** rng.uniform(-1, 2),
+                                       *heading[rng.integers(2 if huge else 3)]))
         yield (clusters, motions, 10 ** rng.uniform(-2, 0), bool(rng.integers(2)),
                _FLOOR_THRESHOLDS[rng.integers(len(_FLOOR_THRESHOLDS))])
 
@@ -827,8 +852,11 @@ class TestCrossingFloor:
         assert _direction_variances(0.0) == (1.0 / 3.0, 1.0 / 3.0)
 
     def test_search_equals_the_scan_from_the_first_column(self):
-        for clusters, motions, lam, monostatic, threshold in _floor_tables(41, 300):
-            search = partial(_decorrelation_times, clusters, motions, lam, monostatic, threshold)
+        # the huge tables' radial and anti-radial cells lie within rounding of the
+        # mean, where the kernel's transverse residue decides their floor
+        for clusters, motions, lam, monostatic, threshold in [*_floor_tables(41, 300),
+                                                              *_floor_tables(47, 20, huge=True)]:
+            search = partial(_search, clusters, motions, lam, monostatic, threshold)
             floored, points = _searched_points(search)
             assert floored == _searched_points(search, from_first_column=True)[0]
             if isinstance(floored, list):

@@ -159,10 +159,53 @@ class TestDecorrelationTable:
         with pytest.raises(ValueError):
             decorrelation_table([math.radians(1.0)], [10.0, 0.0], BASE)
 
-    @pytest.mark.parametrize("base, threshold", [(BASE, 0.5),
-                                                 (replace(BASE, monostatic=False), 0.3)])
+    @pytest.mark.parametrize("widths_deg, speeds_kmh", [
+        ([200.0, 1.0], [40.0]),  # a width past pi in the first row
+        ([1.0, 2.0, 0.0], [40.0, 150.0]),  # a zero width in a later row
+        ([1.0, math.nan], [40.0]),
+        ([1.0, 2.0], [40.0, -1.0]),  # a negative speed
+        ([1.0, 2.0], [math.inf, 40.0]),  # an infinite speed
+        ([1.0], [40.0, math.nan]),
+        ([1e-160, 1.0], [40.0]),  # too narrow for a finite kappa
+        ([1.0, 1e-160], [40.0, 150.0]),
+        ([200.0], [math.inf]),  # a cell checks its width before its speed
+        ([1e-160], [-1.0, 40.0]),  # and its speed before its width's kappa
+        ([1e-160], [40.0, -1.0]),  # a narrow first width before a later speed
+        ([1.0, 1e-160], [40.0, -1.0]),  # a speed in the first row before a later width
+        ([1.0, 200.0], [math.inf]),
+        ([1.0, 1e-160, 200.0], [40.0]),
+        ([1.0, 200.0, 1e-160], [40.0]),
+        ([1.0, 2.0], [40.0, 0.0]),  # a zero speed, refused by the search
+        ([1.0, 200.0], [0.0]),  # after every cell's own checks
+    ])
+    def test_refuses_as_the_per_cell_loop(self, widths_deg, speeds_kmh):
+        # the first refused cell in row-major order decides the error: its
+        # scenario and conversion, then the search of every cell in turn
+        widths = [math.radians(w) for w in widths_deg]
+        speeds = [v / 3.6 for v in speeds_kmh]
+        with pytest.raises(ValueError) as expected:
+            cells = [scenario_to_cluster_and_motion(replace(BASE, target_angular_width=width,
+                                                            target_speed=speed))
+                     for width in widths for speed in speeds]
+            for cluster, motion, lam in cells:
+                decorrelation_time(cluster, motion, lam, BASE.monostatic)
+        with pytest.raises(ValueError) as refused:
+            decorrelation_table(widths, speeds, BASE)
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
+
+    @pytest.mark.parametrize("base, threshold", [
+        (BASE, 0.5),
+        (replace(BASE, monostatic=False), 0.3),
+        (replace(BASE, motion_azimuth=math.radians(-115.0)), 0.5),
+        (replace(BASE, target_elevation=0.0), 0.5),  # radial: the heading is -mean
+        (replace(BASE, target_elevation=0.0, motion_azimuth=math.radians(35.0)), 0.2),
+        (replace(BASE, target_elevation=math.pi / 2), 0.5),  # transverse
+        (replace(BASE, target_elevation=-math.pi / 2, motion_azimuth=2.0), 0.7),
+    ])
     def test_equals_per_cell_decorrelation_times(self, base, threshold):
-        # the cells are refined together; each must keep its own brackets
+        # the cells are refined together; each must keep its own brackets, and
+        # the table's one mean direction and heading are each cell's own
         widths = [math.radians(w) for w in (0.25, 0.6, 1.5, 4.0)]
         speeds = [v / 3.6 for v in (10.0, 55.0, 170.0, 300.0)]
         table = decorrelation_table(widths, speeds, base, threshold)

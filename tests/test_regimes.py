@@ -19,10 +19,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vmfcorr import VmfCluster, scf, scf_quadrature
-from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _large_kappa_terms, _radicand
+from vmfcorr import VmfCluster, correlation, scf, scf_quadrature
+from vmfcorr.correlation import LARGE_KAPPA_THRESHOLD, _large_kappa_terms
 
 from mp_reference import reference_log
+from test_correlation import _radicand, _terms
 
 BOUND = 1e-9
 EPS = np.finfo(float).eps
@@ -43,9 +44,8 @@ def _displacement(beta_deg, x, mu_phi=MU_PHI, mu_psi=MU_PSI):
 
 def _library_log(cluster, d, wavelength):
     if cluster.kappa > LARGE_KAPPA_THRESHOLD:
-        kappa, mean = cluster.kappa, cluster.mean_direction
-        exponent, factor = _large_kappa_terms(kappa, mean, d, _radicand(kappa, mean, d, wavelength),
-                                              wavelength)
+        terms = _terms(cluster.kappa, cluster.mean_direction, d, wavelength)
+        exponent, factor = _large_kappa_terms(terms, correlation._radicand(terms))
         return complex(exponent) + cmath.log(complex(factor))
     return cmath.log(scf(cluster, d, wavelength))
 
