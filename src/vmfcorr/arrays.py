@@ -122,12 +122,14 @@ def correlation_matrix(geometry: ArrayGeometry, clusters, wavelength: float) -> 
     _check_wavelength(wavelength)
     n = geometry.n_elements
     rows, cols = np.triu_indices(n, 1)
+    positions = geometry.positions
     values = scf_multicluster(
-        clusters, geometry.positions[cols] - geometry.positions[rows], wavelength
+        clusters, np.take(positions, cols, axis=0) - np.take(positions, rows, axis=0), wavelength
     )
     out = np.eye(n, dtype=complex)
-    out[rows, cols] = values
-    out[cols, rows] = np.conj(values)
+    flat = out.reshape(-1)  # a view: fill both triangles through flat indices
+    flat[rows * n + cols] = values
+    flat[cols * n + rows] = np.conj(values)
     return out
 
 

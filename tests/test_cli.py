@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import re
 import sys
 from dataclasses import replace
@@ -644,6 +645,106 @@ class TestWriterBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[fmt]
 
 
+class _FailingWrites:
+    """A text file whose nth write raises before anything of it is written."""
+
+    def __init__(self, fh, fail_at):
+        self.fh, self.fail_at, self.writes = fh, fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError("write failed")
+        return self.fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+
+class TestRewriteInPlace:
+    """An existing data file is rewritten in place and cut to the new length:
+    the bytes are those of a fresh write, and the file keeps its inode, its
+    mode and any symlink to it."""
+
+    MATRIX = TestWriterBytes.PINNED["array-matrix"][1]  # the 4 x 4 matrix's digests
+
+    @staticmethod
+    def _run(name, fmt, out):
+        doc = TestWriterBytes.PINNED[name][0]
+        assert run(parse_config(json.dumps(dict(doc, format=fmt, out=str(out))))) == EXIT_OK
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("old, new", [("array-matrix/16x16", "array-matrix"),
+                                          ("array-matrix", "array-matrix/16x16")])
+    def test_rewrite_equals_a_fresh_write(self, tmp_path, old, new, fmt):
+        # over a longer old file, then over a shorter one
+        out = tmp_path / f"out.{fmt}"
+        self._run(old, fmt, out)
+        assert self._run(new, fmt, out) == TestWriterBytes.PINNED[new][1][fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rewrite_keeps_the_inode_and_mode(self, tmp_path, fmt):
+        out = tmp_path / f"out.{fmt}"
+        out.write_bytes(b"#" * 100_000)
+        out.chmod(0o604)
+        before = out.stat()
+        assert self._run("array-matrix", fmt, out) == self.MATRIX[fmt]
+        after = out.stat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_symlink_is_written_through(self, tmp_path, fmt):
+        target, link = tmp_path / f"target.{fmt}", tmp_path / f"link.{fmt}"
+        target.write_bytes(b"#" * 100_000)
+        link.symlink_to(target)
+        assert self._run("array-matrix", fmt, link) == self.MATRIX[fmt]
+        assert link.is_symlink()
+
+    def test_open_does_not_truncate(self, tmp_path, monkeypatch):
+        # truncating on open frees the old file's blocks, which a rewrite
+        # in place spares
+        out = tmp_path / "out.csv"
+        flags = []
+
+        def recording_open(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                flags.append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        os_open = os.open
+        monkeypatch.setattr(os, "open", recording_open)
+        self._run("array-matrix", "csv", out)
+        self._run("array-matrix", "csv", out)
+        assert len(flags) == 2
+        assert all(flag & os.O_CREAT and not flag & os.O_TRUNC for flag in flags)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_a_prefix_of_the_new_file(self, tmp_path, monkeypatch, fmt):
+        header, columns = _block_table(3 * _ROWS_PER_WRITE)
+        fresh = tmp_path / f"fresh.{fmt}"
+        _write_output(SweepConfig(mode="scf-field", format=fmt, out=str(fresh)), header, columns)
+        full = fresh.read_bytes()
+        out = tmp_path / f"out.{fmt}"
+        out.write_bytes(b"#" * (2 * len(full)))
+        # the head is the first write, each block of rows one more
+        builtin_open = open
+        monkeypatch.setattr("vmfcorr.cli.open",
+                            lambda *a, **k: _FailingWrites(builtin_open(*a, **k), fail_at=3),
+                            raising=False)
+        with pytest.raises(OSError, match="write failed"):
+            _write_output(SweepConfig(mode="scf-field", format=fmt, out=str(out)), header, columns)
+        left = out.read_bytes()
+        assert 0 < len(left) < len(full)
+        assert full.startswith(left)
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         path = write_config(tmp_path / "c.json", curve_config())
@@ -663,6 +764,19 @@ class TestMainExitCodes:
         path = write_config(tmp_path / "c.json", curve_config())
         out = "/nonexistent-dir/out.csv"
         assert main(["scf-curve", "--config", path, "--out", out]) == EXIT_IO
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_io_error_on_a_full_device(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json", curve_config())
+        assert main(["scf-curve", "--config", path, "--out", "/dev/full"]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_null_device_is_written_and_not_cut(self, tmp_path, fmt):
+        # ftruncate fails on a character device, so only regular files are cut
+        path = write_config(tmp_path / "c.json", curve_config())
+        assert main(["scf-curve", "--config", path, "--out", "/dev/null", "--format", fmt]) == EXIT_OK
 
     def test_validate_pass_and_fail(self, tmp_path, capsys):
         doc = {
