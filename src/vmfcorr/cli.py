@@ -583,11 +583,15 @@ def _column_text(column, spelling, opening, close):
     the dict spelling's entry for that repr, between opening and close.
 
     Each distinct entry is formatted once, so -0.0 and 0.0 keep their own
-    text.
+    text. The spelling is looked up only in a column that holds NaN or an
+    infinity, and an empty opening is not prepended.
     """
     distinct, inverse = _distinct(column)
     # tolist gives Python ints for index columns and floats for the rest
-    text = [opening + spelling.get(t, t) + close for t in map(repr, distinct.tolist())]
+    text = map(repr, distinct.tolist())
+    if not np.isfinite(distinct).all():
+        text = [spelling.get(t, t) for t in text]
+    text = [opening + t + close for t in text] if opening else [t + close for t in text]
     return np.array(text, dtype=object)[inverse]
 
 

@@ -38,8 +38,10 @@ class RadarScenario:
     def __post_init__(self):
         if not (math.isfinite(self.carrier_frequency) and self.carrier_frequency > 0.0):
             raise ValueError(f"carrier frequency must be positive, got {self.carrier_frequency}")
-        if abs(self.target_elevation) > _HALF_PI:
-            raise ValueError("target elevation must lie in [-pi/2, pi/2]")
+        if not abs(self.target_elevation) <= _HALF_PI:  # also refuses NaN
+            raise ValueError(
+                f"target elevation must lie in [-pi/2, pi/2], got {self.target_elevation}"
+            )
         if not 0.0 < self.target_angular_width < math.pi:
             raise ValueError(
                 f"target angular width must lie in (0, pi), got {self.target_angular_width}"

@@ -544,6 +544,16 @@ class TestWriterBytes:
     @example(table=(["row", "re"], [np.arange(4), np.array([0.0, -0.0, 0.0, -0.0])]))
     @example(table=(["row", "col", "re", "im"],
                     [np.array([3]), np.array([0]), *_complex_columns(np.array([complex(-0.0, -0.0)]))[:2]]))
+    # a column's text is respelled only if it holds NaN or an infinity, and
+    # only the first column carries an opening: non-finite cells in the first
+    # column, which opens JSON's rows with "[", and in the last, which closes
+    # them, each beside all-finite float and index columns
+    @example(table=(["re", "im", "row"],
+                    [np.array([math.nan, -math.nan, math.inf, -math.inf, -0.0]),
+                     np.array([0.5, -0.0, 1e300, 5e-324, 0.1]), np.arange(5)]))
+    @example(table=(["row", "re", "im"],
+                    [np.arange(5), np.array([0.5, -0.0, 1e300, 5e-324, 0.1]),
+                     np.array([-0.0, math.inf, -math.nan, -math.inf, math.nan])]))
     def test_matches_reference_writer(self, tmp_path_factory, table):
         header, columns = table
         folder = tmp_path_factory.mktemp("writer")

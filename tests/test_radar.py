@@ -62,6 +62,11 @@ class TestScenarioConversion:
             replace(BASE, target_angular_width=4.0)
         with pytest.raises(ValueError):
             replace(BASE, target_speed=-1.0)
+        # abs(nan) > pi/2 is False, so a NaN elevation needs its own refusal;
+        # the kernel would report it as a radicand out of domain
+        for elevation in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="target elevation"):
+                replace(BASE, target_elevation=elevation)
 
     def test_width_too_narrow_for_a_finite_kappa(self):
         # the scenario accepts any width in (0, pi); its conversion names the

@@ -50,6 +50,11 @@ class TestDirection:
             direction_from_angles(0.0, 2.0)
         with pytest.raises(ValueError):
             angles_from_direction([1.0, 1.0, 1.0])
+        # non-finite angles are refused, as VmfCluster and MotionState refuse
+        # them, rather than give NaN components
+        for phi, psi in ((0.0, math.nan), (0.0, math.inf), (math.nan, 0.0), (-math.inf, 0.3)):
+            with pytest.raises(ValueError):
+                direction_from_angles(phi, psi)
 
 
 class TestVmfCluster:
@@ -94,6 +99,13 @@ class TestVmfPdf:
         peak = vmf_pdf(cluster, 0.0, 0.0)
         assert math.isfinite(peak) and peak > 0
         assert vmf_pdf(cluster, math.pi, 0.0) == 0.0
+        # at a mean off the axes, where kappa * align and the log normalization
+        # would cancel two terms of size kappa (0.98 for 1.56e149 at 1e150),
+        # the peak is kappa cos(mu_psi) / (2 pi (1 - e^(-2 kappa)))
+        for kappa in (1e5, 1e12, 1e150):
+            expected = kappa * math.cos(0.2) / (2.0 * math.pi)
+            peak = vmf_pdf(VmfCluster(0.3, 0.2, kappa), 0.3, 0.2)
+            assert peak == pytest.approx(expected, rel=1e-13, abs=0), kappa
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
