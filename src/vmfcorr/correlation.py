@@ -1,6 +1,7 @@
 """Closed-form spatial and temporal correlation for vMF scattering channels."""
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,24 +300,24 @@ _SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
 _SECTIONS = np.arange(17) / 16
 
 
-def _crossing_floor(kappa, mean, heading, f_m, threshold: float) -> np.ndarray:
-    """Per cell, t0 = sqrt(2 (1 - threshold)) / (s 2 pi f_m): |ACF| > threshold on
-    (0, t0). R is the characteristic function of k0 u.d over arrival directions u,
-    so for d along a unit g, |ACF(t)| >= 1 - (2 pi f_m t)^2 Var(u.g) / 2. Var(u.h) =
-    V = (mean.h)^2 Var(w) + |mean x h|^2 A / kappa for the unit heading h (the cross
-    product holds the transverse weight free of cancellation), and g lies within
-    delta of h, so sd(u.g) <= s = sqrt V + delta sqrt(max(Var w, A / kappa)), the max
-    being u's largest variance along a unit vector. The kernel's d = t (f v) rounds
-    h twice (v = speed h, then t (f v)), within eps; its rejection s - (s.mean) mean
-    reads a |mean| within 2.5 eps of 1 (direction_from_angles) as up to 5 eps |s|
-    across and rounds within 2.5 eps |s|; delta = 16 eps leaves a margin over 9 eps.
-    mean and heading are of shape (3,) or (cells, 3)."""
+def _crossing_floor(kappa, mean, heading, threshold: float) -> np.ndarray:
+    """Per search, tau0 = sqrt(2 (1 - threshold)) / (2 pi s) wavelengths travelled: |ACF|
+    > threshold on (0, tau0). R is the characteristic function of k0 u.d over arrival
+    directions u, so for d = tau g wavelengths along a unit g, |ACF| >= 1 - (2 pi tau)^2
+    Var(u.g) / 2. Var(u.h) = V = (mean.h)^2 Var(w) + |mean x h|^2 A / kappa for the unit
+    heading h (the cross product holds the transverse weight free of cancellation), and
+    g lies within delta of h, so sd(u.g) <= s = sqrt V + delta sqrt(max(Var w, A / kappa)),
+    the max being u's largest variance along a unit vector. The kernel's d = tau h rounds
+    h once, within eps / 2; its rejection s - (s.mean) mean reads a |mean| within 2.5 eps
+    of 1 (direction_from_angles) as up to 5 eps |s| across and rounds within 2.5 eps |s|;
+    delta = 16 eps leaves a margin over 8 eps. mean and heading are of shape (3,) or
+    (searches, 3)."""
     along, across = _per_kappa(_direction_variances, kappa)
     roll, back = [1, 2, 0], [2, 0, 1]  # mean x heading, as np.cross forms it
     transverse = mean[..., roll] * heading[..., back] - mean[..., back] * heading[..., roll]
     s = (np.sqrt(_dot(mean, heading) ** 2 * along + _dot(transverse, transverse) * across)
          + 2.0**-48 * np.sqrt(np.maximum(along, across)))
-    return np.sqrt(2.0 * (1.0 - threshold)) / s / (TWO_PI * f_m)
+    return np.sqrt(2.0 * (1.0 - threshold)) / s / TWO_PI
 
 
 def decorrelation_time(
@@ -328,13 +329,14 @@ def decorrelation_time(
     horizon: float | None = None,
 ) -> float:
     """Smallest positive lag at which |ACF| first falls to the threshold, searched
-    as _decorrelation_times states with one cell: bracketed on a geometric lag
-    grid (64 points per decade from 1 us) and refined to 1e-6 relative.
+    as _decorrelation_times states with one cell: in wavelengths travelled tau = t f_m,
+    bracketed on a geometric grid (64 points per decade from 1e-6) and refined to 1e-6
+    relative, then divided by f_m.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
     default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in decorrelation_table,
     10 / f_m at kappa = 0, past any radial crossing; DomainError where that default
-    is not a positive finite double or a lag before the crossing is out of the
-    kernel's domain.
+    is not a positive finite double, f_m is not finite, or a lag before the crossing
+    is out of the kernel's domain.
     """
     heading = direction_from_angles(motion.phi_v, motion.psi_v)
     return float(_decorrelation_times(np.array([cluster.kappa]), np.array([motion.speed]),
@@ -348,55 +350,79 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     with one mean direction and heading for all cells (3,) or one per cell
     (cells, 3), up to horizon seconds, or each cell's default horizon if None.
 
+    The kernel sees a lag t only through d = tau h wavelengths for the unit heading
+    h, where tau = t f_m is the number of wavelengths travelled. So the search runs
+    in tau, at wavelength 1, once per distinct concentration, mean, heading and
+    horizon in tau, and each cell's time is its search's tau divided by its own f_m.
+    The default horizon is 10 + kappa / min(threshold, 0.5) wavelengths, checked in
+    seconds; an explicit horizon is checked in seconds, then taken times f_m and
+    clamped to the positive doubles.
+
     Each kernel call of the scan evaluates a window of grid columns for every
-    cell that has not crossed yet, each cell's window its own: the first starts
-    at the cell's first lag past half of _crossing_floor, before which its |ACF|
+    search that has not crossed yet, each search's window its own: the first starts
+    at the search's first tau past half of _crossing_floor, before which its |ACF|
     is certified above the threshold, or else at its horizon, and covers half a
     decade (32 columns); each later one the next two decades (128 columns). A
-    cell leaves at its first crossing. Where a call holds a lag out of the
-    kernel's domain, only the lags in domain are evaluated, and the first cell
-    with such a lag before its first crossing raises DomainError naming it.
-    Then one kernel call per round evaluates 15 evenly spaced lags inside the
-    bracket of every live cell, which keeps the sixteenth that holds its first
-    lag below the threshold (else the last one), until its 1e-6 relative width.
-    A cell's rounds use its own bracket only, so its time does not depend on
-    the cells searched with it."""
+    search leaves at its first crossing. Where a call holds a tau out of the
+    kernel's domain, only the taus in domain are evaluated, and the first search
+    with such a tau before its first crossing raises DomainError naming it.
+    Then one kernel call per round evaluates 15 evenly spaced taus inside the
+    bracket of every live search, which keeps the sixteenth that holds its first
+    tau below the threshold (else the last one), until its 1e-6 relative width.
+    A search's rounds use its own bracket only, so its tau does not depend on the
+    searches run with it."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     _check_wavelength(wavelength)
-    velocity = speed[:, None] * heading
     default = horizon is None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         f_m = (2.0 if monostatic else 1.0) * speed / wavelength  # as doppler_params forms it
         if default:
-            # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) / f_m (transverse) up
-            # to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi f_m), past the 10 / f_m of
-            # broad scattering; cover both. An overflow, or f_m of 0 or inf, is out of domain.
-            horizon = (10.0 + kappa / min(threshold, 0.5)) / f_m
-        floor = _crossing_floor(kappa, mean, heading, f_m, threshold)
-    mean = np.broadcast_to(mean, velocity.shape)
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), kappa.shape)
-    valid = np.isfinite(horizon) & (horizon > 0.0)
+            # |ACF| of a concentrated cluster decays over ~ sqrt(kappa) wavelengths
+            # (transverse) up to the radial kappa sqrt(1 / threshold^2 - 1) / (2 pi),
+            # past the 10 of broad scattering; cover both. In seconds, an overflow, or
+            # f_m of 0 or inf, is out of domain.
+            horizon = 10.0 + kappa / min(threshold, 0.5)
+            seconds = horizon / f_m
+        else:
+            seconds, horizon = horizon, horizon * f_m
+    seconds = np.broadcast_to(np.asarray(seconds, dtype=float), kappa.shape)
+    valid = np.isfinite(seconds) & (seconds > 0.0)
     if not valid.all():
         cell, error = np.argmin(valid), DomainError if default else ValueError
-        raise error(f"horizon must be positive and finite, got {horizon[cell]:g} s at kappa = "
+        raise error(f"horizon must be positive and finite, got {seconds[cell]:g} s at kappa = "
                     f"{kappa[cell]:.6g}, speed = {speed[cell]:.6g} m/s")
+    if not np.isfinite(f_m).all():
+        cell = np.argmin(np.isfinite(f_m))
+        raise DomainError(f"the Doppler rate f_m is not a finite double at kappa = "
+                          f"{kappa[cell]:.6g}, speed = {speed[cell]:.6g} m/s")
+    # an explicit horizon in tau is clamped to the positive normal doubles; one raised
+    # to the smallest still ends before the floor's least, 4e-9, and any crossing
+    horizon = np.clip(np.broadcast_to(horizon, kappa.shape), sys.float_info.min,
+                      sys.float_info.max)
+    keys = np.column_stack([kappa, np.broadcast_to(mean, (len(kappa), 3)),
+                            np.broadcast_to(heading, (len(kappa), 3)), horizon])
+    index = {}  # each distinct key's row bytes, in order of its first cell
+    inverse = np.array([index.setdefault(key.tobytes(), len(index)) for key in keys], dtype=int)
+    keys = np.frombuffer(b"".join(index), dtype=float).reshape(-1, 8)
+    kappa, mean, heading, horizon = keys[:, 0], keys[:, 1:4], keys[:, 4:7], keys[:, 7]
+    floor = _crossing_floor(kappa, mean, heading, threshold)
 
-    def excess(t, cells):
-        d = _lag_displacement(t, velocity[cells], monostatic)
-        return np.abs(_closed_form(kappa[cells], mean[cells], d, wavelength)) - threshold
+    def excess(tau, searches):
+        d = tau[..., None] * heading[searches]
+        return np.abs(_closed_form(kappa[searches], mean[searches], d, 1.0)) - threshold
 
-    def below_in_domain(lags, scan):
-        # a scan call refused a lag: evaluate the lags in domain only, and refuse the
-        # first cell whose first lag out of domain precedes its first crossing
-        d = _lag_displacement(lags, velocity[scan, None], monostatic)
-        valid = np.isfinite(_Terms(kappa[scan, None], mean[scan, None], d, wavelength).size)
-        below = np.zeros(lags.shape, dtype=bool)
-        below[valid] = excess(lags[valid], np.broadcast_to(scan[:, None], lags.shape)[valid]) < 0.0
+    def below_in_domain(taus, scan):
+        # a scan call refused a tau: evaluate the taus in domain only, and refuse the
+        # first search whose first tau out of domain precedes its first crossing
+        d = taus[..., None] * heading[scan, None]
+        valid = np.isfinite(_Terms(kappa[scan, None], mean[scan, None], d, 1.0).size)
+        below = np.zeros(taus.shape, dtype=bool)
+        below[valid] = excess(taus[valid], np.broadcast_to(scan[:, None], taus.shape)[valid]) < 0.0
         early = ~valid & ~np.logical_or.accumulate(below, axis=1)
         if early.any():
             row, col = np.argwhere(early)[0]
-            raise _domain_error(kappa[scan[row]], d[row, col], wavelength)
+            raise _domain_error(kappa[scan[row]], d[row, col], 1.0)
         return below
 
     # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products, as
@@ -412,38 +438,39 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
         grid = np.minimum(np.cumprod(steps, axis=1)[np.searchsorted(starts, start)],
                           horizon[:, None])
-    # the next column of each cell's scan: first its first lag past half its floor
+    # the next column of each search's scan: first its first tau past half its floor
     # (at or past the next double up), or else its horizon, where the clamp starts
     column = np.argmax(grid >= np.minimum(np.nextafter(0.5 * floor, np.inf), horizon)[:, None], 1)
-    cells = np.arange(len(kappa))
+    searches = np.arange(len(kappa))
     first, searching = np.zeros(len(kappa), dtype=int), np.ones(len(kappa), dtype=bool)
     width = _FIRST_WINDOW
     while (scanning := searching & (column < count)).any():
-        scan = cells[scanning]
-        # each cell's own next columns, cut at the last column; a cell whose
+        scan = searches[scanning]
+        # each search's own next columns, cut at the last column; a search whose
         # window runs past it repeats it
         size = min(width, count - column[scan].min())
         cols = np.minimum(column[scan, None] + np.arange(size), count - 1)
-        lags = grid[scan[:, None], cols]
+        taus = grid[scan[:, None], cols]
         try:
-            below = excess(lags, scan[:, None]) < 0.0
+            below = excess(taus, scan[:, None]) < 0.0
         except DomainError:
-            below = below_in_domain(lags, scan)
+            below = below_in_domain(taus, scan)
         crossed = below.any(axis=1)
         first[scan[crossed]] = cols[crossed, np.argmax(below[crossed], axis=1)]
         searching[scan[crossed]] = False
         column[scan] += width
         width = _SCAN_WINDOW
     if searching.any():
+        cell = np.argmax(searching[inverse])
         raise DecorrelationNotFound(f"|ACF| never fell below {threshold} within horizon "
-                                    f"{float(horizon[np.argmax(searching)])} s")
-    hi = grid[cells, first]
-    lo = np.where(first > 0, grid[cells, first - 1], 0.0)
-    live = cells[hi - lo > 1e-6 * hi]
+                                    f"{float(seconds[cell])} s")
+    hi = grid[searches, first]
+    lo = np.where(first > 0, grid[searches, first - 1], 0.0)
+    live = searches[hi - lo > 1e-6 * hi]
     while live.size:
-        # lo + (hi - lo) k / 16 for k = 0..16, finite past 9e307 s: lo = 0 or lo >= hi / 2
+        # lo + (hi - lo) k / 16 for k = 0..16, finite past 9e307: lo = 0 or lo >= hi / 2
         # in every bracket, so hi - lo is exact and k = 0 and 16 give lo and hi; the
-        # first inner lag below the threshold (else hi) and the one before it bracket next
+        # first inner tau below the threshold (else hi) and the one before it bracket next
         a, b = lo[live, None], hi[live, None]
         edges = a + (b - a) * _SECTIONS
         below = excess(edges[:, 1:-1], live[:, None]) < 0.0
@@ -451,4 +478,4 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
         rows = np.arange(live.size)
         lo[live], hi[live] = edges[rows, k - 1], edges[rows, k]
         live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
-    return 0.5 * lo + 0.5 * hi
+    return (0.5 * lo + 0.5 * hi)[inverse] / f_m

@@ -91,8 +91,9 @@ def decorrelation_table(widths, speeds, base: RadarScenario, threshold: float = 
     Each entry equals decorrelation_time for its cell at its default horizon,
     bit for bit. Each width and speed is checked once, as the cells' scenarios
     and conversions would, so the first refused cell in row-major order names
-    the error; one search then runs over arrays of the cells' concentrations
-    and speeds, with the table's one mean direction and heading."""
+    the error; the search then takes arrays of the cells' concentrations and
+    speeds, with the table's one mean direction and heading. It searches each
+    width once, in wavelengths travelled, and divides by each speed's f_m."""
     widths, speeds = list(widths), list(speeds)
     if not widths or not speeds:
         raise ValueError("width and speed lists must not be empty")

@@ -951,14 +951,15 @@ class TestMainExitCodes:
     def test_radar_width_past_the_kappa_bound_is_a_config_error(self, tmp_path, capsys):
         # 1e-150 deg gives kappa 5.3e304, whose square overflows in the kernel's
         # radicand at every lag, so the refusal names the cell's first scanned
-        # lag, its own first lag past half its crossing floor; below about
+        # lag, its own first lag past half its crossing floor, in wavelengths
+        # travelled on the search's grid from 1e-6 wavelengths; below about
         # 1e-160 deg the concentration's sin^2(width / 4) underflows to 0;
         # 1e-70 deg gives 5.3e144
         out = tmp_path / "out.csv"
         doc = {**FULL_CONFIGS["radar-table"], "out": str(out), "format": "csv"}
         refused = {
             1e-150: "the radicand is not a finite double at kappa = 5.25249e+304, "
-                    "|d| = 5.45404e+151 wavelengths",
+                    "|d| = 5.42469e+151 wavelengths",
             1e-200: f"angular width {math.radians(1e-200)} is too narrow for a finite kappa",
             5e-324: "widths_deg[1]: must lie in (0, 180), and above 0 in radians",
         }
@@ -1083,7 +1084,7 @@ class TestMainExitCodes:
         horizon = ("config error: horizon must be positive and finite, got inf s at "
                    "kappa = {}, speed = {} m/s\n")
         refused = [
-            ({"threshold": 1e-300}, radicand.format(3283.14, "1.75779e+153 wavelengths")),
+            ({"threshold": 1e-300}, radicand.format(3283.14, "1.71544e+153 wavelengths")),
             ({"widths_deg": [0.25], "speeds_kmh": [1e-305]},
              horizon.format(840399, "2.77778e-306")),
             ({"speeds_kmh": [40.0, 1e-304], "monostatic": False},

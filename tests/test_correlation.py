@@ -606,6 +606,37 @@ class TestDecorrelationTime:
         with pytest.raises(DecorrelationNotFound, match="horizon 0.05 s"):
             _search([cluster] * 3, motions, LAM, False, 0.5, 0.05)
 
+    def test_explicit_horizon_past_the_doubles_in_wavelengths(self):
+        # 1e300 s at f_m = 2e11 Hz is 2e311 wavelengths travelled, past the largest
+        # double: the horizon is clamped there, and the grid from 1e-6 wavelengths
+        # is that of every horizon past 64e-6 wavelengths, the default's 110 too
+        cluster, motion = VmfCluster(0.3, 0.2, 50.0), MotionState(1e10, 1.0, 0.1)
+        t = decorrelation_time(cluster, motion, 0.1, True, 0.5, horizon=1e300)
+        assert t == decorrelation_time(cluster, motion, 0.1, True, 0.5, horizon=1.0)
+        assert t == decorrelation_time(cluster, motion, 0.1, True, 0.5)
+        assert t == pytest.approx(1.0421891147416318e-11, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("speed, lam, horizon, error, message", [
+        (0.0, LAM, None, DomainError, "got inf s"),
+        (5e-324, 1e300, None, DomainError, "got inf s"),  # f_m underflows to 0
+        (1e300, 1e-10, None, DomainError, "got 0 s"),  # f_m overflows
+        (1.0, LAM, -1.0, ValueError, "got -1 s"),
+        (1.0, LAM, math.inf, ValueError, "got inf s"),
+    ])
+    def test_horizon_is_checked_in_seconds(self, speed, lam, horizon, error, message):
+        # the search runs in wavelengths travelled, where the default horizon
+        # 10 + 2 kappa is finite; the horizon in seconds is what is refused
+        with pytest.raises(error) as info:
+            decorrelation_time(VmfCluster(0.0, 0.0, 0.0), MotionState(speed), lam, horizon=horizon)
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"horizon must be positive and finite, {message} at")
+
+    def test_doppler_rate_past_the_doubles_is_out_of_domain(self):
+        # f_m = 1e300 m/s / 1e-10 m overflows: no time tau / f_m is a double, even
+        # with an explicit horizon, whose tau is clamped to the largest double
+        with pytest.raises(DomainError, match="the Doppler rate f_m is not a finite double"):
+            decorrelation_time(VmfCluster(0.0, 0.0, 0.0), MotionState(1e300), 1e-10, horizon=1.0)
+
     def test_preconditions(self):
         cluster = VmfCluster(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -614,13 +645,20 @@ class TestDecorrelationTime:
             decorrelation_time(cluster, MotionState(1.0, 0, 0), LAM, threshold=1.5)
 
 
+def _doppler_rates(motions, lam, monostatic):
+    """Each motion's f_m, as doppler_params forms it."""
+    return np.array([(2.0 if monostatic else 1.0) * m.speed / lam for m in motions])
+
+
 def _lag_grid(clusters, motions, lam, monostatic, threshold, horizon=None):
-    """Every cell's geometric lag grid, 64 points per decade from min(1e-6, horizon / 64)
-    and clamped to its horizon, by default (10 + kappa / min(threshold, 0.5)) / f_m,
-    padded with copies of it to one length."""
+    """Every cell's geometric grid in wavelengths travelled, tau = t f_m: 64 points per
+    decade from min(1e-6, horizon / 64) and clamped to its horizon in tau, by default
+    10 + kappa / min(threshold, 0.5), else the horizon in seconds times f_m, padded
+    with copies of it to one length."""
     if horizon is None:
-        horizon = [(10.0 + c.kappa / min(threshold, 0.5)) / doppler_params(c, m, lam, monostatic).f_m
-                   for c, m in zip(clusters, motions)]
+        horizon = [10.0 + c.kappa / min(threshold, 0.5) for c in clusters]
+    else:
+        horizon = np.asarray(horizon, dtype=float) * _doppler_rates(motions, lam, monostatic)
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), (len(clusters),))
     ratio = 10.0 ** (1.0 / 64)
     start = np.minimum(1e-6, horizon / 64)
@@ -631,19 +669,19 @@ def _lag_grid(clusters, motions, lam, monostatic, threshold, horizon=None):
 
 
 def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=None):
-    """The decorrelation search as one kernel call over every cell's whole lag
-    grid, then one bisection level per kernel call over the live cells: an
-    independent reference for the windowed scan and the section search.
-    Gives the times, the lag grid, each cell's first crossing column and the
-    grid length."""
-    factor = 2.0 if monostatic else 1.0
+    """The decorrelation search as one kernel call over every cell's whole grid in
+    wavelengths travelled, d = tau h at wavelength 1 for the unit heading h, then
+    one bisection level per kernel call over the live cells: an independent
+    reference for the windowed scan and the section search. Gives the times
+    (tau / f_m), the grid, each cell's first crossing column, the grid length and
+    each cell's f_m."""
     kappa = np.array([c.kappa for c in clusters])
     mean = np.array([c.mean_direction for c in clusters])
-    velocity = np.array([m.velocity for m in motions])
+    heading = np.array([direction_from_angles(m.phi_v, m.psi_v) for m in motions])
 
-    def excess(t, cells):
-        d = t[..., None] * (factor * velocity[cells])
-        return np.abs(_closed_form(kappa[cells], mean[cells], d, lam)) - threshold
+    def excess(tau, cells):
+        d = tau[..., None] * heading[cells]
+        return np.abs(_closed_form(kappa[cells], mean[cells], d, 1.0)) - threshold
 
     grid = _lag_grid(clusters, motions, lam, monostatic, threshold, horizon)
     count = grid.shape[1]
@@ -663,14 +701,18 @@ def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=N
         hi[live[below]] = mid[below]
         lo[live[~below]] = mid[~below]
         live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
-    return SimpleNamespace(times=0.5 * (lo + hi), grid=grid, first=first, count=count)
+    f_m = _doppler_rates(motions, lam, monostatic)
+    return SimpleNamespace(times=0.5 * (lo + hi) / f_m, grid=grid, first=first, count=count,
+                           f_m=f_m)
 
 
 def _assert_agrees(times, reference):
-    # each time lies in the reference's lag-grid bracket (grid[first - 1], grid[first]],
-    # or (0, grid[0]], and within the search's 1e-6 relative width of its time
-    for t, row, first in zip(times, reference.grid, reference.first):
-        assert np.searchsorted(row, t) == first
+    # each time t, as t f_m wavelengths, lies in the reference's grid bracket
+    # (grid[first - 1], grid[first]], or (0, grid[0]], and within the search's 1e-6
+    # relative width of its time; rounding t f_m moves the search's tau, a bracket's
+    # midpoint, by an ulp or two, far less than its distance from the bracket's ends
+    for t, f_m, row, first in zip(times, reference.f_m, reference.grid, reference.first):
+        assert np.searchsorted(row, t * f_m) == first
     np.testing.assert_allclose(times, reference.times, rtol=1e-6, atol=0.0)
 
 
@@ -697,19 +739,23 @@ class TestDecorrelationSearch:
                 assert decorrelation_time(cluster, motion, lam, monostatic, threshold) == t
 
     def test_crossing_before_the_first_column(self):
-        # 1e9 m/s at a 1 m wavelength crosses at 3e-10 s, before the grid's 1e-6 s
-        cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1e9, 0.0, 0.0)
-        reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 1.0)
+        # 1e-14 below 1, the isotropic |ACF| = sinc(2 tau) crosses at tau =
+        # sqrt(6e-14) / (2 pi) = 3.9e-8 wavelengths, before the grid's 1e-6
+        cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1.0, 0.0, 0.0)
+        threshold = 1.0 - 1e-14
+        reference = _lockstep_reference([cluster], [motion], 1.0, False, threshold, 1.0)
         assert reference.first[0] == 0
-        _assert_agrees([decorrelation_time(cluster, motion, 1.0, horizon=1.0)], reference)
+        _assert_agrees([decorrelation_time(cluster, motion, 1.0, threshold=threshold,
+                                           horizon=1.0)], reference)
 
     def test_crossing_in_the_last_partial_window(self, monkeypatch):
-        # 1 m/s at 1 m crosses at 0.3017 s, in the first window of a grid to 0.31 s;
-        # the window starts past half the floor 0.2757 s and is cut at the last column
+        # 1 m/s at 1 m (f_m = 1, so taus are seconds) crosses at 0.3017 s, in the
+        # first window of a grid to 0.31 s; the window starts past half the floor
+        # 0.2757 s and is cut at the last column
         cluster, motion = VmfCluster(0.0, 0.0, 0.0), MotionState(1.0, 0.0, 0.0)
         reference = _lockstep_reference([cluster], [motion], 1.0, False, 0.5, 0.31)
         t0 = _crossing_floor(np.zeros(1), cluster.mean_direction[None],
-                             direction_from_angles(0.0, 0.0)[None], 1.0, 0.5)[0]
+                             direction_from_angles(0.0, 0.0)[None], 0.5)[0]
         start = np.argmax(reference.grid[0] > 0.5 * t0)
         assert start <= reference.first[0] and reference.count - start < _FIRST_WINDOW
         sizes, closed_form = [], correlation._closed_form
@@ -725,12 +771,13 @@ class TestDecorrelationSearch:
 
     def test_table_equals_each_cell_searched_alone(self, monkeypatch):
         # crossings before the first column need more rounds the deeper below it
-        # they lie, so the cells of one table leave the refinement at different
-        # rounds; a round of one cell evaluates its 15 inner lags
-        cluster = VmfCluster(0.0, 0.0, 0.0)
-        motions = [MotionState(speed, 0.0, 0.0)
-                   for speed in (1.0, 4e5, 1e6, 3e6, 1e7, 2e7, 4e7, 1e8, 3e8, 1e9)]
-        table = _search([cluster] * 10, motions, 1.0, False, 0.5, 1.0)
+        # they lie, so the searches of one table leave the refinement at different
+        # rounds; a round of one search evaluates its 15 inner taus. 1e-14 below 1,
+        # |ACF| along the mean crosses at 3.9e-8 wavelengths at kappa 0 and at
+        # 2.2e-7 at kappa 10, before the grid's 1e-6, and at kappa 1e3 and 1e4 past it
+        clusters = [VmfCluster(0.0, 0.0, kappa) for kappa in (0.0, 3.0, 10.0, 1e3, 1e4)]
+        motion, threshold = MotionState(1.0, 0.0, 0.0), 1.0 - 1e-14
+        table = _search(clusters, [motion] * 5, 1.0, False, threshold)
         sizes, closed_form = [], correlation._closed_form
 
         def counted(*args):
@@ -740,11 +787,11 @@ class TestDecorrelationSearch:
 
         monkeypatch.setattr(correlation, "_closed_form", counted)
         rounds = []
-        for motion, t in zip(motions, table):
+        for cluster, t in zip(clusters, table):
             sizes.clear()
-            assert decorrelation_time(cluster, motion, 1.0, horizon=1.0) == t
+            assert decorrelation_time(cluster, motion, 1.0, threshold=threshold) == t
             rounds.append(sizes.count(15))
-        assert min(rounds) == 4 and max(rounds) == 8
+        assert min(rounds) == 4 and max(rounds) == 7
 
     def test_not_found_names_the_first_unfound_cell(self):
         # crossings at 0.090, 0.045 and 0.030 s against per-cell horizons: the
@@ -810,23 +857,22 @@ def _searched_points(search, from_first_column=False):
 
 
 def _assert_scans_own_windows(clusters, motions, lam, monostatic, threshold, times, points):
-    """Each cell's scanned lags among points (as _searched_points records them) are
-    a contiguous run of its own grid columns, from its first column past half its
-    crossing floor t0 to at most 31 columns (the first window) or 127 (a later
-    window) past its crossing column, the one that times[cell] lies below."""
-    factor = 2.0 if monostatic else 1.0
-    for cluster, motion, row, t in zip(clusters, motions,
-                                       _lag_grid(clusters, motions, lam, monostatic, threshold),
-                                       times):
+    """Each cell's scanned taus among points (as _searched_points records them, d =
+    tau h at wavelength 1) are a contiguous run of its own grid columns, from its
+    first column past half its crossing floor tau0 to at most 31 columns (the first
+    window) or 127 (a later window) past its crossing column, the one that
+    times[cell] f_m lies below."""
+    grids = _lag_grid(clusters, motions, lam, monostatic, threshold)
+    rates = _doppler_rates(motions, lam, monostatic)
+    for cluster, motion, row, t, f_m in zip(clusters, motions, grids, times, rates):
         heading = direction_from_angles(motion.phi_v, motion.psi_v)
-        t0 = _crossing_floor(np.array([cluster.kappa]), cluster.mean_direction[None],
-                             heading[None], factor * motion.speed / lam, threshold)[0]
+        tau0 = _crossing_floor(np.array([cluster.kappa]), cluster.mean_direction[None],
+                               heading[None], threshold)[0]
         row = row[:np.argmax(row == row[-1]) + 1]  # up to its horizon, without the padding
-        start = np.argmax((row > 0.5 * t0) | (row == row[-1]))
-        first = np.searchsorted(row, t)
+        start = np.argmax((row > 0.5 * tau0) | (row == row[-1]))
+        first = np.searchsorted(row, t * f_m)
         key = (cluster.kappa, bytes(cluster.mean_direction))
-        scanned = [j for j, d in enumerate(correlation._lag_displacement(row, motion.velocity,
-                                                                          monostatic))
+        scanned = [j for j, d in enumerate(row[:, None] * heading)
                    if key + (bytes(d),) in points]
         assert scanned == list(range(start, scanned[-1] + 1))
         window = _FIRST_WINDOW if first < start + _FIRST_WINDOW else _SCAN_WINDOW
@@ -834,7 +880,7 @@ def _assert_scans_own_windows(clusters, motions, lam, monostatic, threshold, tim
 
 
 class TestCrossingFloor:
-    """The search starts each cell at half its certified floor t0, below its first
+    """The search starts each cell at half its certified floor tau0, below its first
     crossing, scans its own windows of grid columns from there, and returns the
     same bits as a scan from the first column."""
 
@@ -868,11 +914,11 @@ class TestCrossingFloor:
                  for clusters, motions, lam, monostatic, threshold in _floor_tables(43, 12)
                  for c, m in zip(clusters, motions)][:30]
         assert len(cells) == 30
-        for cluster, motion, lam, monostatic, threshold in cells:
-            factor = 2.0 if monostatic else 1.0
+        # the floor is in wavelengths travelled: d = tau h at wavelength 1
+        for cluster, motion, _, _, threshold in cells:
             heading = direction_from_angles(motion.phi_v, motion.psi_v)
-            t0 = _crossing_floor(np.array([cluster.kappa]), cluster.mean_direction[None],
-                                 heading[None], factor * motion.speed / lam, threshold)[0]
-            for lag in (0.25 * t0, 0.5 * t0, t0):
-                log_r = reference_log(cluster, lag * (factor * motion.velocity), lam)
+            tau0 = _crossing_floor(np.array([cluster.kappa]), cluster.mean_direction[None],
+                                   heading[None], threshold)[0]
+            for tau in (0.25 * tau0, 0.5 * tau0, tau0):
+                log_r = reference_log(cluster, tau * heading, 1.0)
                 assert mp.exp(log_r.real) > threshold

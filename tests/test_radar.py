@@ -6,6 +6,8 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vmfcorr import (
     DomainError,
@@ -235,8 +237,9 @@ class TestDecorrelationTable:
 
     def test_horizons_past_1e302_seconds(self):
         # at 1e-300 km/h the horizons are 3.5e302 s (4 deg) and 9.1e304 s
-        # (0.25 deg), past the 1.8e302 s where horizon / start (1e-6 s)
-        # overflows; the grid length is counted in logs
+        # (0.25 deg); the search runs in wavelengths travelled, to 6,576 and
+        # 1.7e6, so only the horizon's check in seconds and the final tau / f_m
+        # see these magnitudes
         widths = [math.radians(w) for w in (4.0, 0.25)]
         speeds = [1e-300 / 3.6, 40.0 / 3.6]
         table = decorrelation_table(widths, speeds, BASE)
@@ -247,9 +250,10 @@ class TestDecorrelationTable:
         assert table[0, 0] == pytest.approx(1.695e300, rel=1e-4)
 
     def test_lag_grids_past_9e307_seconds(self):
-        # at 5.6e-304 and 5.2e-304 km/h the 0.25 deg lag grids run to 1.6e308 and
-        # 1.7e308 s: past the 9e307 s where a doubled lag overflows, and at
-        # 5.2e-304 the grid's last products overflow before the clamp
+        # at 5.6e-304 and 5.2e-304 km/h the 0.25 deg horizons are 1.6e308 and
+        # 1.7e308 s, past the 9e307 s where a doubled lag overflows; in
+        # wavelengths travelled the search is that of every other speed, and
+        # only the horizon's check in seconds and tau / f_m see these lags
         widths = [math.radians(w) for w in (4.0, 0.25)]
         speeds = [5.6e-304 / 3.6, 5.2e-304 / 3.6]
         table = decorrelation_table(widths, speeds, BASE)
@@ -282,18 +286,19 @@ def _brackets_crossing(scenario: RadarScenario, t: float, threshold: float = 0.5
 
 
 # The radar-table of the benchmark's radar-chain workload (perfbench/workloads.py),
-# as float.hex: a change to the lag grid or to the brackets any cell's section
-# search keeps changes these bits.
+# as float.hex: a change to the grid or to the brackets any section search keeps
+# changes these bits. Each width is searched once, in wavelengths travelled, so a
+# row's times share their significand wherever the speeds differ by a power of 2.
 _PINNED_TABLE = [
-    "0x1.72472f701af94p-8", "0x1.72473b2063b96p-7", "0x1.5b22c18f3f9c4p-6",
-    "0x1.5b22c1df1ddd1p-5", "0x1.5b22be9377873p-3", "0x1.721d214a18ff0p-7",
-    "0x1.721d1ac325af4p-6", "0x1.5afb4f31dc0d8p-5", "0x1.5afb507e7cf0ep-4",
-    "0x1.5afb499a8f6b1p-2", "0x1.72128cd8cefe0p-6", "0x1.72128acc87862p-5",
-    "0x1.5af16c8710858p-4", "0x1.5af16c612bd72p-3", "0x1.5af16bdf3d3a6p-1",
-    "0x1.720fedc0723e8p-5", "0x1.720fe66ebca91p-4", "0x1.5aeef3351d790p-3",
-    "0x1.5aeef14b23ea2p-2", "0x1.5aeef335c248dp+0", "0x1.720f44cbf22cfp-4",
-    "0x1.720f3d906e080p-3", "0x1.5aee516ef7a0ep-2", "0x1.5aee506ebace8p-1",
-    "0x1.5aee4bb7a630ep+1",
+    "0x1.72473220f7caap-8", "0x1.72473220f7caap-7", "0x1.5b22befee84dfp-6",
+    "0x1.5b22befee84dfp-5", "0x1.5b22befee84dfp-3", "0x1.721d21223c36ep-7",
+    "0x1.721d21223c36ep-6", "0x1.5afb4f1018737p-5", "0x1.5afb4f1018737p-4",
+    "0x1.5afb4f1018737p-2", "0x1.72128ee4e2918p-6", "0x1.72128ee4e2918p-5",
+    "0x1.5af165f694686p-4", "0x1.5af165f694686p-3", "0x1.5af165f694686p-1",
+    "0x1.720fed10e4c6bp-5", "0x1.720fed10e4c6bp-4", "0x1.5aeeee3fd67a4p-3",
+    "0x1.5aeeee3fd67a4p-2", "0x1.5aeeee3fd67a4p+0", "0x1.720f47a1a3e9dp-4",
+    "0x1.720f47a1a3e9dp-3", "0x1.5aee532789ab3p-2", "0x1.5aee532789ab3p-1",
+    "0x1.5aee532789ab3p+1",
 ]
 
 
@@ -309,6 +314,8 @@ def test_pinned_radar_table(tmp_path):
 
 
 def test_radar_table_at_horizons_past_1e302_seconds(tmp_path):
+    # the console script's table at 1e-300 km/h: horizons past 1e302 s, which
+    # only the horizon's check in seconds and the final tau / f_m see
     out = tmp_path / "radar-table.csv"
     doc = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
            "elevation_deg": 20.0, "widths_deg": [4.0, 1.0, 0.25], "speeds_kmh": [1e-300, 40.0]}
@@ -323,6 +330,9 @@ def test_radar_table_at_horizons_past_1e302_seconds(tmp_path):
 
 
 def test_radar_table_at_lag_grids_past_9e307_seconds(tmp_path):
+    # the console script's table at 5.6e-304 and 5.2e-304 km/h: horizons past
+    # 9e307 s, where a doubled lag would overflow; in seconds, only the horizon's
+    # check and the final tau / f_m see them
     out = tmp_path / "radar-table.csv"
     doc = {"mode": "radar-table", "out": str(out), "carrier_frequency_hz": 1e10,
            "elevation_deg": 20.0, "widths_deg": [4.0, 0.25], "speeds_kmh": [5.6e-304, 5.2e-304]}
@@ -353,12 +363,14 @@ def test_radar_table_at_a_1e300_hz_carrier(tmp_path):
 
 
 def test_radar_table_kernel_call_budget(monkeypatch):
-    # the pinned table: its scan, each cell in its own windows from its first
-    # lag past half its crossing floor, and its sixteen-section search take 5
-    # kernel calls over 2,300 points; shared 128-column windows aligned to
-    # multiples of 128 took 7 over 5,468, a scan from every cell's first lag 8
-    # over 11,228, and a whole-grid call and then one bisection level per call
-    # 17 over 16,400. A scan from the first column gives the same bits.
+    # the pinned table: one search per width in wavelengths travelled, its scan
+    # in its own windows from its first tau past half its crossing floor, and
+    # its sixteen-section search take 5 kernel calls over 460 points, the same
+    # points as a table of one speed; one search per cell took 5 calls over
+    # 2,300, shared 128-column windows aligned to multiples of 128 7 over 5,468,
+    # a scan from every cell's first lag 8 over 11,228, and a whole-grid call and
+    # then one bisection level per call 17 over 16,400. A scan from the first
+    # column gives the same bits.
     widths = [math.radians(w) for w in (4.0, 2.0, 1.0, 0.5, 0.25)]
     speeds = [v / 3.6 for v in (300.0, 150.0, 80.0, 40.0, 10.0)]
     sizes, closed_form = [], correlation._closed_form
@@ -373,13 +385,33 @@ def test_radar_table_kernel_call_budget(monkeypatch):
     times, points = _searched_points(lambda: search().ravel())
     assert times == _PINNED_TABLE
     assert len(sizes) <= 5
-    assert sum(sizes) < 2_400
+    assert sum(sizes) == 460
     assert _searched_points(lambda: search().ravel(), from_first_column=True)[0] == times
+    one_speed = partial(decorrelation_table, widths, speeds[:1], BASE)
+    assert _searched_points(lambda: one_speed().ravel())[1] == points
     clusters, motions, _ = zip(*(scenario_to_cluster_and_motion(
         replace(BASE, target_angular_width=width, target_speed=speed))
         for width in widths for speed in speeds))
     _assert_scans_own_windows(clusters, motions, BASE.wavelength, BASE.monostatic, 0.5,
                               list(map(float.fromhex, times)), points)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(widths_deg=st.lists(st.floats(0.1, 30.0), min_size=1, max_size=3),
+       speeds_kmh=st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=3),
+       elevation_deg=st.floats(-90.0, 90.0), azimuth_deg=st.floats(-180.0, 180.0),
+       monostatic=st.booleans(), threshold=st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+def test_doubled_speeds_halve_every_time(widths_deg, speeds_kmh, elevation_deg, azimuth_deg,
+                                          monostatic, threshold):
+    # f_m = f speed / lambda doubles exactly with the speed, and a cell's search in
+    # wavelengths travelled does not depend on its speed, so tau / f_m halves bit
+    # for bit; these times, about 1e-5 to 1e3 s, are far from subnormal
+    base = replace(BASE, target_elevation=math.radians(elevation_deg),
+                   motion_azimuth=math.radians(azimuth_deg), monostatic=monostatic)
+    widths, speeds = [math.radians(w) for w in widths_deg], [v / 3.6 for v in speeds_kmh]
+    table = decorrelation_table(widths, speeds, base, threshold)
+    doubled = decorrelation_table(widths, [2.0 * v for v in speeds], base, threshold)
+    assert np.array_equal(doubled, 0.5 * table)
 
 
 def test_horizon_out_of_domain_past_the_crossing():
