@@ -152,7 +152,7 @@ def _large_kappa_terms(t: _Terms, w, where=...):
 def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     """The closed form over displacements d of shape (..., 3) in one pass, with
     kappa of shape (...) and mean directions of shape (..., 3) broadcast
-    against them, so that one call can span clusters, concentrations or cells.
+    against them, so that one call can span concentrations or searches.
 
     The terms the regimes share (_Terms) are formed once; _radicand refuses the
     call with DomainError unless every point is in domain. Each regime is then one
@@ -231,24 +231,14 @@ def scf_exact_log(cluster: VmfCluster, d, wavelength: float) -> complex:
 
 
 def scf_multicluster(clusters, d, wavelength: float):
-    """Power-weighted mixture of per-cluster correlations; takes d like scf."""
+    """Power-weighted mixture of one scf call per cluster; takes d like scf."""
     clusters = list(clusters)
     if not clusters:
         raise ValueError("cluster list must not be empty")
     total_power = sum(c.power for c in clusters)
     if abs(total_power - 1.0) > 1e-9:
         raise ValueError(f"cluster powers must sum to 1, got {total_power}")
-    if len(clusters) == 1:
-        # an scf call, which perfbench's tracer counts per branch
-        values = [scf(clusters[0], d, wavelength)]
-    else:
-        # the cluster axis leads; each cluster's kappa and mean broadcast over d
-        d = _as_displacement(d, batch=True)
-        axes = (len(clusters),) + (1,) * (d.ndim - 1)
-        kappa = np.reshape([c.kappa for c in clusters], axes)
-        mean = np.reshape([c.mean_direction for c in clusters], (*axes, 3))
-        values = _closed_form(kappa, mean, d, wavelength)
-    total = sum(c.power * v for c, v in zip(clusters, values))
+    total = sum(c.power * scf(c, d, wavelength) for c in clusters)
     return complex(total) if np.ndim(total) == 0 else total
 
 
@@ -368,7 +358,8 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     with such a tau before its first crossing raises DomainError naming it.
     Then one kernel call per round evaluates 15 evenly spaced taus inside the
     bracket of every live search, which keeps the sixteenth that holds its first
-    tau below the threshold (else the last one), until its 1e-6 relative width.
+    tau past half its floor below the threshold (else the last one), until its
+    1e-6 relative width: the scan never looks at or below half the floor either.
     A search's rounds use its own bracket only, so its tau does not depend on the
     searches run with it."""
     if not 0.0 < threshold < 1.0:
@@ -425,19 +416,16 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
             raise _domain_error(kappa[scan[row]], d[row, col], 1.0)
         return below
 
-    # Each row is min(1e-6, horizon / 64) times ratio^k as sequential products, as
-    # cumprod forms them once per distinct start, up to the first product at or past
-    # the horizon, clamped to it; the clamp pads shorter rows with their horizon,
-    # which cannot precede a first crossing.
+    # Each search's row is min(1e-6, horizon / 64) times ratio^k as sequential
+    # products, up to the first product at or past the horizon, clamped to it; the
+    # clamp pads shorter rows with their horizon, which cannot precede a first crossing.
     ratio = 10.0 ** (1.0 / _GRID_POINTS_PER_DECADE)
     start = np.minimum(1e-6, horizon / _GRID_POINTS_PER_DECADE)
     count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
-    starts = sorted(set(start.tolist()))
-    steps = np.full((len(starts), count), ratio)
-    steps[:, 0] = starts
+    steps = np.full((len(kappa), count), ratio)
+    steps[:, 0] = start
     with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
-        grid = np.minimum(np.cumprod(steps, axis=1)[np.searchsorted(starts, start)],
-                          horizon[:, None])
+        grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
     # the next column of each search's scan: first its first tau past half its floor
     # (at or past the next double up), or else its horizon, where the clamp starts
     column = np.argmax(grid >= np.minimum(np.nextafter(0.5 * floor, np.inf), horizon)[:, None], 1)
@@ -469,11 +457,12 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     live = searches[hi - lo > 1e-6 * hi]
     while live.size:
         # lo + (hi - lo) k / 16 for k = 0..16, finite past 9e307: lo = 0 or lo >= hi / 2
-        # in every bracket, so hi - lo is exact and k = 0 and 16 give lo and hi; the
-        # first inner tau below the threshold (else hi) and the one before it bracket next
+        # in every bracket, so hi - lo is exact and k = 0 and 16 give lo and hi; the first inner
+        # tau past half the floor below the threshold (else hi) and the one before it bracket next
         a, b = lo[live, None], hi[live, None]
         edges = a + (b - a) * _SECTIONS
-        below = excess(edges[:, 1:-1], live[:, None]) < 0.0
+        inner = edges[:, 1:-1]
+        below = (excess(inner, live[:, None]) < 0.0) & (inner > 0.5 * floor[live, None])
         k = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, 16)
         rows = np.arange(live.size)
         lo[live], hi[live] = edges[rows, k - 1], edges[rows, k]

@@ -6,6 +6,7 @@ import math
 import operator
 import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import vmfcorr
 from vmfcorr import scf, scf_multicluster, VmfCluster
 from vmfcorr.cli import (
     EXIT_CONFIG,
@@ -1303,3 +1305,16 @@ def test_fuzz_every_config_exits_cleanly(tmp_path_factory, capsys, mode, data):
     assert status != EXIT_CONFIG or not out.exists()
     if out.exists():
         assert all(math.isfinite(cell) for cell in _written_cells(out, fmt))
+
+
+def test_import_loads_no_test_extras():
+    # the library and its CLI need numpy only: nothing under src/ imports scipy,
+    # and mpmath and hypothesis are test extras; a fresh interpreter sees what
+    # the import itself loads, not what this test session has
+    code = ("import sys, vmfcorr, vmfcorr.cli; print(sorted({'scipy', 'mpmath', 'hypothesis'}"
+            " & {name.partition('.')[0] for name in sys.modules}))")
+    src = str(Path(vmfcorr.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert result.stdout == "[]\n"

@@ -287,8 +287,10 @@ class TestMulticluster:
         assert mixture == pytest.approx(mean, rel=1e-14)
 
     def test_mixture_identity(self):
+        # the mixture is the power-weighted sum of one scf call per cluster bit for
+        # bit, at one displacement and over batches, below and past kappa 700
         rng = np.random.default_rng(51)
-        for _ in range(100):
+        for trial in range(100):
             n = rng.integers(1, 5)
             powers = rng.uniform(0.1, 1.0, n)
             powers /= powers.sum()
@@ -296,15 +298,17 @@ class TestMulticluster:
                 VmfCluster(
                     rng.uniform(-math.pi, math.pi),
                     rng.uniform(-math.pi / 2, math.pi / 2),
-                    rng.uniform(0, 50),
+                    rng.uniform(0, 50) if trial % 2 else 10 ** rng.uniform(2, 6),
                     power=p,
                 )
                 for p in powers
             ]
-            d = rng.normal(size=3) * 2 * LAM
+            shape = ((3,), (7, 3), (2, 4, 3))[trial % 3]
+            d = rng.normal(size=shape) * 2 * LAM
             combined = scf_multicluster(clusters, d, LAM)
             expected = sum(c.power * scf(replace(c, power=1.0), d, LAM) for c in clusters)
-            assert abs(combined - expected) <= 1e-13
+            assert type(combined) is (complex if len(shape) == 1 else np.ndarray)
+            assert np.shape(combined) == shape[:-1] and np.array_equal(combined, expected)
 
     def test_unit_at_zero(self):
         clusters = [VmfCluster(0, 0, 3.0, 0.25), VmfCluster(1, 0.3, 9.0, 0.75)]
@@ -416,8 +420,8 @@ def test_mixed_batch_matches_scalar_calls():
     assert values.shape == (len(points),)
     for entry, (cluster, v) in zip(values, points):
         assert entry == scf(cluster, v, lam) == _one_cluster_reference(cluster, v, lam)
-    # kappa of shape (K, 1) over all the displacements, as scf_multicluster
-    # stacks its clusters: row k equals the one-cluster call
+    # kappa of shape (K, 1) over all the displacements, one concentration per
+    # row: row k equals the one-cluster call
     mean = clusters[-1].mean_direction
     values = _closed_form(np.reshape(kappas, (-1, 1)), mean, d, lam)
     for row, kappa in zip(values, kappas):
@@ -451,6 +455,11 @@ _OUT_OF_DOMAIN = [
     for kappa, x in ((0.0, 1e200), (10.0, 1e200), (1000.0, 1e200), (1e155, 1e-3))
     if kappa > 0.0 or fn not in (scf_large_kappa, scf_exact_log)
 ] + [
+    # each cluster is its own scf call: the first cluster out of domain is named
+    pytest.param(partial(scf_multicluster, [VmfCluster(0.0, 0.0, 10.0, power=0.5),
+                                            VmfCluster(1.0, 0.2, 1e155, power=0.5)],
+                         (0.5, 0.0, 0.0), 1.0),
+                 "kappa = 1e+155, |d| = 0.5 wavelengths", id="scf_multicluster-second-cluster"),
     pytest.param(partial(_radar_probe, 1e-150, 40.0), "at kappa = 5.25249e+304, |d| = ",
                  id="radar-width=1e-150deg"),
     pytest.param(partial(_radar_probe, 1e-200, 40.0),
@@ -792,6 +801,31 @@ class TestDecorrelationSearch:
             assert decorrelation_time(cluster, motion, 1.0, threshold=threshold) == t
             rounds.append(sizes.count(15))
         assert min(rounds) == 4 and max(rounds) == 7
+
+    @pytest.mark.parametrize("kappa, phi_v, psi_v, threshold", [
+        (300.0, math.pi / 2, 0.0, 1.0 - 1e-14), (300.0, 0.0, 0.0, 1.0 - 1e-14),
+        (700.0, 0.0, math.pi / 2, 1.0 - 1e-14), (30.0, 0.7, 0.3, 1.0 - 1e-15),
+        (1e-8, 0.0, 0.0, 1.0 - 1e-15)])
+    def test_refinement_ends_at_half_the_floor(self, monkeypatch, kappa, phi_v, psi_v, threshold):
+        # the kernel rounds |ACF| at the smallest lags to 1 - 2e-14 at kappa 300 and
+        # to 1 - 3e-15 at kappa 30, below these thresholds at lags where the certified
+        # floor puts it above: the refinement counts a tau at or below half the floor
+        # as above, as the scan does, and ends there in a few rounds, not in the
+        # subnormals below it
+        calls, closed_form = [0], correlation._closed_form
+
+        def capped(*args):
+            calls[0] += 1
+            if calls[0] > 50:
+                raise RuntimeError("the search made more than 50 kernel calls")
+            return closed_form(*args)
+
+        monkeypatch.setattr(correlation, "_closed_form", capped)
+        cluster, motion = VmfCluster(0.0, 0.0, kappa), MotionState(1.0, phi_v, psi_v)
+        t = decorrelation_time(cluster, motion, 1.0, False, threshold)
+        half = 0.5 * _crossing_floor(np.array([kappa]), cluster.mean_direction[None],
+                                     direction_from_angles(phi_v, psi_v)[None], threshold)[0]
+        assert calls[0] <= 10 and abs(t - half) <= 1e-6 * half
 
     def test_not_found_names_the_first_unfound_cell(self):
         # crossings at 0.090, 0.045 and 0.030 s against per-cell horizons: the
