@@ -12,7 +12,7 @@ from .vmf import (
     DomainError,
     VmfCluster,
     _direction_variances,
-    _log_kappa_over_sinh,
+    _log_normaliser,
     csinc_sqrt,
     direction_from_angles,
 )
@@ -87,9 +87,12 @@ def _per_kappa(fn, kappa) -> np.ndarray:
 
 
 def _kappa_constants(k: float) -> tuple[float, float, float]:
-    # kappa^2 (k**2 raises past 2^512), log kappa and kappa / sinh kappa; 0 at kappa = 0
-    return ((k**2 if k < 2.0**512 else math.inf, math.log(k),
-             math.exp(_log_kappa_over_sinh(k))) if k else (0.0, 0.0, 0.0))
+    # kappa^2 (k**2 raises past 2^512), the log normaliser and kappa / sinh kappa, 1 at
+    # kappa = 0, taken past kappa 1 with sinh's dominant exponential factored out, as
+    # sinh overflows from ~710
+    scale = (math.exp(math.log(k) - (k + math.log1p(-math.exp(-2.0 * k)) - math.log(2.0)))
+             if k > 1.0 else k / math.sinh(k) if k else 1.0)
+    return k**2 if k < 2.0**512 else math.inf, _log_normaliser(k), scale
 
 
 class _Terms:
@@ -102,7 +105,7 @@ class _Terms:
         _check_wavelength(wavelength)
         self.kappa, self.mean, self.d, self.wavelength = kappa, mean, d, wavelength
         self.m, self.e = math.frexp(TWO_PI / wavelength)
-        self.square, self.log_kappa, self.scale = _per_kappa(_kappa_constants, kappa)
+        self.square, self.log_norm, self.scale = _per_kappa(_kappa_constants, kappa)
         with np.errstate(over="ignore", invalid="ignore"):
             self.scaled = np.ldexp(d, self.e)
             self.along, self.norm = _dot(self.scaled, mean), _dot(self.scaled, self.scaled)
@@ -111,8 +114,10 @@ class _Terms:
 
 
 def _domain_error(kappa: float, d, wavelength: float) -> DomainError:
+    with np.errstate(over="ignore"):  # |d| / lam past the largest double reads inf
+        size = np.hypot.reduce(d) / wavelength
     return DomainError(f"the radicand is not a finite double at kappa = {kappa:.6g}, "
-                       f"|d| = {np.hypot.reduce(d) / wavelength:.6g} wavelengths")
+                       f"|d| = {size:.6g} wavelengths")
 
 
 def _radicand(t: _Terms) -> np.ndarray:
@@ -130,11 +135,12 @@ def _large_kappa_terms(t: _Terms, w, where=...):
     """(exponent, factor), R = exp(exponent) * factor, at the entries of w selected by
     where (all by default), with the terms t broadcast against w.
 
-    With jz = sqrt(-w), Re jz >= 0, R = kappa e^(jz - kappa) (1 - e^(-2jz)) / jz, less
-    sinh's 1 - e^(-2 kappa): the factor is at most 2 (2 at w = 0), so R underflows
-    rather than overflow. As (jz)^2 = (kappa + j x_par)^2 - x_perp^2 for k0 d split
-    along and across the mean, jz - kappa = j (x_par + x_perp^2 / (x_par - j (kappa + jz))),
-    whose denominator adds terms of one sign in each part, so nothing cancels."""
+    With jz = sqrt(-w), Re jz >= 0, R = kappa / (1 - e^(-2 kappa)) e^(jz - kappa)
+    (1 - e^(-2jz)) / jz, its log normaliser in the exponent: the factor is at most 2
+    (2 at w = 0), so R underflows rather than overflow. As (jz)^2 = (kappa + j x_par)^2
+    - x_perp^2 for k0 d split along and across the mean, jz - kappa = j (x_par + x_perp^2
+    / (x_par - j (kappa + jz))), whose denominator adds terms of one sign in each part, so
+    nothing cancels."""
     def pick(x):
         return (x if np.shape(x) == np.shape(w) else np.broadcast_to(x, np.shape(w)))[where]
 
@@ -143,7 +149,7 @@ def _large_kappa_terms(t: _Terms, w, where=...):
     x_par, x_perp2 = pick(t.m * t.along), pick((t.m * t.m) * _dot(across, across))
     jz = np.sqrt(-pick(w))
     exponent = (1j * (x_par + x_perp2 / (x_par - 1j * (pick(t.kappa) + jz)))
-                + pick(t.log_kappa))
+                + pick(t.log_norm))
     factor = np.divide(1.0 - np.exp(-2.0 * jz), jz, out=np.full(jz.shape, 2.0 + 0j),
                        where=jz != 0.0)
     return exponent, factor

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import DomainError, _as_displacement, _check_wavelength, _dot
-from .vmf import _HALF_PI, TWO_PI, VmfCluster, _polar_transform, _tangent_basis, sample_vmf
+from .vmf import (_HALF_PI, TWO_PI, VmfCluster, _log_normaliser, _polar_transform,
+                  _tangent_basis, sample_vmf)
 
 # 15-point Kronrod rule with the embedded 7-point Gauss rule on [-1, 1], by
 # QUADPACK qk15's constants as it gives them, to 33 digits: the Kronrod
@@ -203,8 +204,8 @@ def scf_quadrature(
 
     Raises QuadratureToleranceError if the requested accuracy cannot be
     certified within the panel budget, with the error of the first row that
-    fails, or, before any work, if the phase k0 d of some row overflows (with
-    estimate nan and error inf); ValueError for concentrations beyond 1e6.
+    fails; DomainError, before any work, if the phase k0 d of some row
+    overflows; ValueError for concentrations beyond 1e6.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -221,7 +222,7 @@ def scf_quadrature(
     # past s = 45 / kappa the density, and the tail mass left out, are below
     # e^-45 of the peak
     s_max = min(2.0, 45.0 / kappa) if kappa > 0.0 else 2.0
-    log_norm = math.log(kappa / -math.expm1(-2.0 * kappa)) if kappa > 0.0 else math.log(0.5)
+    log_norm = _log_normaliser(kappa)
 
     rows = d.reshape(-1, 3)
     # a phase past the largest double leaves nothing to integrate; hypot, not
@@ -230,8 +231,7 @@ def scf_quadrature(
         along = k0 * _dot(rows, mean)
         across = k0 * np.hypot(_dot(rows, e1), _dot(rows, e2))
     if not (np.isfinite(along).all() and np.isfinite(across).all()):
-        raise QuadratureToleranceError(
-            "the phase k0 d overflows", estimate=complex(math.nan, math.nan), error=math.inf)
+        raise DomainError("the phase k0 d overflows")
 
     def integrand(s: np.ndarray, part: slice) -> np.ndarray:
         # density kappa e^(-kappa s) / (1 - e^(-2 kappa)) over s, times the

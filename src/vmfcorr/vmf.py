@@ -68,16 +68,12 @@ class VmfCluster:
         return direction_from_angles(self.mu_phi, self.mu_psi)
 
 
-def _log_sinh(x: float) -> float:
-    # sinh overflows for x > ~710; above 1, factor out the dominant exponential.
-    if x > 1.0:
-        return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
-    return math.log(math.sinh(x))
-
-
-def _log_kappa_over_sinh(kappa: float) -> float:
-    """log(kappa / sinh(kappa)), stable for arbitrarily large kappa."""
-    return math.log(kappa) - _log_sinh(kappa)
+def _log_normaliser(kappa: float) -> float:
+    """log(kappa / (1 - e^(-2 kappa))): the log of kappa / sinh kappa, the vMF
+    density's normalising constant, without its factor 2 e^(-kappa); log(1/2) at
+    kappa 0. Nothing cancels at any kappa, and from kappa ~ 18.7 on it is log kappa
+    bit for bit."""
+    return math.log(kappa / -math.expm1(-2.0 * kappa)) if kappa else math.log(0.5)
 
 
 def vmf_pdf(cluster: VmfCluster, phi, psi):
@@ -89,24 +85,19 @@ def vmf_pdf(cluster: VmfCluster, phi, psi):
     assembled in the log domain, where g, one less the cosine of the angle
     from the mean, is formed by the haversine. Nothing of size kappa
     cancels, so the density holds to about 3e-14 relative up to the largest
-    finite kappa. kappa = 0 returns the uniform-sphere density
-    cos(psi) / (4 pi).
+    finite kappa; at kappa = 0 it is the uniform-sphere density cos(psi) / (4 pi).
     """
     phi_arr = np.asarray(phi, dtype=float)
     psi_arr = np.asarray(psi, dtype=float)
     if np.any(np.abs(psi_arr) > _HALF_PI + 1e-12):
         raise ValueError("elevation must lie in [-pi/2, pi/2]")
     cpsi = np.maximum(np.cos(psi_arr), 0.0)
-    kappa = cluster.kappa
-    if kappa == 0.0:
-        out = cpsi / (4.0 * math.pi) + 0.0 * phi_arr
-    else:
-        half_psi = np.sin(0.5 * (psi_arr - cluster.mu_psi))
-        half_phi = np.sin(0.5 * (phi_arr - cluster.mu_phi))
-        gap = 2.0 * (half_psi * half_psi + math.cos(cluster.mu_psi) * cpsi * half_phi * half_phi)
-        log_norm = math.log(kappa / -math.expm1(-2.0 * kappa)) - math.log(TWO_PI)
-        with np.errstate(divide="ignore"):
-            out = np.exp(log_norm - kappa * gap + np.log(cpsi))
+    half_psi = np.sin(0.5 * (psi_arr - cluster.mu_psi))
+    half_phi = np.sin(0.5 * (phi_arr - cluster.mu_phi))
+    gap = 2.0 * (half_psi * half_psi + math.cos(cluster.mu_psi) * cpsi * half_phi * half_phi)
+    log_norm = _log_normaliser(cluster.kappa) - math.log(TWO_PI)
+    with np.errstate(divide="ignore"):
+        out = np.exp(log_norm - cluster.kappa * gap + np.log(cpsi))
     if out.ndim == 0:
         return float(out)
     return out

@@ -28,12 +28,12 @@ from vmfcorr import (
     scf_large_kappa,
     scf_montecarlo,
     scf_multicluster,
+    scf_quadrature,
 )
 from vmfcorr import correlation
 from vmfcorr.correlation import (_FIRST_WINDOW, _SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _Terms,
                                   _closed_form, _crossing_floor, _decorrelation_times)
-from vmfcorr.vmf import (TWO_PI, _direction_variances, _log_kappa_over_sinh, csinc_sqrt,
-                         direction_from_angles)
+from vmfcorr.vmf import TWO_PI, _direction_variances, csinc_sqrt, direction_from_angles
 
 from mp_reference import reference_log, relative_error
 
@@ -152,6 +152,20 @@ class TestScf:
             d = beta_displacement(cluster, 0.7, frac * LAM)
             gap = abs(scf(cluster, d, LAM) - scf_isotropic(float(np.linalg.norm(d)), LAM))
             assert gap < 1e-6
+
+    def test_small_kappa_scale_to_an_ulp(self):
+        # up to kappa 1 the scale is kappa / sinh kappa itself: log kappa - log sinh kappa
+        # would cancel
+        for kappa in (1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.5, 1.0):
+            scale = _terms([kappa], [1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], 1.0).scale[0]
+            with mp.workdps(40):
+                reference = mp.mpf(kappa) / mp.sinh(mp.mpf(kappa))
+                assert abs(mp.mpf(float(scale)) - reference) <= math.ulp(float(reference)), kappa
+
+    def test_unit_magnitude_at_small_kappa_and_lag(self):
+        # sin z / z and kappa / sinh kappa both round to 1 here
+        value = scf(VmfCluster(0.0, 0.0, 1e-8), (1e-12, 0.0, 0.0), 1.0)
+        assert abs(abs(value) - 1.0) <= math.ulp(1.0)
 
     def test_matches_log_domain_exact(self):
         rng = np.random.default_rng(34)
@@ -362,6 +376,12 @@ def test_array_calls_match_scalar_calls(kappa):
             assert entry == acf(cluster, motion, float(lag), lam, monostatic)
 
 
+def _log_kappa_over_sinh(kappa):
+    """log(kappa / sinh kappa) past kappa 1, written as the kernel writes it: sinh's
+    dominant exponential factored out, as sinh overflows from ~710."""
+    return math.log(kappa) - (kappa + math.log1p(-math.exp(-2.0 * kappa)) - math.log(2.0))
+
+
 def _one_cluster_reference(cluster, d, lam):
     """The closed form at one displacement, with the cluster's constants as
     Python floats and every array of length one: the scalar evaluation that
@@ -376,6 +396,8 @@ def _one_cluster_reference(cluster, d, lam):
     w = a - kappa**2 - 2.0j * b
     if kappa == 0.0:
         value = np.sinc(2.0 * np.sqrt(dd) / lam)
+    elif kappa <= 1.0:
+        value = kappa / math.sinh(kappa) * csinc_sqrt(w)
     elif kappa <= LARGE_KAPPA_THRESHOLD:
         value = math.exp(_log_kappa_over_sinh(kappa)) * csinc_sqrt(w)
     else:
@@ -393,9 +415,10 @@ def _one_cluster_reference(cluster, d, lam):
 def _kappas_numpy_rounds_differently():
     """Concentrations at which numpy would round a per-cluster constant
     differently from Python's math: kappa**2, log kappa (above 700) and
-    kappa / sinh kappa (up to 700)."""
+    kappa / sinh kappa (from 1 to 700, where the kernel forms it as an exponential)."""
     rng = np.random.default_rng(3)
     large, moderate = rng.uniform(700.0, 1e5, 20000), rng.uniform(0.0, 700.0, 200)
+    moderate = moderate[moderate > 1.0]
     ratio = np.array([_log_kappa_over_sinh(k) for k in moderate.tolist()])
     picks = [
         large[large**2 != np.array([k**2 for k in large.tolist()])],
@@ -446,8 +469,8 @@ def _radar_probe(width_deg, speed_kmh):
 # Radicands past the double range in each regime (isotropic, sinh, large
 # kappa, and a kappa whose square overflows), radar tables whose
 # concentration, radicand or default search horizon is not a finite double,
-# and a Monte-Carlo phase that overflows: each raises one DomainError that
-# names the point, with no warning first.
+# and a quadrature or Monte-Carlo phase that overflows: each raises one
+# DomainError that names the point, with no warning first.
 _OUT_OF_DOMAIN = [
     pytest.param(partial(_probe, fn, kappa, x), f"kappa = {kappa:g}, |d| = {x:g} wavelengths",
                  id=f"{fn.__name__}-kappa={kappa:g}-x={x:g}")
@@ -468,6 +491,13 @@ _OUT_OF_DOMAIN = [
                  id="radar-speed=1e-305kmh"),
     pytest.param(partial(scf_montecarlo, VmfCluster(0.0, 0.0, 10.0), (1e300, 0.0, 0.0), 1e-10,
                          16, 100, 1), "the phase k0 d overflows", id="montecarlo-phase"),
+    pytest.param(partial(scf_quadrature, VmfCluster(0.0, 0.0, 10.0), (1e300, 0.0, 0.0), 1e-10),
+                 "the phase k0 d overflows", id="quadrature-phase"),
+    # |d| / lambda past the largest double names the point as inf wavelengths
+    pytest.param(partial(scf, VmfCluster(0.0, 0.0, 10.0), (1e300, 0.0, 0.0), 1e-10),
+                 "kappa = 10, |d| = inf wavelengths", id="scf-d-over-lambda-overflows"),
+    pytest.param(partial(acf, VmfCluster(0.0, 0.0, 10.0), MotionState(1e300), 1.0, 1e-10),
+                 "kappa = 10, |d| = inf wavelengths", id="acf-d-over-lambda-overflows"),
 ]
 
 
@@ -725,6 +755,21 @@ def _assert_agrees(times, reference):
     np.testing.assert_allclose(times, reference.times, rtol=1e-6, atol=0.0)
 
 
+def _capped_kernel_calls(monkeypatch):
+    """A one-entry list that counts the kernel's calls from here on; a search that makes
+    more than 50 fails instead of running on."""
+    calls, closed_form = [0], correlation._closed_form
+
+    def capped(*args):
+        calls[0] += 1
+        if calls[0] > 50:
+            raise RuntimeError("the search made more than 50 kernel calls")
+        return closed_form(*args)
+
+    monkeypatch.setattr(correlation, "_closed_form", capped)
+    return calls
+
+
 class TestDecorrelationSearch:
     """The windowed scan and the section search agree with the one-level
     bisection to the search's width, and give each cell the same bits alone
@@ -804,28 +849,30 @@ class TestDecorrelationSearch:
 
     @pytest.mark.parametrize("kappa, phi_v, psi_v, threshold", [
         (300.0, math.pi / 2, 0.0, 1.0 - 1e-14), (300.0, 0.0, 0.0, 1.0 - 1e-14),
-        (700.0, 0.0, math.pi / 2, 1.0 - 1e-14), (30.0, 0.7, 0.3, 1.0 - 1e-15),
-        (1e-8, 0.0, 0.0, 1.0 - 1e-15)])
+        (700.0, 0.0, math.pi / 2, 1.0 - 1e-14), (30.0, 0.7, 0.3, 1.0 - 1e-15)])
     def test_refinement_ends_at_half_the_floor(self, monkeypatch, kappa, phi_v, psi_v, threshold):
         # the kernel rounds |ACF| at the smallest lags to 1 - 2e-14 at kappa 300 and
         # to 1 - 3e-15 at kappa 30, below these thresholds at lags where the certified
         # floor puts it above: the refinement counts a tau at or below half the floor
         # as above, as the scan does, and ends there in a few rounds, not in the
         # subnormals below it
-        calls, closed_form = [0], correlation._closed_form
-
-        def capped(*args):
-            calls[0] += 1
-            if calls[0] > 50:
-                raise RuntimeError("the search made more than 50 kernel calls")
-            return closed_form(*args)
-
-        monkeypatch.setattr(correlation, "_closed_form", capped)
+        calls = _capped_kernel_calls(monkeypatch)
         cluster, motion = VmfCluster(0.0, 0.0, kappa), MotionState(1.0, phi_v, psi_v)
         t = decorrelation_time(cluster, motion, 1.0, False, threshold)
         half = 0.5 * _crossing_floor(np.array([kappa]), cluster.mean_direction[None],
                                      direction_from_angles(phi_v, psi_v)[None], threshold)[0]
         assert calls[0] <= 10 and abs(t - half) <= 1e-6 * half
+
+    def test_crossing_near_one_at_small_kappa(self, monkeypatch):
+        # at kappa 1e-8 |ACF| is sinc(2 pi tau) to rounding, 1 - (2 pi tau)^2 / 6 at these
+        # lags, so it falls to the threshold at sqrt(6 (1 - threshold)) / (2 pi) = 1.23e-8
+        # wavelengths; near 1 |ACF| moves in steps of 1.1e-16, a ninth of the gap, so the
+        # crossing is held to 5%, in a few kernel calls
+        calls = _capped_kernel_calls(monkeypatch)
+        threshold = 1.0 - 1e-15
+        t = decorrelation_time(VmfCluster(0.0, 0.0, 1e-8), MotionState(1.0), 1.0, False, threshold)
+        expected = math.sqrt(6.0 * (1.0 - threshold)) / TWO_PI
+        assert calls[0] <= 10 and abs(t - expected) <= 0.05 * expected
 
     def test_not_found_names_the_first_unfound_cell(self):
         # crossings at 0.090, 0.045 and 0.030 s against per-cell horizons: the

@@ -16,7 +16,7 @@ from vmfcorr import (
     scf_quadrature,
     vmf_pdf,
 )
-from vmfcorr.vmf import _tangent_basis
+from vmfcorr.vmf import _log_normaliser, _tangent_basis
 
 
 class TestDirection:
@@ -73,6 +73,22 @@ class TestVmfCluster:
         np.testing.assert_allclose(
             cluster.mean_direction, direction_from_angles(0.3, -0.2), atol=0
         )
+
+
+class TestLogNormaliser:
+    def test_against_40_digits(self):
+        for kappa in (0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 30.0, 700.0, 1e300):
+            with mp.workdps(40):
+                k = mp.mpf(kappa)
+                reference = mp.log(k / -mp.expm1(-2 * k)) if kappa else mp.log(0.5)
+                assert abs(_log_normaliser(kappa) - reference) <= 2e-16 * max(1.0, abs(reference))
+
+    def test_log_kappa_past_700(self):
+        # the large-kappa form reads the normaliser only above 700, where it is log kappa
+        rng = np.random.default_rng(38)
+        for kappa in [*np.exp(rng.uniform(math.log(700.0), math.log(1e300), 2000)).tolist(),
+                      700.0, 1.7e308]:
+            assert _log_normaliser(kappa) == math.log(kappa), kappa
 
 
 class TestVmfPdf:
