@@ -1,5 +1,6 @@
 """Closed-form spatial and temporal correlation for vMF scattering channels."""
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -86,6 +87,7 @@ def _per_kappa(fn, kappa) -> np.ndarray:
     return np.array([fn(k) for k in distinct], dtype=float).T[:, np.searchsorted(distinct, kappa)]
 
 
+@functools.lru_cache(maxsize=1024)  # a search's kernel calls see the same few kappas
 def _kappa_constants(k: float) -> tuple[float, float, float]:
     # kappa^2 (k**2 raises past 2^512), the log normaliser and kappa / sinh kappa, 1 at
     # kappa = 0, taken past kappa 1 with sinh's dominant exponential factored out, as
@@ -141,8 +143,8 @@ def _large_kappa_terms(t: _Terms, w, where=...):
     - x_perp^2 for k0 d split along and across the mean, jz - kappa = j (x_par + x_perp^2
     / (x_par - j (kappa + jz))), whose denominator adds terms of one sign in each part, so
     nothing cancels."""
-    def pick(x):
-        return (x if np.shape(x) == np.shape(w) else np.broadcast_to(x, np.shape(w)))[where]
+    def pick(x):  # where all are selected, every term broadcasts against w as it is
+        return x if where is ... else np.broadcast_to(x, np.shape(w))[where]
 
     # split at every point, then picked: masking 3-vectors costs more than the rejection
     across = t.scaled - t.along[..., None] * t.mean  # the rejection of scaled from the mean
@@ -161,10 +163,10 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     against them, so that one call can span concentrations or searches.
 
     The terms the regimes share (_Terms) are formed once; _radicand refuses the
-    call with DomainError unless every point is in domain. Each regime is then one
-    mask, taken per element: d = 0 gives exactly one, kappa = 0 the isotropic sinc,
-    kappa above 700 the exponential form of _large_kappa_terms, and otherwise
-    kappa / sinh(kappa) times csinc_sqrt's sin(z)/z.
+    call with DomainError unless every point is in domain. Regimes, chosen per call
+    from kappa: kappa = 0 the isotropic sinc, above 700 the exponential form of
+    _large_kappa_terms, else kappa / sinh(kappa) times csinc_sqrt's sin(z)/z. One that
+    covers the call runs on every point unmasked, else on a mask. d = 0 gives one exactly.
     """
     d = _as_displacement(d, batch=True)
     t = _Terms(np.asarray(kappa, dtype=float), np.asarray(mean, dtype=float), d, wavelength)
@@ -174,21 +176,24 @@ def _closed_form(kappa, mean, d, wavelength: float) -> np.ndarray:
     def spread(a):
         return np.broadcast_to(a, w.shape)
 
-    value = np.ones(w.shape, dtype=complex)
-    live = spread((d != 0.0).any(axis=-1))
-    isotropic = live & (t.kappa == 0.0)
-    large = live & (t.kappa > LARGE_KAPPA_THRESHOLD)
-    moderate = live & ~isotropic & ~large
-    if isotropic.any():
+    def points(regime):  # every point (...) where the regime covers the call, else a mask
+        count = np.count_nonzero(regime)
+        return ... if count == regime.size else spread(regime) if count else None
+
+    value = np.empty(w.shape, dtype=complex)
+    isotropic, large = t.kappa == 0.0, t.kappa > LARGE_KAPPA_THRESHOLD
+    moderate = points(~isotropic & ~large)
+    if (where := points(isotropic)) is not None:
         m, e = math.frexp(wavelength)
         x = np.ldexp(np.sqrt(t.norm) / m, -t.e - e)  # |d| / lam, even past 1e308 m
-        value[isotropic] = scf_isotropic(spread(x)[isotropic], 1.0)
-    if large.any():
-        exponent, factor = _large_kappa_terms(t, w, large)
-        value[large] = np.exp(exponent) * factor
+        value[where] = scf_isotropic(spread(x)[where], 1.0)
+    if (where := points(large)) is not None:
+        exponent, factor = _large_kappa_terms(t, w, where)
+        value[where] = np.exp(exponent) * factor
     scale, t = t.scale, None  # freed before csinc_sqrt's temporaries: 30% at 32,640 points
-    if moderate.any():
+    if moderate is not None:
         value[moderate] = spread(scale)[moderate] * csinc_sqrt(w[moderate])
+    np.copyto(value, 1.0, where=(d == 0.0).all(axis=-1))
     return value
 
 
@@ -294,6 +299,8 @@ _FIRST_WINDOW = _GRID_POINTS_PER_DECADE // 2
 _SCAN_WINDOW = 2 * _GRID_POINTS_PER_DECADE
 # Fractions of a bracket at its 17 edges while refining a crossing
 _SECTIONS = np.arange(17) / 16
+# Per guess g, whether each of a round's 32 sorted taus lies outside g + 1..g + 15, the guessed
+_OUTSIDE = np.abs(np.arange(32) - np.arange(8, 24)[:, None]) >= 8
 
 
 def _crossing_floor(kappa, mean, heading, threshold: float) -> np.ndarray:
@@ -326,8 +333,8 @@ def decorrelation_time(
 ) -> float:
     """Smallest positive lag at which |ACF| first falls to the threshold, searched
     as _decorrelation_times states with one cell: in wavelengths travelled tau = t f_m,
-    bracketed on a geometric grid (64 points per decade from 1e-6) and refined to 1e-6
-    relative, then divided by f_m.
+    bracketed on a geometric grid (64 points per decade from min(1e-6, horizon / 64))
+    and refined to 1e-6 relative, then divided by f_m.
     Raises DecorrelationNotFound if no crossing occurs before the horizon, by
     default (10 + kappa / min(threshold, 0.5)) / f_m seconds as in decorrelation_table,
     10 / f_m at kappa = 0, past any radial crossing; DomainError where that default
@@ -362,12 +369,15 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     search leaves at its first crossing. Where a call holds a tau out of the
     kernel's domain, only the taus in domain are evaluated, and the first search
     with such a tau before its first crossing raises DomainError naming it.
-    Then one kernel call per round evaluates 15 evenly spaced taus inside the
-    bracket of every live search, which keeps the sixteenth that holds its first
-    tau past half its floor below the threshold (else the last one), until its
-    1e-6 relative width: the scan never looks at or below half the floor either.
-    A search's rounds use its own bracket only, so its tau does not depend on the
-    searches run with it."""
+    Then each kernel call refines two levels: it evaluates the 15 evenly spaced taus
+    inside the bracket of every live search, and the 15 inside the sixteenth where
+    a line through |ACF| - threshold at the bracket's ends crosses zero. A level keeps
+    the sixteenth that holds its first tau past half the floor below the threshold
+    (else the last one), and the second applies where the first kept the guessed
+    sixteenth, until the 1e-6 relative width: the scan never looks at or below half
+    the floor either. Each kept bracket is the one a call per level would keep, and a
+    search's rounds use its own bracket only, so its tau does not depend on the
+    guesses or on the searches run with it."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     _check_wavelength(wavelength)
@@ -403,24 +413,24 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     inverse = np.array([index.setdefault(key.tobytes(), len(index)) for key in keys], dtype=int)
     keys = np.frombuffer(b"".join(index), dtype=float).reshape(-1, 8)
     kappa, mean, heading, horizon = keys[:, 0], keys[:, 1:4], keys[:, 4:7], keys[:, 7]
-    floor = _crossing_floor(kappa, mean, heading, threshold)
+    half = 0.5 * _crossing_floor(kappa, mean, heading, threshold)
 
     def excess(tau, searches):
         d = tau[..., None] * heading[searches]
         return np.abs(_closed_form(kappa[searches], mean[searches], d, 1.0)) - threshold
 
-    def below_in_domain(taus, scan):
+    def excess_in_domain(taus, scan):
         # a scan call refused a tau: evaluate the taus in domain only, and refuse the
         # first search whose first tau out of domain precedes its first crossing
         d = taus[..., None] * heading[scan, None]
         valid = np.isfinite(_Terms(kappa[scan, None], mean[scan, None], d, 1.0).size)
-        below = np.zeros(taus.shape, dtype=bool)
-        below[valid] = excess(taus[valid], np.broadcast_to(scan[:, None], taus.shape)[valid]) < 0.0
-        early = ~valid & ~np.logical_or.accumulate(below, axis=1)
+        values = np.full(taus.shape, np.inf)
+        values[valid] = excess(taus[valid], np.broadcast_to(scan[:, None], taus.shape)[valid])
+        early = ~valid & ~np.logical_or.accumulate(values < 0.0, axis=1)
         if early.any():
             row, col = np.argwhere(early)[0]
             raise _domain_error(kappa[scan[row]], d[row, col], 1.0)
-        return below
+        return values
 
     # Each search's row is min(1e-6, horizon / 64) times ratio^k as sequential
     # products, up to the first product at or past the horizon, clamped to it; the
@@ -430,11 +440,14 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
     count = int(np.ceil(np.max(np.log(horizon) - np.log(start)) / math.log(ratio))) + 2
     steps = np.full((len(kappa), count), ratio)
     steps[:, 0] = start
+    # per column [tau, |ACF| - threshold], 1 - threshold where unscanned, after [0, 1 - threshold]
+    table = np.full((len(kappa), count + 1, 2), 1.0 - threshold)
+    table[:, 0, 0], grid, gap = 0.0, table[:, 1:, 0], table[:, 1:, 1]
     with np.errstate(over="ignore"):  # an overflowed product is clamped to the horizon
-        grid = np.minimum(np.cumprod(steps, axis=1), horizon[:, None])
+        np.minimum(np.cumprod(steps, axis=1), horizon[:, None], out=grid)
     # the next column of each search's scan: first its first tau past half its floor
     # (at or past the next double up), or else its horizon, where the clamp starts
-    column = np.argmax(grid >= np.minimum(np.nextafter(0.5 * floor, np.inf), horizon)[:, None], 1)
+    column = np.argmax(grid >= np.minimum(np.nextafter(half, np.inf), horizon)[:, None], 1)
     searches = np.arange(len(kappa))
     first, searching = np.zeros(len(kappa), dtype=int), np.ones(len(kappa), dtype=bool)
     width = _FIRST_WINDOW
@@ -446,9 +459,10 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
         cols = np.minimum(column[scan, None] + np.arange(size), count - 1)
         taus = grid[scan[:, None], cols]
         try:
-            below = excess(taus, scan[:, None]) < 0.0
+            gap[scan[:, None], cols] = values = excess(taus, scan[:, None])
         except DomainError:
-            below = below_in_domain(taus, scan)
+            gap[scan[:, None], cols] = values = excess_in_domain(taus, scan)
+        below = values < 0.0
         crossed = below.any(axis=1)
         first[scan[crossed]] = cols[crossed, np.argmax(below[crossed], axis=1)]
         searching[scan[crossed]] = False
@@ -458,19 +472,29 @@ def _decorrelation_times(kappa, speed, mean, heading, wavelength: float, monosta
         cell = np.argmax(searching[inverse])
         raise DecorrelationNotFound(f"|ACF| never fell below {threshold} within horizon "
                                     f"{float(seconds[cell])} s")
-    hi = grid[searches, first]
-    lo = np.where(first > 0, grid[searches, first - 1], 0.0)
-    live = searches[hi - lo > 1e-6 * hi]
+    # each search's bracket [[lo, excess at lo], [hi, excess at hi]]
+    bracket = table[searches[:, None], first[:, None] + [0, 1]]
+    live = searches[bracket[:, 1, 0] - bracket[:, 0, 0] > 1e-6 * bracket[:, 1, 0]]
     while live.size:
         # lo + (hi - lo) k / 16 for k = 0..16, finite past 9e307: lo = 0 or lo >= hi / 2
-        # in every bracket, so hi - lo is exact and k = 0 and 16 give lo and hi; the first inner
-        # tau past half the floor below the threshold (else hi) and the one before it bracket next
-        a, b = lo[live, None], hi[live, None]
-        edges = a + (b - a) * _SECTIONS
-        inner = edges[:, 1:-1]
-        below = (excess(inner, live[:, None]) < 0.0) & (inner > 0.5 * floor[live, None])
-        k = np.where(below.any(axis=1), np.argmax(below, axis=1) + 1, 16)
-        rows = np.arange(live.size)
-        lo[live], hi[live] = edges[rows, k - 1], edges[rows, k]
-        live = live[hi[live] - lo[live] > 1e-6 * hi[live]]
-    return (0.5 * lo + 0.5 * hi)[inverse] / f_m
+        # in every bracket, so hi - lo is exact and k = 0 and 16 give lo and hi; then the
+        # guessed sixteenth's inner taus as the next level forms them (copies of its lo once
+        # 1e-6 narrow), which count only if its hi is below. In sorted order, the first tau
+        # past half the floor below the threshold and the one before it bracket next.
+        rows, pairs = np.arange(live.size), np.empty((live.size, 32, 2))
+        pairs[:, ::31] = ends = bracket[live]
+        (a, lo_excess), (b, hi_excess) = ends.transpose(1, 2, 0)
+        lo_excess = np.fmax(lo_excess, 0.0)  # hi's is below 0, so the line crosses in [0, 1]
+        guess = np.minimum(16.0 * lo_excess / (lo_excess - hi_excess), 15.0).astype(int)
+        taus, values = pairs[..., 0], pairs[..., 1]
+        taus[:, :17] = a[:, None] + (b - a)[:, None] * _SECTIONS
+        c, e = taus[rows, guess, None], taus[rows, guess + 1, None]
+        taus[:, 17:] = c + np.where(e - c > 1e-6 * e, e - c, 0.0) * _SECTIONS[1:-1]
+        taus.sort(axis=1)
+        values[:, 1:-1] = excess(taus[:, 1:-1], live[:, None])
+        below = (values < 0.0) & (taus > half[live, None])
+        below[:, -1] = True
+        below &= _OUTSIDE[guess] | below[rows, guess + 16, None]
+        bracket[live] = ends = pairs[rows[:, None], np.argmax(below, axis=1)[:, None] + [-1, 0]]
+        live = live[ends[:, 1, 0] - ends[:, 0, 0] > 1e-6 * ends[:, 1, 0]]
+    return (0.5 * bracket[:, 0, 0] + 0.5 * bracket[:, 1, 0])[inverse] / f_m

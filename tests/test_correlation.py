@@ -29,6 +29,7 @@ from vmfcorr import (
     scf_montecarlo,
     scf_multicluster,
     scf_quadrature,
+    scenario_to_cluster_and_motion,
 )
 from vmfcorr import correlation
 from vmfcorr.correlation import (_FIRST_WINDOW, _SCAN_WINDOW, LARGE_KAPPA_THRESHOLD, _Terms,
@@ -451,6 +452,21 @@ def test_mixed_batch_matches_scalar_calls():
         assert np.array_equal(row, scf(VmfCluster(1.0, -0.4, kappa), d, lam))
 
 
+@pytest.mark.parametrize("kappa", [0.0, 5.0, 1e4, (0.0, 5.0, 1e4)])
+def test_zero_displacement_gives_exactly_one(kappa):
+    # a call that one regime covers runs it unmasked on every point, d = 0 among them;
+    # a call that mixes all three takes each by mask. Either way d = 0 gives 1 + 0j,
+    # with no warning (the suite turns RuntimeWarning into an error)
+    kappa = np.reshape(kappa, (-1, 1))
+    d = np.array([[0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [0.0, 0.0, 0.0], [0.0, 0.0, -2.5]])
+    values = _closed_form(kappa, direction_from_angles(0.4, 0.2), d, 1.0)
+    assert values.shape == (len(kappa), 4)
+    for value in values[:, [0, 2]].ravel().tolist():
+        assert value.real == 1.0 and value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+    for row, k in zip(values, kappa.ravel().tolist()):
+        assert np.array_equal(row, scf(VmfCluster(0.4, 0.2, k), d, 1.0))
+
+
 def _probe(fn, kappa, x):
     """fn at kappa, mean along x, and d = x wavelengths along x, at wavelength 1."""
     cluster, d = VmfCluster(0.0, 0.0, kappa), np.array([x, 0.0, 0.0])
@@ -745,6 +761,56 @@ def _lockstep_reference(clusters, motions, lam, monostatic, threshold, horizon=N
                            f_m=f_m)
 
 
+def _one_level_reference(cluster, motion, lam, monostatic, threshold):
+    """decorrelation_time of one cell, at its default horizon, as a search of one
+    sixteenth-section level per kernel call gives it: an independent reference for
+    the two-level rounds. The first grid column past half the crossing floor (else
+    the horizon's column) below the threshold, among the columns from there whose
+    radicand is a finite double, evaluated in one call, then per level the 15 evenly
+    spaced inner taus of the bracket, keeping the sixteenth that holds the first one
+    past half the floor below the threshold (else the last one) until the bracket is
+    1e-6 narrow. Gives the time and each level's inner taus."""
+    mean, heading = cluster.mean_direction, direction_from_angles(motion.phi_v, motion.psi_v)
+
+    def excess(tau):
+        return np.abs(_closed_form(cluster.kappa, mean, tau[:, None] * heading, 1.0)) - threshold
+
+    grid = _lag_grid([cluster], [motion], lam, monostatic, threshold)[0]
+    half = 0.5 * _crossing_floor(np.array([cluster.kappa]), mean[None], heading[None],
+                                 threshold)[0]
+    start = np.argmax(grid >= min(np.nextafter(half, np.inf), grid[-1]))
+    valid = np.isfinite(_terms(cluster.kappa, mean, grid[start:, None] * heading, 1.0).size)
+    below = excess(grid[start:][valid]) < 0.0
+    assert below.any(), "a census cell crosses at a lag in domain"
+    first = start + np.argmax(below)  # the radicand grows with the lag: valid is a prefix
+    lo, hi = grid[first - 1] if first else 0.0, grid[first]
+    sections, levels = np.arange(17) / 16, []
+    while hi - lo > 1e-6 * hi:
+        edges = lo + (hi - lo) * sections
+        levels.append(edges[1:-1])
+        below = (excess(edges[1:-1]) < 0.0) & (edges[1:-1] > half)
+        k = np.argmax(below) + 1 if below.any() else 16
+        lo, hi = edges[k - 1], edges[k]
+    return (0.5 * lo + 0.5 * hi) / _doppler_rates([motion], lam, monostatic)[0], levels
+
+
+def _census_cells(seed, count):
+    """Seeded (cluster, motion, wavelength, monostatic, threshold) cells: kappa 0 for
+    every tenth cell, else log-uniform over 1e-2-1e12; the threshold log-uniform over
+    1e-4-0.99 or 1 - 10^-u for u uniform over 2-14; the heading along the mean,
+    against it, across it or oblique to it; 0.1-100 m/s at wavelengths 0.01-1."""
+    rng = np.random.default_rng(seed)
+    for cell in range(count):
+        kappa = 0.0 if cell % 10 == 0 else 10 ** rng.uniform(-2, 12)
+        threshold = (10 ** rng.uniform(-4, math.log10(0.99)) if rng.random() < 0.6
+                     else 1.0 - 10 ** -rng.uniform(2, 14))
+        phi, psi = rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5)
+        heading = [(phi, psi), (phi + math.pi, -psi), (phi + math.pi / 2, 0.0),
+                   (rng.uniform(-math.pi, math.pi), rng.uniform(-1.5, 1.5))][cell % 4]
+        yield (VmfCluster(phi, psi, kappa), MotionState(10 ** rng.uniform(-1, 2), *heading),
+               10 ** rng.uniform(-2, 0), bool(rng.integers(2)), threshold)
+
+
 def _assert_agrees(times, reference):
     # each time t, as t f_m wavelengths, lies in the reference's grid bracket
     # (grid[first - 1], grid[first]], or (0, grid[0]], and within the search's 1e-6
@@ -792,6 +858,49 @@ class TestDecorrelationSearch:
             for cluster, motion, t in zip(clusters, motions, table):
                 assert decorrelation_time(cluster, motion, lam, monostatic, threshold) == t
 
+    def test_two_level_rounds_equal_one_level_rounds(self, monkeypatch):
+        # each call refines a level and the sixteenth it guesses; every time equals the
+        # one-level reference bit for bit, and each refinement call holds one level's
+        # 15 taus, or two consecutive levels' 30 where the guess hits, or one level's
+        # and 15 others where it misses, or one level's and copies of one tau where the
+        # guessed sixteenth was already 1e-6 narrow. The 170 deg radar cell at threshold
+        # 4.39e-154 takes the scan's path for lags out of the kernel's domain.
+        calls, refused, closed_form = [], [], correlation._closed_form
+
+        def recorded(kappa, mean, d, wavelength):
+            calls.append({bytes(v) for v in np.reshape(d, (-1, 3))})
+            try:
+                return closed_form(kappa, mean, d, wavelength)
+            except DomainError:
+                refused.append(np.ravel(kappa).tolist())
+                raise
+
+        monkeypatch.setattr(correlation, "_closed_form", recorded)
+        edge = scenario_to_cluster_and_motion(RadarScenario(1e10, math.radians(20.0),
+                                                            math.radians(170.0), 40.0 / 3.6))
+        cells = [*_census_cells(53, 300), (*edge, True, 4.3949870217446895e-154)]
+        shapes = {"hit": 0, "miss": 0, "narrow": 0}
+        for cell, (cluster, motion, lam, monostatic, threshold) in enumerate(cells):
+            calls.clear()
+            refused.clear()
+            t = decorrelation_time(cluster, motion, lam, monostatic, threshold)
+            expected, levels = _one_level_reference(cluster, motion, lam, monostatic, threshold)
+            assert t.hex() == expected.hex(), cell
+            heading = direction_from_angles(motion.phi_v, motion.psi_v)
+            keys = [{bytes(v) for v in tau[:, None] * heading} for tau in levels]
+            held = [[i for i, level in enumerate(keys) if level <= call] for call in calls]
+            assert [i for h in held for i in h] == list(range(len(levels))), cell
+            for call, h in zip(calls, held):
+                rest = len(call.difference(*(keys[i] for i in h)))
+                if len(h) == 2:
+                    shapes["hit"] += 1
+                    assert rest == 0
+                elif h:
+                    shapes["miss" if rest > 1 else "narrow"] += 1
+                    assert rest in (0, 1, 15)
+        assert refused == [[edge[0].kappa]]  # the last cell's scan, once
+        assert min(shapes.values()) > 0, shapes
+
     def test_crossing_before_the_first_column(self):
         # 1e-14 below 1, the isotropic |ACF| = sinc(2 tau) crosses at tau =
         # sqrt(6e-14) / (2 pi) = 3.9e-8 wavelengths, before the grid's 1e-6
@@ -824,10 +933,11 @@ class TestDecorrelationSearch:
         assert sizes[0] == reference.count - start
 
     def test_table_equals_each_cell_searched_alone(self, monkeypatch):
-        # crossings before the first column need more rounds the deeper below it
-        # they lie, so the searches of one table leave the refinement at different
-        # rounds; a round of one search evaluates its 15 inner taus. 1e-14 below 1,
-        # |ACF| along the mean crosses at 3.9e-8 wavelengths at kappa 0 and at
+        # crossings before the first column need more levels the deeper below it
+        # they lie, and a round refines one level or two as its guess misses or
+        # hits, so the searches of one table leave the refinement at different
+        # rounds; a round of one search evaluates 30 taus, 15 per level. 1e-14 below
+        # 1, |ACF| along the mean crosses at 3.9e-8 wavelengths at kappa 0 and at
         # 2.2e-7 at kappa 10, before the grid's 1e-6, and at kappa 1e3 and 1e4 past it
         clusters = [VmfCluster(0.0, 0.0, kappa) for kappa in (0.0, 3.0, 10.0, 1e3, 1e4)]
         motion, threshold = MotionState(1.0, 0.0, 0.0), 1.0 - 1e-14
@@ -844,8 +954,8 @@ class TestDecorrelationSearch:
         for cluster, t in zip(clusters, table):
             sizes.clear()
             assert decorrelation_time(cluster, motion, 1.0, threshold=threshold) == t
-            rounds.append(sizes.count(15))
-        assert min(rounds) == 4 and max(rounds) == 7
+            rounds.append(sizes.count(30))
+        assert min(rounds) == 3 and max(rounds) == 6
 
     @pytest.mark.parametrize("kappa, phi_v, psi_v, threshold", [
         (300.0, math.pi / 2, 0.0, 1.0 - 1e-14), (300.0, 0.0, 0.0, 1.0 - 1e-14),

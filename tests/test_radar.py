@@ -365,12 +365,13 @@ def test_radar_table_at_a_1e300_hz_carrier(tmp_path):
 def test_radar_table_kernel_call_budget(monkeypatch):
     # the pinned table: one search per width in wavelengths travelled, its scan
     # in its own windows from its first tau past half its crossing floor, and
-    # its sixteen-section search take 5 kernel calls over 460 points, the same
-    # points as a table of one speed; one search per cell took 5 calls over
-    # 2,300, shared 128-column windows aligned to multiples of 128 7 over 5,468,
-    # a scan from every cell's first lag 8 over 11,228, and a whole-grid call and
-    # then one bisection level per call 17 over 16,400. A scan from the first
-    # column gives the same bits.
+    # its sixteen-section search, two levels per call, take 3 kernel calls over
+    # 460 points, the same points as a table of one speed; one level per call
+    # took 5 calls over the same 460, one search per cell 5 over 2,300, shared
+    # 128-column windows aligned to multiples of 128 7 over 5,468, a scan from
+    # every cell's first lag 8 over 11,228, and a whole-grid call and then one
+    # bisection level per call 17 over 16,400. A scan from the first column
+    # gives the same bits.
     widths = [math.radians(w) for w in (4.0, 2.0, 1.0, 0.5, 0.25)]
     speeds = [v / 3.6 for v in (300.0, 150.0, 80.0, 40.0, 10.0)]
     sizes, closed_form = [], correlation._closed_form
@@ -384,7 +385,7 @@ def test_radar_table_kernel_call_budget(monkeypatch):
     search = partial(decorrelation_table, widths, speeds, BASE)
     times, points = _searched_points(lambda: search().ravel())
     assert times == _PINNED_TABLE
-    assert len(sizes) <= 5
+    assert len(sizes) == 3
     assert sum(sizes) == 460
     assert _searched_points(lambda: search().ravel(), from_first_column=True)[0] == times
     one_speed = partial(decorrelation_table, widths, speeds[:1], BASE)
@@ -394,6 +395,28 @@ def test_radar_table_kernel_call_budget(monkeypatch):
         for width in widths for speed in speeds))
     _assert_scans_own_windows(clusters, motions, BASE.wavelength, BASE.monostatic, 0.5,
                               list(map(float.fromhex, times)), points)
+
+
+def test_mixed_regime_table_equals_cells_searched_alone(monkeypatch):
+    # widths 170 and 9 deg lie below kappa 700 and 8 and 4 deg above it, so the
+    # table's kernel calls mix the regimes and take each by mask, while a cell
+    # searched alone covers one regime per call; every time keeps its bits
+    widths = [math.radians(w) for w in (170.0, 9.0, 8.0, 4.0)]
+    speeds = [v / 3.6 for v in (300.0, 40.0, 10.0)]
+    kappas, closed_form = [], correlation._closed_form
+
+    def recorded(kappa, *args):
+        kappas.append(np.ravel(kappa))
+        return closed_form(kappa, *args)
+
+    monkeypatch.setattr(correlation, "_closed_form", recorded)
+    table = decorrelation_table(widths, speeds, BASE)
+    assert all(k.min() <= correlation.LARGE_KAPPA_THRESHOLD < k.max() for k in kappas[:2])
+    for row, width in zip(table, widths):
+        for t, speed in zip(row, speeds):
+            cell = replace(BASE, target_angular_width=width, target_speed=speed)
+            cluster, motion, wavelength = scenario_to_cluster_and_motion(cell)
+            assert decorrelation_time(cluster, motion, wavelength, True) == t
 
 
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
